@@ -4,28 +4,17 @@
 //! skewed workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gp_bench::busy;
+use gp_bench::oracle::{spawn_map, spawn_reduce};
 use gp_core::algebra::{monoid_fold, AddOp};
 use gp_core::order::NaturalLess;
 use gp_parallel::par::{par_map, par_map_static, par_reduce, par_scan, par_sort};
-use gp_parallel::spawn::{spawn_map, spawn_reduce};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn random(n: usize) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(5);
     (0..n).map(|_| rng.gen_range(-1000..1000)).collect()
-}
-
-/// Spin for `units` of synthetic work (opaque to the optimizer).
-fn busy(units: u64) -> u64 {
-    let mut acc = units;
-    for _ in 0..units {
-        acc = acc
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        acc = std::hint::black_box(acc);
-    }
-    acc
 }
 
 /// A skewed workload: 90% cheap items, then a heavy tail. Static even

@@ -26,7 +26,7 @@
 //!
 //! Emits `results/BENCH_egraph.json`; `--smoke` shrinks counts for CI.
 
-use gp_bench::{banner, write_results, Json, Table};
+use gp_bench::{banner, median_ms, write_results, Json, Table};
 use gp_rewrite::egraph::{op_key, CostModel, EGraph, EGraphConfig, MeasuredCost};
 use gp_rewrite::rules::LidiaInverse;
 use gp_rewrite::{BinOp, Expr, Simplifier, Type, UnOp};
@@ -36,18 +36,6 @@ use gp_service::{Request, Response, Service, ServiceConfig, TcpClient};
 use std::time::Instant;
 
 /// Median wall time of `reps` runs, in milliseconds.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// Tree cost of an expression under a model: intern into a fresh store
 /// and fold — the yardstick both engines' outputs are measured with.
 fn tree_cost_of(e: &Expr, cost: &dyn CostModel) -> u64 {
@@ -133,8 +121,8 @@ fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
         assert!(stats.saturated, "{name}: tiny workloads must saturate");
         let beats = cost_ext < cost_dir;
         any_beat |= beats;
-        let directed_ms = time_ms(reps, || directed.simplify(&e));
-        let egraph_ms = time_ms(reps, || superopt.session().optimize(&e, &cfg, &cost));
+        let directed_ms = median_ms(reps, || directed.simplify(&e));
+        let egraph_ms = median_ms(reps, || superopt.session().optimize(&e, &cfg, &cost));
         t.row(&[
             name.to_string(),
             dir_out.to_string(),
@@ -426,7 +414,7 @@ fn service_phase(requests_per_kind: usize, reps: usize) -> (Json, bool) {
         shared = Expr::bin(BinOp::Add, half.clone(), half);
     }
     let s = Simplifier::standard();
-    let now_ms = time_ms(reps, || s.simplify(&shared));
+    let now_ms = median_ms(reps, || s.simplify(&shared));
     let baseline_ms = recorded.and_then(|j| {
         j.get("workloads").and_then(Json::as_arr).and_then(|ws| {
             ws.iter()

@@ -2,24 +2,11 @@
 //! an associated type of the vector forces promotion to complex×complex,
 //! which costs 2× the multiplications of the direct mixed kernel.
 
-use gp_bench::{banner, Table};
+use gp_bench::{banner, best_ms, Table};
 use gp_core::algebra::AlgEq;
 use gp_core::numeric::{
     clacrm_mixed, clacrm_mixed_mults, clacrm_promoted, clacrm_promoted_mults, Complex, Matrix,
 };
-use std::time::Instant;
-
-fn time_it<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    // One warmup, then best-of-reps wall time in milliseconds.
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 fn main() {
     banner(
@@ -42,8 +29,8 @@ fn main() {
         });
         let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 17) as f32 * 0.25 - 2.0);
         let reps = if n <= 64 { 9 } else { 3 };
-        let mixed_ms = time_it(reps, || clacrm_mixed(&a, &b));
-        let promoted_ms = time_it(reps, || clacrm_promoted(&a, &b));
+        let mixed_ms = best_ms(reps, || clacrm_mixed(&a, &b));
+        let promoted_ms = best_ms(reps, || clacrm_promoted(&a, &b));
         let equal = clacrm_mixed(&a, &b).alg_eq(&clacrm_promoted(&a, &b));
         t.row(&[
             n.to_string(),

@@ -4,7 +4,8 @@
 //! chunking on a skewed workload, sequential vs parallel BFS on CSR, and
 //! the Monoid-obligation ablation. Emits `results/BENCH_parallel.json`.
 
-use gp_bench::{banner, random_ints, write_results, Json, Table};
+use gp_bench::oracle::{spawn_map, spawn_reduce};
+use gp_bench::{banner, best_ms, busy, random_ints, write_results, Json, Table};
 use gp_core::algebra::AddOp;
 use gp_core::order::NaturalLess;
 use gp_graphs::algo::{bfs_distances, par_bfs_distances};
@@ -12,33 +13,8 @@ use gp_graphs::CsrGraph;
 use gp_parallel::par::{
     par_map, par_map_static, par_reduce, par_reduce_unchecked, par_scan, par_sort,
 };
-use gp_parallel::spawn::{spawn_map, spawn_reduce};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
-
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Spin for `units` of synthetic work (opaque to the optimizer).
-fn busy(units: u64) -> u64 {
-    let mut acc = units;
-    for _ in 0..units {
-        acc = acc
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        acc = std::hint::black_box(acc);
-    }
-    acc
-}
 
 fn main() {
     let hw = std::thread::available_parallelism()
@@ -72,7 +48,7 @@ fn main() {
     let seq_sum: i64 = data.iter().sum();
     let mut base = 0.0;
     for &th in &threads_list {
-        let ms = time_ms(5, || par_reduce(&data, th, &AddOp));
+        let ms = best_ms(5, || par_reduce(&data, th, &AddOp));
         if th == 1 {
             base = ms;
         }
@@ -103,7 +79,7 @@ fn main() {
     }
     let mut base = 0.0;
     for &th in &threads_list {
-        let ms = time_ms(3, || par_scan(&data, th, &AddOp));
+        let ms = best_ms(3, || par_scan(&data, th, &AddOp));
         if th == 1 {
             base = ms;
         }
@@ -132,7 +108,7 @@ fn main() {
     expect.sort_unstable();
     let mut base = 0.0;
     for &th in &threads_list {
-        let ms = time_ms(3, || {
+        let ms = best_ms(3, || {
             let mut v = sort_data.clone();
             par_sort(&mut v, th, &NaturalLess);
             v
@@ -170,10 +146,10 @@ fn main() {
     let n = 1_000_000usize;
     let cheap = random_ints(n, 9);
     let th = 8usize;
-    let spawn_map_ms = time_ms(10, || spawn_map(&cheap, th, |x| x + 1));
-    let pooled_map_ms = time_ms(10, || par_map(&cheap, th, |x| x + 1));
-    let spawn_red_ms = time_ms(10, || spawn_reduce(&cheap, th, &AddOp));
-    let pooled_red_ms = time_ms(10, || par_reduce(&cheap, th, &AddOp));
+    let spawn_map_ms = best_ms(10, || spawn_map(&cheap, th, |x| x + 1));
+    let pooled_map_ms = best_ms(10, || par_map(&cheap, th, |x| x + 1));
+    let spawn_red_ms = best_ms(10, || spawn_reduce(&cheap, th, &AddOp));
+    let pooled_red_ms = best_ms(10, || par_reduce(&cheap, th, &AddOp));
     let t = Table::new(&[
         ("op", 8),
         ("spawn ms", 10),
@@ -222,8 +198,8 @@ fn main() {
     let units: Vec<u64> = (0..n)
         .map(|i| if i >= n - n / 10 { 400 } else { 1 })
         .collect();
-    let static_ms = time_ms(5, || par_map_static(&units, th, |&u| busy(u)));
-    let adaptive_ms = time_ms(5, || par_map(&units, th, |&u| busy(u)));
+    let static_ms = best_ms(5, || par_map_static(&units, th, |&u| busy(u)));
+    let adaptive_ms = best_ms(5, || par_map(&units, th, |&u| busy(u)));
     let t = Table::new(&[("schedule", 10), ("ms", 10), ("speedup", 10)]);
     t.row(&["static".into(), format!("{static_ms:.2}"), "1.00x".into()]);
     t.row(&[
@@ -260,7 +236,7 @@ fn main() {
         edges.push((rng.gen_range(0..nv), rng.gen_range(0..nv)));
     }
     let csr = CsrGraph::from_edges(nv as usize, &edges);
-    let seq_ms = time_ms(5, || bfs_distances(&csr, 0));
+    let seq_ms = best_ms(5, || bfs_distances(&csr, 0));
     let t = Table::new(&[("bfs", 14), ("threads", 8), ("ms", 10), ("matches seq", 12)]);
     t.row(&[
         "sequential".into(),
@@ -274,7 +250,7 @@ fn main() {
         .field("threads", 1usize)
         .field("ms", seq_ms)];
     for &th in &[2usize, 4, 8] {
-        let ms = time_ms(5, || par_bfs_distances(&csr, 0, th));
+        let ms = best_ms(5, || par_bfs_distances(&csr, 0, th));
         let ok = par_bfs_distances(&csr, 0, th).as_slice() == seq_d.as_slice();
         t.row(&[
             "par_frontier".into(),

@@ -8,7 +8,8 @@
 //! point on expressions too large to exist as trees. Emits
 //! `results/BENCH_rewrite.json`; `--smoke` shrinks sizes for CI.
 
-use gp_bench::{banner, write_results, Json, Table};
+use gp_bench::oracle::simplify_baseline;
+use gp_bench::{banner, median_ms, write_results, Json, Table};
 use gp_rewrite::env::AlgConcept;
 use gp_rewrite::expr::Value;
 use gp_rewrite::rules::LidiaInverse;
@@ -187,18 +188,6 @@ fn main() {
 // --- E13r: interned engine vs clone-per-pass baseline -------------------
 
 /// Median wall time of `reps` runs, in milliseconds.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// `levels` doublings of a rewritable core: every level duplicates the
 /// term below it, so the tree has ~3·2^levels nodes but only ~3·levels
 /// distinct subterms — the workload hash-consing exists for.
@@ -245,10 +234,10 @@ fn wide_expr(depth: usize) -> Expr {
 fn bench_workload(name: &str, e: &Expr, reps: usize, table: &Table) -> Json {
     let s = Simplifier::standard();
     let (out_new, stats_new) = s.simplify(e);
-    let (out_old, stats_old) = s.simplify_baseline(e);
+    let (out_old, stats_old) = simplify_baseline(&s, e);
     assert_eq!(out_new, out_old, "engines diverged on workload {name}");
-    let interned_ms = time_ms(reps, || s.simplify(e));
-    let baseline_ms = time_ms(reps, || s.simplify_baseline(e));
+    let interned_ms = median_ms(reps, || s.simplify(e));
+    let baseline_ms = median_ms(reps, || simplify_baseline(&s, e));
     let speedup = baseline_ms / interned_ms;
     table.row(&[
         name.to_string(),

@@ -28,7 +28,7 @@
 //! Emits `results/BENCH_tracing.json`; `--smoke` shrinks the workload
 //! for a fast CI pass.
 
-use gp_bench::{banner, write_results, Json, Table};
+use gp_bench::{banner, flatten_trace, write_results, Json, Table};
 use gp_rewrite::{BinOp, Expr, Type};
 use gp_service::introspect::{StatsRequest, TraceQuery};
 use gp_service::simplify::{EnvSpec, SimplifyRequest};
@@ -81,30 +81,6 @@ fn expect_ok(resp: Response) -> String {
     }
 }
 
-/// Depth-first `(depth, name, thread)` walk of a rendered span tree.
-fn flatten(tree: &Json) -> Vec<(usize, String, String)> {
-    fn walk(span: &Json, depth: usize, out: &mut Vec<(usize, String, String)>) {
-        out.push((
-            depth,
-            span.get("name").and_then(Json::as_str).unwrap().to_string(),
-            span.get("thread")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string(),
-        ));
-        if let Some(children) = span.get("children").and_then(Json::as_arr) {
-            for c in children {
-                walk(c, depth + 1, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for root in tree.get("spans").and_then(Json::as_arr).expect("spans") {
-        walk(root, 0, &mut out);
-    }
-    out
-}
-
 /// E16a: the assembled trace of one sampled request, fetched over the
 /// wire, is the causal chain with correct parent links across threads.
 fn part_a_anatomy() -> Json {
@@ -140,7 +116,7 @@ fn part_a_anatomy() -> Json {
             .unwrap(),
     );
     let tree = Json::parse(&payload).expect("trace tree parses");
-    let spans = flatten(&tree);
+    let spans = flatten_trace(&tree);
 
     let t = Table::new(&[("depth", 6), ("span", 20), ("thread", 24)]);
     for (d, name, thread) in &spans {
@@ -208,22 +184,11 @@ fn part_a_anatomy() -> Json {
 /// timing is a scheduler lottery.
 fn serve_frames_once(svc: &Service, frames: &[String]) -> f64 {
     use gp_service::{decode_request_traced, encode_response};
-    use gp_telemetry::trace::TraceHandle;
+    static SERVER_SPAN: gp_telemetry::SpanName = gp_telemetry::SpanName::new("server");
     let t0 = Instant::now();
     for frame in frames {
         let (id, request, wire_trace) = decode_request_traced(frame).unwrap();
-        let sampled = wire_trace.and_then(gp_telemetry::trace::sample);
-        let (handle, root) = match sampled {
-            Some(ctx) => {
-                let root = ctx.span("server", None);
-                let handle = TraceHandle {
-                    ctx: ctx.clone(),
-                    parent: Some(root.id()),
-                };
-                (Some(handle), Some(root))
-            }
-            None => (None, None),
-        };
+        let (handle, root) = gp_telemetry::trace::sample_root(wire_trace, &SERVER_SPAN);
         let response = svc.submit_traced(request, handle).wait();
         drop(root);
         std::hint::black_box(encode_response(id, &response));

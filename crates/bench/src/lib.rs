@@ -3,7 +3,11 @@
 //! One binary per experiment (E1–E12 of `DESIGN.md`/`EXPERIMENTS.md`) that
 //! prints the table/series the paper's claim corresponds to, plus Criterion
 //! benches (`benches/`) for the timing-sensitive claims. Shared workload
-//! generators and table formatting live here.
+//! generators and table formatting live here, and so do the frozen
+//! reference engines ([`oracle`]) that tests and baselines compare the
+//! library against.
+
+pub mod oracle;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,6 +83,62 @@ impl Table {
         let line: Vec<String> = self.widths.iter().map(|w| "-".repeat(*w)).collect();
         println!("{}", line.join("  "));
     }
+}
+
+/// Spin for `units` of synthetic work (opaque to the optimizer): the
+/// skewed per-element cost of the E11 scheduling workloads.
+pub fn busy(units: u64) -> u64 {
+    let mut acc = units;
+    for _ in 0..units {
+        acc = acc
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        acc = std::hint::black_box(acc);
+    }
+    acc
+}
+
+/// Depth-first `(depth, name, thread)` walk of a rendered span tree
+/// (`gp_telemetry::trace::render_tree` output), in visit order.
+pub fn flatten_trace(tree: &Json) -> Vec<(usize, String, String)> {
+    fn walk(span: &Json, depth: usize, out: &mut Vec<(usize, String, String)>) {
+        let field = |k: &str| span.get(k).and_then(Json::as_str).unwrap().to_string();
+        out.push((depth, field("name"), field("thread")));
+        for c in span.get("children").and_then(Json::as_arr).unwrap_or(&[]) {
+            walk(c, depth + 1, out);
+        }
+    }
+    let mut out = Vec::new();
+    for root in tree.get("spans").and_then(Json::as_arr).expect("spans") {
+        walk(root, 0, &mut out);
+    }
+    out
+}
+
+/// Best-of-`reps` wall time of `f` in milliseconds, after one warm-up
+/// call.
+pub fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    (0..reps)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Median wall time of `reps` calls of `f` in milliseconds (no warm-up).
+pub fn median_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Section banner used by every experiment binary.

@@ -12,6 +12,7 @@
 
 #![cfg(target_os = "linux")]
 
+use gp_bench::flatten_trace;
 use gp_core::json::Json;
 use gp_rewrite::{BinOp, Expr, Type};
 use gp_service::introspect::{StatsRequest, TraceQuery};
@@ -33,30 +34,6 @@ fn simplify(n: i64) -> Request {
 fn sampling_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap()
-}
-
-/// Walk a rendered span tree depth-first, collecting `(depth, name,
-/// thread)` in visit order.
-fn flatten(tree: &Json) -> Vec<(usize, String, String)> {
-    fn walk(span: &Json, depth: usize, out: &mut Vec<(usize, String, String)>) {
-        let name = span.get("name").and_then(Json::as_str).unwrap().to_string();
-        let thread = span
-            .get("thread")
-            .and_then(Json::as_str)
-            .unwrap()
-            .to_string();
-        out.push((depth, name, thread));
-        if let Some(children) = span.get("children").and_then(Json::as_arr) {
-            for c in children {
-                walk(c, depth + 1, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for root in tree.get("spans").and_then(Json::as_arr).expect("spans") {
-        walk(root, 0, &mut out);
-    }
-    out
 }
 
 fn expect_ok(resp: Response) -> String {
@@ -102,7 +79,7 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
         tree.get("trace_id").and_then(Json::as_f64),
         Some(trace_id as f64)
     );
-    let spans = flatten(&tree);
+    let spans = flatten_trace(&tree);
     let chain: Vec<(usize, &str)> = spans.iter().map(|(d, n, _)| (*d, n.as_str())).collect();
     assert_eq!(
         chain,
@@ -154,7 +131,7 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
             .call(&Request::Trace(TraceQuery { id: btrace }))
             .unwrap(),
     );
-    let spans = flatten(&Json::parse(&payload).unwrap());
+    let spans = flatten_trace(&Json::parse(&payload).unwrap());
     let chain: Vec<(usize, &str)> = spans.iter().map(|(d, n, _)| (*d, n.as_str())).collect();
     assert_eq!(
         chain,

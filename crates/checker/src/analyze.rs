@@ -1,8 +1,8 @@
-//! The flow-sensitive abstract interpreter and the algorithm entry/exit
-//! handlers.
+//! The checker's entry point and its diagnostic vocabulary: severities,
+//! codes, the paper's message texts, and the per-code telemetry tallies.
+//! The analysis itself is [`crate::interp`].
 
-use crate::ir::{AlgorithmName, Cond, ContainerKind, PosExpr, Program, Stmt};
-use crate::state::{AbsState, AtEnd, ContainerInfo, IterInfo, Sortedness, Validity};
+use crate::ir::Program;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -115,30 +115,6 @@ pub fn diag_counter(code: DiagnosticCode) -> &'static gp_telemetry::Counter {
     diag_metrics()[code.index()]
 }
 
-/// Telemetry handles for the abstract interpreter, resolved once per
-/// process. Statement execution is the checker's hot path, so it gets a
-/// pre-resolved counter; diagnostics are rare and resolve by name.
-struct CheckerMetrics {
-    /// IR statements abstractly executed (loop passes revisit statements).
-    stmts: &'static gp_telemetry::Counter,
-    /// Fixpoint passes over `while` bodies.
-    loop_passes: &'static gp_telemetry::Counter,
-    /// Abstract states materialized (clones for branches and loop bodies).
-    states: &'static gp_telemetry::Counter,
-    /// `analyze` invocations.
-    runs: &'static gp_telemetry::Counter,
-}
-
-fn checker_metrics() -> &'static CheckerMetrics {
-    static METRICS: std::sync::OnceLock<CheckerMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| CheckerMetrics {
-        stmts: gp_telemetry::counter("checker.stmts"),
-        loop_passes: gp_telemetry::counter("checker.loop_passes"),
-        states: gp_telemetry::counter("checker.states"),
-        runs: gp_telemetry::counter("checker.runs"),
-    })
-}
-
 /// One checker finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -175,23 +151,19 @@ with one specialized for sorted sequences (e.g., lower_bound)";
 
 /// Deduplicating diagnostic sink: first report of a `(code, subject)`
 /// pair wins position and message; a later `Error` upgrades an earlier
-/// `Warning`. Shared by the seed (intraprocedural) analyzer and the
-/// interprocedural emission pass in [`crate::interp`], so both produce
-/// identically deduplicated output.
-pub(crate) struct Reporter {
-    pub(crate) diags: Vec<Diagnostic>,
+/// `Warning`. Each first report is tallied under `checker.diag.<code>`.
+/// The interprocedural emission pass and the seed analyzer (the
+/// flat-program oracle in `gp_bench`) both report through it, so both
+/// produce identically deduplicated output.
+#[derive(Default)]
+pub struct Reporter {
+    diags: Vec<Diagnostic>,
     seen: BTreeSet<(DiagnosticCode, String)>,
 }
 
 impl Reporter {
-    pub(crate) fn new() -> Reporter {
-        Reporter {
-            diags: Vec::new(),
-            seen: BTreeSet::new(),
-        }
-    }
-
-    pub(crate) fn report(
+    /// Record one finding (see the type docs for the dedup rule).
+    pub fn report(
         &mut self,
         severity: Severity,
         code: DiagnosticCode,
@@ -220,498 +192,60 @@ impl Reporter {
             }
         }
     }
-}
 
-struct Analyzer {
-    rep: Reporter,
-}
-
-impl Analyzer {
-    fn report(&mut self, severity: Severity, code: DiagnosticCode, subject: &str, message: String) {
-        self.rep.report(severity, code, subject, message);
-    }
-
-    /// Check an iterator use; returns the iterator info if usable enough to
-    /// continue the analysis.
-    fn check_iter_use(
-        &mut self,
-        state: &AbsState,
-        name: &str,
-        deref: bool,
-    ) -> Option<(Validity, AtEnd)> {
-        let Some(it) = state.iters.get(name) else {
-            self.report(
-                Severity::Error,
-                DiagnosticCode::UnknownName,
-                name,
-                format!("use of undeclared iterator `{name}`"),
-            );
-            return None;
-        };
-        let validity = it.validity;
-        match validity {
-            Validity::Singular => self.report(
-                Severity::Error,
-                if deref {
-                    DiagnosticCode::DerefSingular
-                } else {
-                    DiagnosticCode::AdvanceSingular
-                },
-                name,
-                if deref {
-                    MSG_SINGULAR.to_string()
-                } else {
-                    format!("attempt to advance a singular iterator (`{name}`)")
-                },
-            ),
-            Validity::MaybeSingular => self.report(
-                Severity::Warning,
-                if deref {
-                    DiagnosticCode::DerefSingular
-                } else {
-                    DiagnosticCode::AdvanceSingular
-                },
-                name,
-                if deref {
-                    MSG_SINGULAR.to_string()
-                } else {
-                    format!("attempt to advance a possibly singular iterator (`{name}`)")
-                },
-            ),
-            Validity::Valid => {}
-        }
-        if validity != Validity::Singular {
-            match it.at_end {
-                AtEnd::Yes => self.report(
-                    Severity::Error,
-                    if deref {
-                        DiagnosticCode::DerefPastEnd
-                    } else {
-                        DiagnosticCode::AdvancePastEnd
-                    },
-                    name,
-                    if deref {
-                        MSG_PAST_END.to_string()
-                    } else {
-                        format!("attempt to advance past the end (`{name}`)")
-                    },
-                ),
-                AtEnd::Maybe if deref => self.report(
-                    Severity::Warning,
-                    DiagnosticCode::DerefPastEnd,
-                    name,
-                    MSG_PAST_END.to_string(),
-                ),
-                _ => {}
-            }
-        }
-        Some((validity, it.at_end))
-    }
-
-    /// Direct invalidation: every iterator currently pointing into the
-    /// container becomes singular (the per-kind policies decide when this
-    /// is called).
-    fn invalidate_container(state: &mut AbsState, container: &str) {
-        for it in state.iters.values_mut() {
-            if it.container == container {
-                it.validity = Validity::Singular;
-            }
-        }
-    }
-
-    fn exec_block(&mut self, stmts: &[Stmt], state: &mut AbsState) {
-        for s in stmts {
-            self.exec(s, state);
-        }
-    }
-
-    fn exec(&mut self, stmt: &Stmt, state: &mut AbsState) {
-        checker_metrics().stmts.incr();
-        match stmt {
-            Stmt::DeclContainer { name, kind } => {
-                state.containers.insert(
-                    name.clone(),
-                    ContainerInfo {
-                        kind: *kind,
-                        sorted: Sortedness::Unknown,
-                        maybe_empty: true,
-                    },
-                );
-            }
-            Stmt::DeclIter {
-                name,
-                container,
-                pos,
-            } => {
-                let Some(c) = state.containers.get(container) else {
-                    self.report(
-                        Severity::Error,
-                        DiagnosticCode::UnknownName,
-                        container,
-                        format!("use of undeclared container `{container}`"),
-                    );
-                    return;
-                };
-                let at_end = match pos {
-                    PosExpr::Begin => {
-                        if c.maybe_empty {
-                            AtEnd::Maybe
-                        } else {
-                            AtEnd::No
-                        }
-                    }
-                    PosExpr::End => AtEnd::Yes,
-                    PosExpr::SearchResult => AtEnd::Maybe,
-                };
-                state.iters.insert(
-                    name.clone(),
-                    IterInfo {
-                        container: container.clone(),
-                        validity: Validity::Valid,
-                        at_end,
-                    },
-                );
-            }
-            Stmt::Advance { iter } => {
-                self.check_iter_use(state, iter, false);
-                if let Some(it) = state.iters.get_mut(iter) {
-                    if it.at_end != AtEnd::Yes {
-                        it.at_end = AtEnd::Maybe;
-                    }
-                }
-            }
-            Stmt::Deref { iter } => {
-                self.check_iter_use(state, iter, true);
-            }
-            Stmt::Erase {
-                container,
-                iter,
-                capture,
-            } => {
-                self.check_iter_use(state, iter, true); // erase dereferences
-                let kind = state.containers.get(container).map(|c| c.kind);
-                match kind {
-                    Some(ContainerKind::Vector) | Some(ContainerKind::Deque) => {
-                        Self::invalidate_container(state, container);
-                    }
-                    Some(ContainerKind::List) => {
-                        // Only the erased position dies.
-                        if let Some(it) = state.iters.get_mut(iter) {
-                            it.validity = Validity::Singular;
-                        }
-                    }
-                    None => {
-                        self.report(
-                            Severity::Error,
-                            DiagnosticCode::UnknownName,
-                            container,
-                            format!("use of undeclared container `{container}`"),
-                        );
-                        return;
-                    }
-                }
-                if let Some(cap) = capture {
-                    state.iters.insert(
-                        cap.clone(),
-                        IterInfo {
-                            container: container.clone(),
-                            validity: Validity::Valid,
-                            at_end: AtEnd::Maybe,
-                        },
-                    );
-                }
-                // Erasing preserves sortedness; the container may now be
-                // empty.
-                if let Some(c) = state.containers.get_mut(container) {
-                    c.maybe_empty = true;
-                }
-            }
-            Stmt::Insert { container, iter } => {
-                self.check_iter_use(state, iter, false);
-                let kind = state.containers.get(container).map(|c| c.kind);
-                if matches!(
-                    kind,
-                    Some(ContainerKind::Vector) | Some(ContainerKind::Deque)
-                ) {
-                    Self::invalidate_container(state, container);
-                }
-                if let Some(c) = state.containers.get_mut(container) {
-                    c.sorted = Sortedness::Unknown;
-                    c.maybe_empty = false;
-                }
-            }
-            Stmt::PushBack { container } => {
-                let kind = state.containers.get(container).map(|c| c.kind);
-                if matches!(
-                    kind,
-                    Some(ContainerKind::Vector) | Some(ContainerKind::Deque)
-                ) {
-                    Self::invalidate_container(state, container);
-                }
-                if let Some(c) = state.containers.get_mut(container) {
-                    c.sorted = Sortedness::Unsorted;
-                    c.maybe_empty = false;
-                } else {
-                    self.report(
-                        Severity::Error,
-                        DiagnosticCode::UnknownName,
-                        container,
-                        format!("use of undeclared container `{container}`"),
-                    );
-                }
-            }
-            Stmt::Clear { container } => {
-                if state.containers.contains_key(container) {
-                    Self::invalidate_container(state, container);
-                    let c = state.containers.get_mut(container).expect("checked");
-                    // An empty sequence is vacuously sorted.
-                    c.sorted = Sortedness::Sorted;
-                    c.maybe_empty = true;
-                } else {
-                    self.report(
-                        Severity::Error,
-                        DiagnosticCode::UnknownName,
-                        container,
-                        format!("use of undeclared container `{container}`"),
-                    );
-                }
-            }
-            Stmt::Assign { dst, src } => {
-                if let Some(info) = state.iters.get(src).cloned() {
-                    state.iters.insert(dst.clone(), info);
-                } else {
-                    self.report(
-                        Severity::Error,
-                        DiagnosticCode::UnknownName,
-                        src,
-                        format!("use of undeclared iterator `{src}`"),
-                    );
-                }
-            }
-            Stmt::Call {
-                algorithm,
-                container,
-                capture,
-            } => {
-                self.exec_algorithm(*algorithm, container, capture.as_deref(), state);
-            }
-            Stmt::While { cond, body } => {
-                self.exec_while(cond, body, state);
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-            } => {
-                checker_metrics().states.add(2);
-                let mut s_then = state.clone();
-                let mut s_else = state.clone();
-                self.exec_block(then_branch, &mut s_then);
-                self.exec_block(else_branch, &mut s_else);
-                *state = s_then.join(&s_else);
-            }
-            Stmt::Invoke { function, .. } => {
-                // The flat path has no function definitions in scope
-                // (programs with definitions route to `crate::interp`),
-                // so any invoke here targets an unknown function —
-                // matching what the interprocedural resolver reports.
-                self.report(
-                    Severity::Error,
-                    DiagnosticCode::BadInvoke,
-                    function,
-                    format!("invoke of unknown function `{function}`"),
-                );
-            }
-        }
-    }
-
-    /// Entry/exit handlers per algorithm (§3.1: "entry handlers check
-    /// preconditions and exit handlers check/enforce postconditions").
-    fn exec_algorithm(
-        &mut self,
-        alg: AlgorithmName,
-        container: &str,
-        capture: Option<&str>,
-        state: &mut AbsState,
-    ) {
-        let Some(c) = state.containers.get(container).cloned() else {
-            self.report(
-                Severity::Error,
-                DiagnosticCode::UnknownName,
-                container,
-                format!("use of undeclared container `{container}`"),
-            );
-            return;
-        };
-        match alg {
-            AlgorithmName::Sort => {
-                // Exit handler: sortedness installed.
-                if let Some(cm) = state.containers.get_mut(container) {
-                    cm.sorted = Sortedness::Sorted;
-                }
-            }
-            AlgorithmName::Find => {
-                // §3.2: suggest the asymptotically better algorithm.
-                if c.sorted == Sortedness::Sorted {
-                    self.report(
-                        Severity::Suggestion,
-                        DiagnosticCode::SortedLinearSearch,
-                        &format!("find({container})"),
-                        MSG_SORTED_LINEAR.to_string(),
-                    );
-                }
-            }
-            AlgorithmName::LowerBound | AlgorithmName::BinarySearch => {
-                // Entry handler: sortedness required.
-                match c.sorted {
-                    Sortedness::Sorted => {}
-                    Sortedness::Unsorted => self.report(
-                        Severity::Error,
-                        DiagnosticCode::RequiresSorted,
-                        &format!("{}({container})", alg.as_str()),
-                        format!(
-                            "algorithm `{}` requires the sequence to be sorted, but it is not",
-                            alg.as_str()
-                        ),
-                    ),
-                    Sortedness::Unknown => self.report(
-                        Severity::Warning,
-                        DiagnosticCode::RequiresSorted,
-                        &format!("{}({container})", alg.as_str()),
-                        format!(
-                            "algorithm `{}` requires the sequence to be sorted, but it may not be",
-                            alg.as_str()
-                        ),
-                    ),
-                }
-            }
-            AlgorithmName::Unique => {
-                if c.sorted != Sortedness::Sorted {
-                    self.report(
-                        Severity::Warning,
-                        DiagnosticCode::RequiresSorted,
-                        &format!("unique({container})"),
-                        "algorithm `unique` removes only adjacent duplicates; on an unsorted \
-                         sequence this is unlikely to be the intended full deduplication"
-                            .to_string(),
-                    );
-                }
-                if matches!(c.kind, ContainerKind::Vector | ContainerKind::Deque) {
-                    Self::invalidate_container(state, container);
-                }
-            }
-            AlgorithmName::MaxElement => {}
-        }
-        if let Some(cap) = capture {
-            state.iters.insert(
-                cap.to_string(),
-                IterInfo {
-                    container: container.to_string(),
-                    validity: Validity::Valid,
-                    at_end: AtEnd::Maybe,
-                },
-            );
-        }
-    }
-
-    fn exec_while(&mut self, cond: &Cond, body: &[Stmt], state: &mut AbsState) {
-        const MAX_PASSES: usize = 6;
-        let mut loop_state = state.clone();
-        for _ in 0..MAX_PASSES {
-            checker_metrics().loop_passes.incr();
-            checker_metrics().states.incr();
-            let mut body_state = loop_state.clone();
-            // Condition refinement on loop entry: `iter != end` means the
-            // iterator is dereferenceable inside the body.
-            if let Cond::IterNotEnd { iter } = cond {
-                if let Some(it) = body_state.iters.get_mut(iter) {
-                    if it.at_end != AtEnd::Yes {
-                        it.at_end = AtEnd::No;
-                    }
-                }
-            }
-            self.exec_block(body, &mut body_state);
-            let next = loop_state.join(&body_state);
-            if next == loop_state {
-                break;
-            }
-            loop_state = next;
-        }
-        // Exit refinement: the condition is false.
-        if let Cond::IterNotEnd { iter } = cond {
-            if let Some(it) = loop_state.iters.get_mut(iter) {
-                it.at_end = AtEnd::Yes;
-            }
-        }
-        *state = loop_state;
+    /// The findings, in first-report order.
+    pub fn into_diags(self) -> Vec<Diagnostic> {
+        self.diags
     }
 }
 
-/// Run the checker over a program.
+/// Run the checker over a program with the default configuration.
 ///
-/// Flat programs (no function definitions) take the seed intraprocedural
-/// path unchanged. Programs with functions go through the summary-based
-/// interprocedural analysis ([`crate::interp::analyze_program`]) with the
-/// default configuration; a resource-limit error surfaces as a single
+/// Every program goes through the summary-based analysis
+/// ([`crate::interp::analyze_program`]); a flat program is its implicit
+/// `main` instance. A resource-limit error surfaces as a single
 /// [`DiagnosticCode::AnalysisLimit`] diagnostic rather than a panic.
 pub fn analyze(program: &Program) -> Vec<Diagnostic> {
-    let _span = gp_telemetry::span("analyze");
-    checker_metrics().runs.incr();
-    if !program.functions.is_empty() {
-        return match crate::interp::analyze_program(program, &crate::interp::CheckConfig::default())
-        {
-            Ok(diags) => diags,
-            Err(e) => vec![Diagnostic {
-                severity: Severity::Error,
-                code: DiagnosticCode::AnalysisLimit,
-                subject: program.name.clone(),
-                message: e.to_string(),
-            }],
-        };
+    let _span = gp_telemetry::span!("analyze");
+    match crate::interp::analyze_program(program, &crate::interp::CheckConfig::default()) {
+        Ok(diags) => diags,
+        Err(e) => vec![Diagnostic {
+            severity: Severity::Error,
+            code: DiagnosticCode::AnalysisLimit,
+            subject: program.name.clone(),
+            message: e.to_string(),
+        }],
     }
-    analyze_flat(program)
-}
-
-/// The seed intraprocedural analyzer (callable directly as the oracle for
-/// the interprocedural flat-program equivalence tests).
-pub fn analyze_flat(program: &Program) -> Vec<Diagnostic> {
-    let mut a = Analyzer {
-        rep: Reporter::new(),
-    };
-    let mut state = AbsState::default();
-    a.exec_block(&program.stmts, &mut state);
-    a.rep.diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::build::*;
-    use crate::ir::{AlgorithmName as A, ContainerKind as K, Program};
+    use crate::corpus::fig4_program;
+
+    fn check(src: &str) -> Vec<Diagnostic> {
+        analyze(&crate::parse::parse("t", src).expect("parse"))
+    }
 
     fn codes(diags: &[Diagnostic]) -> Vec<DiagnosticCode> {
         diags.iter().map(|d| d.code).collect()
     }
 
+    fn has(diags: &[Diagnostic], code: DiagnosticCode) -> bool {
+        diags.iter().any(|d| d.code == code)
+    }
+
     #[test]
     fn clean_traversal_produces_no_diagnostics() {
-        let p = Program::new(
-            "clean",
-            vec![
-                container("c", K::List),
-                begin("it", "c"),
-                while_not_end("it", vec![deref("it"), advance("it")]),
-            ],
+        let d = check(
+            "container c list\niter it = begin c\nwhile it != end {\nderef it\nadvance it\n}",
         );
-        assert!(analyze(&p).is_empty(), "{:?}", analyze(&p));
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn deref_of_end_is_an_error() {
-        let p = Program::new(
-            "deref-end",
-            vec![container("c", K::Vector), end("it", "c"), deref("it")],
-        );
-        let d = analyze(&p);
+        let d = check("container c vector\niter it = end c\nderef it");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, DiagnosticCode::DerefPastEnd);
         assert_eq!(d[0].severity, Severity::Error);
@@ -720,11 +254,7 @@ mod tests {
 
     #[test]
     fn deref_of_begin_on_maybe_empty_container_warns() {
-        let p = Program::new(
-            "deref-begin",
-            vec![container("c", K::Vector), begin("it", "c"), deref("it")],
-        );
-        let d = analyze(&p);
+        let d = check("container c vector\niter it = begin c\nderef it");
         assert_eq!(codes(&d), vec![DiagnosticCode::DerefPastEnd]);
         assert_eq!(d[0].severity, Severity::Warning);
     }
@@ -732,23 +262,18 @@ mod tests {
     #[test]
     fn vector_push_back_invalidates_iterators_but_list_does_not() {
         let make = |kind| {
-            Program::new(
-                "pb",
-                vec![
-                    container("c", kind),
-                    begin("it", "c"),
-                    push_back("c"),
-                    while_not_end("it", vec![deref("it"), advance("it")]),
-                ],
-            )
+            check(&format!(
+                "container c {kind}\niter it = begin c\npush_back c\n\
+                 while it != end {{\nderef it\nadvance it\n}}"
+            ))
         };
-        let d = analyze(&make(K::Vector));
+        let d = make("vector");
         assert!(d
             .iter()
             .any(|d| d.code == DiagnosticCode::DerefSingular && d.message == MSG_SINGULAR));
-        let d = analyze(&make(K::List));
+        let d = make("list");
         assert!(
-            !d.iter().any(|d| d.code == DiagnosticCode::DerefSingular),
+            !has(&d, DiagnosticCode::DerefSingular),
             "list push_back must not invalidate: {d:?}"
         );
     }
@@ -757,29 +282,7 @@ mod tests {
     fn fig4_erase_loop_bug_is_detected_with_paper_message() {
         // Fig. 4: extract-and-erase of failing grades without refreshing
         // the loop iterator.
-        let p = Program::new(
-            "fig4-buggy",
-            vec![
-                container("students", K::List),
-                container("failures", K::List),
-                begin("iter", "students"),
-                while_not_end(
-                    "iter",
-                    vec![
-                        deref("iter"), // if (fgrade(*iter))
-                        branch(
-                            vec![
-                                deref("iter"), // failures.push_back(*iter)
-                                push_back("failures"),
-                                erase("students", "iter"), // BUG
-                            ],
-                            vec![advance("iter")],
-                        ),
-                    ],
-                ),
-            ],
-        );
-        let d = analyze(&p);
+        let d = analyze(&fig4_program(false));
         let hit = d
             .iter()
             .find(|d| d.code == DiagnosticCode::DerefSingular)
@@ -790,46 +293,16 @@ mod tests {
     #[test]
     fn fig4_fixed_version_is_clean() {
         // The corrected idiom: iter = students.erase(iter).
-        let p = Program::new(
-            "fig4-fixed",
-            vec![
-                container("students", K::List),
-                container("failures", K::List),
-                begin("iter", "students"),
-                while_not_end(
-                    "iter",
-                    vec![
-                        deref("iter"),
-                        branch(
-                            vec![
-                                deref("iter"),
-                                push_back("failures"),
-                                erase_into("students", "iter", "iter"),
-                            ],
-                            vec![advance("iter")],
-                        ),
-                    ],
-                ),
-            ],
-        );
-        let d = analyze(&p);
+        let d = analyze(&fig4_program(true));
         assert!(
-            !d.iter().any(|d| d.code == DiagnosticCode::DerefSingular),
+            !has(&d, DiagnosticCode::DerefSingular),
             "fixed program must not warn about singular deref: {d:?}"
         );
     }
 
     #[test]
     fn sorted_then_linear_search_yields_paper_suggestion() {
-        let p = Program::new(
-            "sorted-find",
-            vec![
-                container("v", K::Vector),
-                call(A::Sort, "v"),
-                call_into(A::Find, "v", "i"),
-            ],
-        );
-        let d = analyze(&p);
+        let d = check("container v vector\ncall sort v\ncall find v -> i");
         assert_eq!(codes(&d), vec![DiagnosticCode::SortedLinearSearch]);
         assert_eq!(d[0].severity, Severity::Suggestion);
         assert_eq!(d[0].message, MSG_SORTED_LINEAR);
@@ -837,33 +310,16 @@ mod tests {
 
     #[test]
     fn find_on_unsorted_data_is_fine() {
-        let p = Program::new(
-            "plain-find",
-            vec![container("v", K::Vector), call_into(A::Find, "v", "i")],
-        );
-        assert!(analyze(&p).is_empty());
+        assert!(check("container v vector\ncall find v -> i").is_empty());
     }
 
     #[test]
     fn binary_search_without_sort_warns_and_after_push_back_errors() {
-        let p = Program::new(
-            "bs-unknown",
-            vec![container("v", K::Vector), call(A::BinarySearch, "v")],
-        );
-        let d = analyze(&p);
+        let d = check("container v vector\ncall binary_search v");
         assert_eq!(codes(&d), vec![DiagnosticCode::RequiresSorted]);
         assert_eq!(d[0].severity, Severity::Warning);
-
-        let p = Program::new(
-            "bs-unsorted",
-            vec![
-                container("v", K::Vector),
-                call(A::Sort, "v"),
-                push_back("v"), // breaks sortedness
-                call(A::BinarySearch, "v"),
-            ],
-        );
-        let d = analyze(&p);
+        // push_back breaks sortedness.
+        let d = check("container v vector\ncall sort v\npush_back v\ncall binary_search v");
         assert!(d
             .iter()
             .any(|d| d.code == DiagnosticCode::RequiresSorted && d.severity == Severity::Error));
@@ -871,31 +327,16 @@ mod tests {
 
     #[test]
     fn binary_search_after_sort_is_clean() {
-        let p = Program::new(
-            "bs-ok",
-            vec![
-                container("v", K::Vector),
-                call(A::Sort, "v"),
-                call(A::BinarySearch, "v"),
-            ],
-        );
-        assert!(analyze(&p).is_empty());
+        assert!(check("container v vector\ncall sort v\ncall binary_search v").is_empty());
     }
 
     #[test]
     fn branch_join_degrades_validity() {
         // Invalidate on one path only: the later deref is a Warning (maybe),
         // not an Error.
-        let p = Program::new(
-            "branchy",
-            vec![
-                container("v", K::Vector),
-                begin("it", "v"),
-                branch(vec![push_back("v")], vec![]),
-                deref("it"),
-            ],
+        let d = check(
+            "container v vector\niter it = begin v\nif {\npush_back v\n} else {\n}\nderef it",
         );
-        let d = analyze(&p);
         let hit = d
             .iter()
             .find(|d| d.code == DiagnosticCode::DerefSingular)
@@ -905,33 +346,20 @@ mod tests {
 
     #[test]
     fn use_of_undeclared_names_is_reported() {
-        let p = Program::new("bad", vec![deref("nope")]);
-        let d = analyze(&p);
+        let d = check("deref nope");
         assert_eq!(codes(&d), vec![DiagnosticCode::UnknownName]);
-        let p = Program::new("bad2", vec![begin("it", "ghost")]);
-        let d = analyze(&p);
+        let d = check("iter it = begin ghost");
         assert_eq!(codes(&d), vec![DiagnosticCode::UnknownName]);
     }
 
     #[test]
     fn erase_capture_produces_valid_iterator_on_vector_too() {
-        let p = Program::new(
-            "vec-erase-fixed",
-            vec![
-                container("v", K::Vector),
-                begin("it", "v"),
-                while_not_end(
-                    "it",
-                    vec![
-                        deref("it"),
-                        branch(vec![erase_into("v", "it", "it")], vec![advance("it")]),
-                    ],
-                ),
-            ],
+        let d = check(
+            "container v vector\niter it = begin v\nwhile it != end {\nderef it\n\
+             if {\nerase v it -> it\n} else {\nadvance it\n}\n}",
         );
-        let d = analyze(&p);
         assert!(
-            !d.iter().any(|d| d.code == DiagnosticCode::DerefSingular),
+            !has(&d, DiagnosticCode::DerefSingular),
             "captured erase result is valid: {d:?}"
         );
     }
@@ -939,54 +367,20 @@ mod tests {
     #[test]
     fn clear_invalidates_and_makes_vacuously_sorted() {
         // clear-then-deref: every iterator dies, regardless of kind.
-        let p = Program::new(
-            "clear-deref",
-            vec![
-                container("l", K::List),
-                begin("it", "l"),
-                Stmt::Clear {
-                    container: "l".into(),
-                },
-                deref("it"),
-            ],
-        );
-        let d = analyze(&p);
+        let d = check("container l list\niter it = begin l\nclear l\nderef it");
         assert!(d
             .iter()
             .any(|d| d.code == DiagnosticCode::DerefSingular && d.severity == Severity::Error));
-
         // clear-then-binary_search: an empty sequence is vacuously sorted,
         // so the entry handler is satisfied.
-        let p = Program::new(
-            "clear-bsearch",
-            vec![
-                container("v", K::Vector),
-                Stmt::Clear {
-                    container: "v".into(),
-                },
-                call(A::BinarySearch, "v"),
-            ],
-        );
-        assert!(analyze(&p).is_empty());
+        assert!(check("container v vector\nclear v\ncall binary_search v").is_empty());
     }
 
     #[test]
     fn unique_on_unsorted_warns() {
-        let p = Program::new(
-            "unique-unsorted",
-            vec![container("v", K::Vector), call(A::Unique, "v")],
-        );
-        let d = analyze(&p);
-        assert!(d.iter().any(|d| d.code == DiagnosticCode::RequiresSorted));
+        let d = check("container v vector\ncall unique v");
+        assert!(has(&d, DiagnosticCode::RequiresSorted));
         // After sort: clean.
-        let p = Program::new(
-            "unique-sorted",
-            vec![
-                container("v", K::Vector),
-                call(A::Sort, "v"),
-                call(A::Unique, "v"),
-            ],
-        );
-        assert!(analyze(&p).is_empty());
+        assert!(check("container v vector\ncall sort v\ncall unique v").is_empty());
     }
 }

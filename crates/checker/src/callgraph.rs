@@ -24,7 +24,7 @@ use crate::analyze::{DiagnosticCode, Severity};
 use crate::interp::CheckError;
 use crate::ir::{ContainerKind, FunctionDef, Program, Stmt};
 use crate::summary::{CallCtx, Event, ParamBinding};
-use crate::summary::{FnvMap, FnvSet};
+use gp_core::hash::{FnvMap, FnvSet};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Mirrors the seed's `while` fixpoint bound.

@@ -337,18 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_distinguishes_buggy_from_fixed_fig4() {
-        let buggy = analyze(&fig4_program(false));
-        let fixed = analyze(&fig4_program(true));
-        assert!(buggy
-            .iter()
-            .any(|d| d.code == DiagnosticCode::DerefSingular));
-        assert!(!fixed
-            .iter()
-            .any(|d| d.code == DiagnosticCode::DerefSingular));
-    }
-
-    #[test]
     fn random_programs_analyze_without_panicking() {
         for seed in 0..20 {
             let p = random_program(seed, 60);

@@ -1,12 +1,14 @@
-//! The interprocedural engine: symbolic per-instance analysis, SCC
-//! fixpoints with widening, the parallel bottom-up driver, and the
-//! public entry points.
+//! The checker's one analysis engine: symbolic per-instance abstract
+//! interpretation, SCC fixpoints with widening, the parallel bottom-up
+//! driver, and the public entry points. A program without functions is
+//! analyzed as its implicit `main` instance.
 //!
-//! Each `(function, context)` instance is analyzed once by a symbolic
-//! twin of the seed analyzer: facts that depend on the caller flow
-//! through [`Sym`] values, checks that land on symbolic facts are
-//! deferred into the instance's [`Summary`], and everything concrete is
-//! recorded immediately. Summaries are a *pure function* of the body,
+//! Each `(function, context)` instance is analyzed once by a
+//! flow-sensitive abstract interpreter over the [`crate::state`]
+//! lattices: facts that depend on the caller flow through [`Sym`]
+//! values, checks that land on symbolic facts are deferred into the
+//! instance's [`Summary`], and everything concrete is recorded
+//! immediately. Summaries are a *pure function* of the body,
 //! the context, and the callee summaries — which is what makes the SCC
 //! schedule parallelizable with bit-identical output, and the
 //! [`SummaryCache`] reusable across requests.
@@ -20,10 +22,10 @@ use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Progra
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::summary::{
     content_hash, content_hash_stmts, global_cache, iter_check_events, sort_check_events, CallCtx,
-    ContainerEffect, Event, Fnv, FnvMap, IterEffect, ParamBinding, ParamEffect, Summary,
-    SummaryCache,
+    ContainerEffect, Event, IterEffect, ParamBinding, ParamEffect, Summary, SummaryCache,
 };
 use crate::sym::{at_end_after_advance, at_end_of_begin, kind_invalidates_all, Lat3, Sym};
+use gp_core::hash::{Fnv, FnvMap};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -113,8 +115,16 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Pre-resolved interprocedural telemetry handles.
+/// Pre-resolved telemetry handles (statement execution is the hot path).
 struct IpMetrics {
+    /// Engine runs (one per analyzed program).
+    runs: &'static gp_telemetry::Counter,
+    /// IR statements abstractly executed (loop passes revisit statements).
+    stmts: &'static gp_telemetry::Counter,
+    /// Fixpoint passes over `while` bodies.
+    loop_passes: &'static gp_telemetry::Counter,
+    /// Abstract states materialized (clones for branches and loop bodies).
+    states: &'static gp_telemetry::Counter,
     fn_analyzed: &'static gp_telemetry::Counter,
     scc_count: &'static gp_telemetry::Counter,
     par_batches: &'static gp_telemetry::Counter,
@@ -124,6 +134,10 @@ struct IpMetrics {
 fn ip_metrics() -> &'static IpMetrics {
     static METRICS: std::sync::OnceLock<IpMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| IpMetrics {
+        runs: gp_telemetry::counter("checker.runs"),
+        stmts: gp_telemetry::counter("checker.stmts"),
+        loop_passes: gp_telemetry::counter("checker.loop_passes"),
+        states: gp_telemetry::counter("checker.states"),
         fn_analyzed: gp_telemetry::counter("checker.fn.analyzed"),
         scc_count: gp_telemetry::counter("checker.scc.count"),
         par_batches: gp_telemetry::counter("checker.scc.par_batches"),
@@ -143,7 +157,7 @@ pub(crate) fn prefix_subject(fname: &str, subject: &str) -> String {
     }
 }
 
-/// Symbolic twin of the seed's `ContainerInfo`.
+/// Abstract container state (sortedness and emptiness may be symbolic).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SymContainer {
     kind: ContainerKind,
@@ -151,7 +165,7 @@ struct SymContainer {
     maybe_empty: Sym<bool>,
 }
 
-/// Symbolic twin of the seed's `IterInfo`, plus `pos_of`: the iterator
+/// Abstract iterator state, plus `pos_of`: the iterator
 /// *parameter* whose entry position this value still denotes (erasing
 /// that position must escape to the caller's copy).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -181,9 +195,10 @@ impl SymIter {
     }
 }
 
-/// The symbolic abstract state, mirroring `AbsState` plus the running
-/// per-parameter effect accumulators (path-sensitive, so they live in
-/// the joined state, not on the analyzer).
+/// The abstract state at a program point: containers and iterators in
+/// scope, plus the running per-parameter effect accumulators
+/// (path-sensitive, so they live in the joined state, not on the
+/// analyzer).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct SymState {
     containers: BTreeMap<String, SymContainer>,
@@ -195,8 +210,10 @@ struct SymState {
 }
 
 impl SymState {
-    /// Mirror of `AbsState::join` (same biases, same one-sided
-    /// degradation), extended pointwise over the effect accumulators.
+    /// Join two states (after a branch, or a loop back-edge). An iterator
+    /// declared on one path only, or aimed at different containers on the
+    /// two paths, degrades to maybe-singular; the effect accumulators join
+    /// pointwise.
     fn join(&self, other: &SymState) -> SymState {
         let mut out = SymState {
             inval: self
@@ -393,8 +410,8 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
         }
     }
 
-    /// Symbolic twin of the seed's `check_iter_use`: concrete facts run
-    /// the seed decision table now; anything caller-dependent is
+    /// Check an iterator use: concrete facts run the decision table
+    /// ([`iter_check_events`]) now; anything caller-dependent is
     /// deferred whole (the table runs at resolution).
     fn check_iter_use(&mut self, state: &SymState, name: &str, deref: bool) {
         let Some(it) = state.iters.get(name) else {
@@ -455,6 +472,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
     }
 
     fn exec(&mut self, stmt: &Stmt, state: &mut SymState) {
+        ip_metrics().stmts.incr();
         match stmt {
             Stmt::DeclContainer { name, kind } => {
                 if self.reject_shadow(name) {
@@ -611,6 +629,8 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
             Stmt::While { cond, body } => {
                 let mut loop_state = state.clone();
                 for _ in 0..MAX_LOOP_PASSES {
+                    ip_metrics().loop_passes.incr();
+                    ip_metrics().states.incr();
                     let mut body_state = loop_state.clone();
                     if let Cond::IterNotEnd { iter } = cond {
                         if let Some(it) = body_state.iters.get_mut(iter) {
@@ -641,6 +661,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
                 then_branch,
                 else_branch,
             } => {
+                ip_metrics().states.add(2);
                 let mut s_then = state.clone();
                 let mut s_else = state.clone();
                 self.exec_block(then_branch, &mut s_then);
@@ -683,7 +704,8 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
         &self.ip.ids
     }
 
-    /// Symbolic twin of the seed's algorithm entry/exit handlers.
+    /// The algorithm entry/exit handlers (§3.1: "entry handlers check
+    /// preconditions and exit handlers check/enforce postconditions").
     fn exec_algorithm(
         &mut self,
         alg: AlgorithmName,
@@ -1011,6 +1033,7 @@ fn analyze_ip(
     cfg: &CheckConfig,
     cache: Option<&SummaryCache>,
 ) -> Result<Vec<Diagnostic>, CheckError> {
+    ip_metrics().runs.incr();
     cfg.validate()?;
     let graph = callgraph::discover(program, cfg.max_context_depth)?;
     let functions = &program.functions;
@@ -1107,9 +1130,10 @@ fn analyze_ip(
         }
     }
     // Emission: replay per-instance events, in discovery order, through
-    // the seed's deduplicating reporter. `main` (instance 0) emits
-    // unprefixed, so flat programs reproduce the seed byte-for-byte.
-    let mut rep = Reporter::new();
+    // the deduplicating reporter. `main` (instance 0) emits
+    // unprefixed, so flat programs reproduce the seed analyzer (the
+    // `gp_bench::oracle` flat-program oracle) byte-for-byte.
+    let mut rep = Reporter::default();
     for (id, inst) in graph.instances.iter().enumerate() {
         let summary = finals[id].as_ref().expect("all instances analyzed");
         let fname = (inst.fn_idx != functions.len()).then(|| ip.fn_name(inst.fn_idx));
@@ -1135,7 +1159,7 @@ fn analyze_ip(
             "main has no parameters, so nothing can stay deferred"
         );
     }
-    Ok(rep.diags)
+    Ok(rep.into_diags())
 }
 
 /// Cold interprocedural analysis (no summary reuse).
@@ -1143,7 +1167,7 @@ pub fn analyze_program(
     program: &Program,
     cfg: &CheckConfig,
 ) -> Result<Vec<Diagnostic>, CheckError> {
-    let _span = gp_telemetry::span("analyze_ip");
+    let _span = gp_telemetry::span!("analyze_ip");
     analyze_ip(program, cfg, None)
 }
 
@@ -1154,7 +1178,7 @@ pub fn analyze_program_with_cache(
     cfg: &CheckConfig,
     cache: &SummaryCache,
 ) -> Result<Vec<Diagnostic>, CheckError> {
-    let _span = gp_telemetry::span("analyze_ip");
+    let _span = gp_telemetry::span!("analyze_ip");
     analyze_ip(program, cfg, Some(cache))
 }
 
@@ -1164,14 +1188,14 @@ pub fn analyze_program_cached(
     program: &Program,
     cfg: &CheckConfig,
 ) -> Result<Vec<Diagnostic>, CheckError> {
-    let _span = gp_telemetry::span("analyze_ip");
+    let _span = gp_telemetry::span!("analyze_ip");
     analyze_ip(program, cfg, Some(global_cache()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze, analyze_flat, DiagnosticCode, Severity};
+    use crate::analyze::{DiagnosticCode, Severity};
     use crate::parse::parse;
 
     fn check(src: &str) -> Vec<Diagnostic> {
@@ -1269,7 +1293,7 @@ mod tests {
 
     #[test]
     fn bad_invokes_are_diagnostics_not_errors() {
-        // The reporter dedups per (code, subject) like the seed, so each
+        // The reporter dedups per (code, subject), so each
         // bad shape targets a distinct function.
         let diags = check(
             "fn f(A, B) {\n\
@@ -1463,63 +1487,5 @@ mod tests {
                 .any(|d| d.code == DiagnosticCode::DerefSingular && d.subject == "bad::I"),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn flat_programs_agree_with_the_seed_analyzer() {
-        for case in crate::corpus::corpus() {
-            let ip = analyze(&case.program);
-            let seed = analyze_flat(&case.program);
-            assert_eq!(ip, seed, "case {}", case.program.name);
-        }
-    }
-
-    #[test]
-    fn cached_rerun_is_byte_identical_and_hits() {
-        let src = "fn grow(C) {\n\
-                   \tpush_back C\n\
-                   }\n\
-                   container V vector\n\
-                   push_back V\n\
-                   iter I = begin V\n\
-                   invoke grow(V)\n\
-                   deref I\n";
-        let p = parse("t", src).unwrap();
-        let cache = SummaryCache::new(1024);
-        let cfg = CheckConfig::default();
-        let cold = analyze_program_with_cache(&p, &cfg, &cache).unwrap();
-        assert!(!cache.is_empty());
-        let warm = analyze_program_with_cache(&p, &cfg, &cache).unwrap();
-        assert_eq!(cold, warm);
-        let oracle = analyze_program(&p, &cfg).unwrap();
-        assert_eq!(cold, oracle);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_a_small_forest() {
-        let src = "fn a(C) {\n\
-                   \tpush_back C\n\
-                   }\n\
-                   fn b(C) {\n\
-                   \tcall sort C\n\
-                   }\n\
-                   container V vector\n\
-                   push_back V\n\
-                   container W vector\n\
-                   invoke a(V)\n\
-                   invoke b(W)\n\
-                   call binary_search V\n\
-                   call binary_search W\n";
-        let p = parse("t", src).unwrap();
-        let seq = analyze_program(&p, &CheckConfig::default()).unwrap();
-        let par = analyze_program(
-            &p,
-            &CheckConfig {
-                parallel: true,
-                ..CheckConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq, par);
     }
 }

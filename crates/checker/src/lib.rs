@@ -26,10 +26,11 @@
 //!   undeclared Forward (multipass) requirements, e.g. `max_element`'s.
 //!
 //! Modules: [`ir`] (the checked mini-language), [`parse`] (a line-oriented
-//! text front end for it), [`state`] (abstract domains), [`mod@analyze`] (the
-//! interpreter and algorithm entry/exit handlers), [`corpus`] (the bug
-//! corpus, including Fig. 4), [`multipass`] (semantic-archetype checking).
-
+//! text front end for it), [`state`] (abstract domains), [`mod@analyze`]
+//! (the entry point and diagnostic vocabulary), [`interp`] (the one
+//! analysis engine: the abstract interpreter with the algorithm
+//! entry/exit handlers), [`corpus`] (the bug corpus, including Fig. 4),
+//! [`multipass`] (semantic-archetype checking).
 //!
 //! The analysis is **interprocedural**: programs may define `fn
 //! name(params) { ... }` and call them with `invoke name(args)`
@@ -38,8 +39,11 @@
 //! them into SCCs; [`interp`] computes a [`summary::Summary`] per
 //! instance bottom-up — SCCs at equal condensation height in parallel —
 //! and the [`summary::SummaryCache`] keyed by *transitive content hash*
-//! makes re-analysis after an edit touch only the edited function and
-//! its transitive callers, across service requests.
+//! ([`gp_core::hash`]) makes re-analysis after an edit touch only the
+//! edited function and its transitive callers, across service requests.
+//! A program without functions is simply its implicit `main` instance;
+//! the seed's intraprocedural analyzer survives outside the library, in
+//! `gp_bench::oracle`, as the flat-program oracle.
 
 pub mod analyze;
 pub mod callgraph;

@@ -1,13 +1,10 @@
 //! Abstract domains for the checker: iterator validity, end-position
-//! knowledge, container versions, and the sortedness property lattice.
+//! knowledge, and the sortedness property lattice.
 //!
-//! The analysis is flow-sensitive and path-insensitive: branches are
-//! analyzed separately and **joined**, loops are iterated to a fixpoint.
-//! All lattices here are tiny and finite, so fixpoints arrive in a handful
-//! of passes.
-
-use crate::ir::ContainerKind;
-use std::collections::BTreeMap;
+//! The analysis ([`crate::interp`]) is flow-sensitive and
+//! path-insensitive: branches are analyzed separately and **joined**,
+//! loops are iterated to a fixpoint. All lattices here are tiny and
+//! finite, so fixpoints arrive in a handful of passes.
 
 /// Is the iterator usable at all?
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -75,100 +72,6 @@ impl Sortedness {
     }
 }
 
-/// Abstract container state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ContainerInfo {
-    /// Invalidation-semantics kind.
-    pub kind: ContainerKind,
-    /// The sortedness property.
-    pub sorted: Sortedness,
-    /// Could the container be empty? (`begin()` of a maybe-empty container
-    /// is maybe-at-end.)
-    pub maybe_empty: bool,
-}
-
-/// Abstract iterator state.
-///
-/// Invalidation is **direct**: the invalidating operation marks every
-/// affected iterator [`Validity::Singular`] at the point it happens, so
-/// joins never conflate "reacquired after the mutation" with "stale".
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IterInfo {
-    /// Container the iterator points into.
-    pub container: String,
-    /// Validity level.
-    pub validity: Validity,
-    /// End-position knowledge.
-    pub at_end: AtEnd,
-}
-
-impl IterInfo {
-    /// Join two states of the same iterator name.
-    pub fn join(&self, other: &IterInfo) -> IterInfo {
-        let mut validity = self.validity.join(other.validity);
-        // Pointing at different containers on different paths means the
-        // analysis has lost track of what the handle refers to.
-        if self.container != other.container {
-            validity = validity.join(Validity::MaybeSingular);
-        }
-        IterInfo {
-            container: self.container.clone(),
-            validity,
-            at_end: self.at_end.join(other.at_end),
-        }
-    }
-}
-
-/// The full abstract state at a program point.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AbsState {
-    /// Containers in scope.
-    pub containers: BTreeMap<String, ContainerInfo>,
-    /// Iterators in scope.
-    pub iters: BTreeMap<String, IterInfo>,
-}
-
-impl AbsState {
-    /// Join two states (after a branch, or loop back-edge).
-    pub fn join(&self, other: &AbsState) -> AbsState {
-        let mut out = AbsState::default();
-        for (name, a) in &self.containers {
-            let merged = match other.containers.get(name) {
-                Some(b) => ContainerInfo {
-                    kind: a.kind,
-                    sorted: a.sorted.join(b.sorted),
-                    maybe_empty: a.maybe_empty || b.maybe_empty,
-                },
-                None => a.clone(),
-            };
-            out.containers.insert(name.clone(), merged);
-        }
-        for (name, b) in &other.containers {
-            out.containers
-                .entry(name.clone())
-                .or_insert_with(|| b.clone());
-        }
-        for (name, a) in &self.iters {
-            let merged = match other.iters.get(name) {
-                Some(b) => a.join(b),
-                // Declared on one path only: usable only maybe.
-                None => IterInfo {
-                    validity: a.validity.join(Validity::MaybeSingular),
-                    ..a.clone()
-                },
-            };
-            out.iters.insert(name.clone(), merged);
-        }
-        for (name, b) in &other.iters {
-            out.iters.entry(name.clone()).or_insert_with(|| IterInfo {
-                validity: b.validity.join(Validity::MaybeSingular),
-                ..b.clone()
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,51 +98,5 @@ mod tests {
             Sortedness::Sorted.join(Sortedness::Sorted),
             Sortedness::Sorted
         );
-    }
-
-    #[test]
-    fn iter_join_detects_container_divergence() {
-        let a = IterInfo {
-            container: "c".into(),
-            validity: Validity::Valid,
-            at_end: AtEnd::No,
-        };
-        let mut b = a.clone();
-        b.container = "d".into(); // points elsewhere on the other path
-        let j = a.join(&b);
-        assert_eq!(j.validity, Validity::MaybeSingular);
-    }
-
-    #[test]
-    fn state_join_handles_one_sided_declarations() {
-        let mut a = AbsState::default();
-        a.iters.insert(
-            "it".into(),
-            IterInfo {
-                container: "c".into(),
-                validity: Validity::Valid,
-                at_end: AtEnd::No,
-            },
-        );
-        let b = AbsState::default();
-        let j = a.join(&b);
-        assert_eq!(j.iters["it"].validity, Validity::MaybeSingular);
-        let j2 = b.join(&a);
-        assert_eq!(j2.iters["it"].validity, Validity::MaybeSingular);
-    }
-
-    #[test]
-    fn container_join_ors_maybe_empty() {
-        let mk = |maybe_empty| ContainerInfo {
-            kind: ContainerKind::Vector,
-            sorted: Sortedness::Unknown,
-            maybe_empty,
-        };
-        let mut a = AbsState::default();
-        a.containers.insert("c".into(), mk(false));
-        let mut b = AbsState::default();
-        b.containers.insert("c".into(), mk(true));
-        let j = a.join(&b);
-        assert!(j.containers["c"].maybe_empty);
     }
 }

@@ -4,7 +4,7 @@
 //! A summary is computed once per `(function, calling context)` instance
 //! and reused at every call site — including across service requests,
 //! through the [`SummaryCache`] keyed by *transitive content hash*: the
-//! FNV-1a hash of the function's own body and context combined with the
+//! [`gp_core::hash::Fnv`] digest of the function's own body and context combined with the
 //! keys of everything it (transitively) calls. Editing one function
 //! changes the keys of exactly that function and its transitive callers;
 //! every other summary is a cache hit. Keys deliberately do **not**
@@ -15,7 +15,8 @@ use crate::analyze::{DiagnosticCode, Severity, MSG_PAST_END, MSG_SINGULAR, MSG_S
 use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Stmt};
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::sym::{Lat3, Sym};
-use std::collections::{HashMap, VecDeque};
+use gp_core::hash::{Fnv, FnvMap};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a callee parameter is bound to, as far as the summary needs to
@@ -50,7 +51,7 @@ pub enum ParamBinding {
 pub struct CallCtx(pub Vec<ParamBinding>);
 
 impl CallCtx {
-    /// FNV-1a fingerprint, mixed into summary keys.
+    /// [`Fnv`] fingerprint, mixed into summary keys.
     pub fn hash64(&self) -> u64 {
         let mut h = Fnv::new();
         for b in &self.0 {
@@ -381,107 +382,6 @@ pub fn sort_check_events(
     }
 }
 
-/// Streaming FNV-1a, the checker's content hash (same constants as the
-/// service cache's request hash).
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// Offset-basis start.
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Mix one byte.
-    pub fn write_u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-
-    /// Mix a 64-bit word in one step. The hash is FNV-1a folded over
-    /// 64-bit symbols rather than bytes: one xor-multiply per word
-    /// instead of eight, which matters when content-hashing 10^5
-    /// function bodies on every incremental request.
-    pub fn write_u64(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-
-    /// Mix a byte slice, eight bytes per step (little-endian words,
-    /// zero-padded tail). Callers length-prefix variable-size input, so
-    /// the padding cannot collide across boundaries.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("exact chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = 0u64;
-            for (i, &b) in rem.iter().enumerate() {
-                tail |= (b as u64) << (8 * i);
-            }
-            self.write_u64(tail);
-        }
-    }
-
-    /// Mix a length-prefixed string (prefix prevents concatenation
-    /// collisions between adjacent names).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// [`Fnv`] as a [`std::hash::Hasher`], for the checker's internal maps
-/// (function ids, instance ids, edge sets). SipHash's per-lookup setup
-/// cost is pure overhead on these hot, attacker-free paths.
-#[derive(Default)]
-pub struct FnvHasher(Fnv);
-
-impl std::hash::Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write_bytes(bytes);
-    }
-
-    fn write_u64(&mut self, w: u64) {
-        self.0.write_u64(w);
-    }
-
-    fn write_usize(&mut self, w: usize) {
-        self.0.write_u64(w as u64);
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.0.write_u8(b);
-    }
-
-    fn finish(&self) -> u64 {
-        // hashbrown takes bucket indices from the low bits, and FNV's
-        // final multiply leaves those weakly mixed — at 10^5 keys the
-        // clustering is a measurable slowdown. Fold the high bits down
-        // (64-bit finalizer, splitmix-style).
-        let h = self.0.finish();
-        let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 33)
-    }
-}
-
-/// `HashMap` with [`FnvHasher`] keys.
-pub type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
-/// `HashSet` with [`FnvHasher`] keys.
-pub type FnvSet<T> = std::collections::HashSet<T, std::hash::BuildHasherDefault<FnvHasher>>;
-
 fn hash_stmt(h: &mut Fnv, s: &Stmt) {
     match s {
         Stmt::DeclContainer { name, kind } => {
@@ -705,6 +605,31 @@ mod tests {
     use super::*;
     use crate::ir::build::*;
     use crate::ir::ContainerKind as K;
+
+    #[test]
+    fn content_keys_match_known_answers() {
+        // Summary-cache keys are content hashes: a change to the hash
+        // would silently invalidate (or worse, collide) cached entries.
+        let grow = func("grow", &["C"], vec![push_back("C")]);
+        assert_eq!(content_hash(&grow), 0xa065_80a6_babd_96d0);
+        let g = func(
+            "g",
+            &["A", "B"],
+            vec![
+                container("x", K::List),
+                begin("i", "x"),
+                while_not_end("i", vec![deref("i"), advance("i")]),
+                invoke("grow", &["A"]),
+            ],
+        );
+        assert_eq!(content_hash(&g), 0xff7a_13f6_58fe_a0d8);
+        assert_eq!(content_hash_stmts(&[]), 0xaf63_bd4c_8601_b7df);
+        let ctx = CallCtx(vec![
+            ParamBinding::Container { kind: K::Vector },
+            ParamBinding::Iter { into: Some(0) },
+        ]);
+        assert_eq!(ctx.hash64(), 0xe963_c8ae_b1af_5f6b);
+    }
 
     #[test]
     fn content_hash_ignores_name_but_not_body_or_params() {

@@ -12,9 +12,18 @@
 //! The parser is strict where it matters for validation — it rejects
 //! trailing garbage, bare control characters in strings, lone surrogate
 //! escapes, and malformed literals — and accepts insignificant whitespace
-//! between tokens like any JSON reader must.
+//! between tokens like any JSON reader must. It recurses once per nesting
+//! level, so it refuses documents nested deeper than [`MAX_DEPTH`]: a
+//! few kilobytes of `[` from the wire must be an error, not a stack
+//! overflow that aborts the process.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Twice the depth
+/// of the deepest frame any in-repo client sends (a 160-term expression
+/// chain, 323 levels), and small enough that the recursive parse fits a
+/// 2 MiB thread stack with room to spare.
+pub const MAX_DEPTH: usize = 512;
 
 /// JSON value: builder, renderer, and parser.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,14 +126,14 @@ impl Json {
     }
 
     /// Parse a complete JSON document. Strict: the entire input (modulo
-    /// surrounding whitespace) must be one value; strings reject bare
-    /// control characters and lone-surrogate `\u` escapes. Never returns
-    /// [`Json::Raw`].
+    /// surrounding whitespace) must be one value nested at most
+    /// [`MAX_DEPTH`] levels; strings reject bare control characters and
+    /// lone-surrogate `\u` escapes. Never returns [`Json::Raw`].
     pub fn parse(s: &str) -> Result<Json, JsonParseError> {
         let b: Vec<char> = s.chars().collect();
         let mut pos = 0usize;
         skip_ws(&b, &mut pos);
-        let v = parse_value(&b, &mut pos)?;
+        let v = parse_value(&b, &mut pos, 0)?;
         skip_ws(&b, &mut pos);
         if pos != b.len() {
             return Err(err(pos, "trailing garbage after value"));
@@ -202,8 +211,12 @@ fn skip_ws(b: &[char], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[char], pos: &mut usize) -> Result<Json, JsonParseError> {
+/// Parse one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(b: &[char], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some('[' | '{')) && depth == MAX_DEPTH {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
     match b.get(*pos) {
         Some('n') => expect(b, pos, "null").map(|()| Json::Null),
         Some('t') => expect(b, pos, "true").map(|()| Json::Bool(true)),
@@ -218,7 +231,7 @@ fn parse_value(b: &[char], pos: &mut usize) -> Result<Json, JsonParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(',') => *pos += 1,
@@ -246,7 +259,7 @@ fn parse_value(b: &[char], pos: &mut usize) -> Result<Json, JsonParseError> {
                     return Err(err(*pos, format!("expected ':' after key {k:?}")));
                 }
                 *pos += 1;
-                fields.push((k, parse_value(b, pos)?));
+                fields.push((k, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(',') => *pos += 1,
@@ -455,6 +468,10 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.pos == MAX_DEPTH && e.message.contains("nesting"), "{e}");
     }
 
     #[test]

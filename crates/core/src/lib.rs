@@ -42,6 +42,7 @@ pub mod complexity;
 pub mod concept;
 pub mod cursor;
 pub mod frame;
+pub mod hash;
 pub mod json;
 pub mod numeric;
 pub mod order;

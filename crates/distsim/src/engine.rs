@@ -591,7 +591,7 @@ impl SyncRunner {
     /// Run until quiescence (no messages in flight, no pending timers, and
     /// every node halted or idle) or `max_rounds`.
     pub fn run(&mut self, max_rounds: u64) -> RunStats {
-        let _span = gp_telemetry::span("sync_run");
+        let _span = gp_telemetry::span!("sync_run");
         let n = self.topo.len();
         let mut stats = RunStats {
             outputs: vec![None; n],
@@ -968,7 +968,7 @@ impl AsyncRunner {
     /// unprocessed message in flight (counted in
     /// [`RunStats::undelivered`]) rather than silently discarding one.
     pub fn run(&mut self, max_events: u64) -> RunStats {
-        let _span = gp_telemetry::span("async_run");
+        let _span = gp_telemetry::span!("async_run");
         let n = self.topo.len();
         let mut stats = RunStats {
             outputs: vec![None; n],

@@ -220,7 +220,7 @@ impl NetRunner {
     ///
     /// [`AsyncRunner::run`]: crate::engine::AsyncRunner::run
     pub fn run(&mut self, max_events: u64) -> RunStats {
-        let _span = gp_telemetry::span("net_run");
+        let _span = gp_telemetry::span!("net_run");
         let procs = self
             .procs
             .take()

@@ -23,14 +23,13 @@
 //! global injector, rayon-style [`pool::ThreadPool::join`], panic-safe
 //! jobs), [`par`] (data-parallel primitives — map, reduce, scan, sort,
 //! for-each — on the lazily initialized global pool via recursive
-//! adaptive splitting), [`spawn`] (the seed's spawn-per-call baseline,
-//! kept for benchmarks), [`dist`] (a block-distributed vector built on
-//! the pooled primitives).
+//! adaptive splitting), [`dist`] (a block-distributed vector built on
+//! the pooled primitives). The seed's spawn-per-call primitives, the
+//! baseline the pool is measured against, live in `gp_bench::oracle`.
 
 pub mod dist;
 pub mod par;
 pub mod pool;
-pub mod spawn;
 
 pub use dist::BlockVec;
 pub use pool::ThreadPool;

@@ -15,8 +15,8 @@
 //! parallelism-width hint that sets the sequential cutoff (and, for the
 //! chunk-structured `par_scan` / `par_reduce_unchecked`, the chunk
 //! boundaries); `threads <= 1` runs the sequential algorithm directly.
-//! The seed's spawn-per-call implementations survive in [`crate::spawn`]
-//! as the benchmark baseline.
+//! The seed's spawn-per-call implementations survive in
+//! `gp_bench::oracle` as the benchmark baseline.
 
 use crate::pool::{self, ThreadPool};
 use gp_core::algebra::Monoid;
@@ -95,7 +95,7 @@ where
     if threads <= 1 {
         return input.iter().map(&f).collect();
     }
-    let _span = gp_telemetry::span("par_map");
+    let _span = gp_telemetry::span!("par_map");
     let mut out = uninit_vec::<U>(input.len());
     map_rec(
         pool::global(),
@@ -218,7 +218,7 @@ where
         }
         return;
     }
-    let _span = gp_telemetry::span("par_apply");
+    let _span = gp_telemetry::span!("par_apply");
     let g = grain(data.len(), threads);
     apply_rec(pool::global(), data, &f, g);
 }
@@ -263,7 +263,7 @@ where
     if threads <= 1 {
         return fold_chunk(input, op);
     }
-    let _span = gp_telemetry::span("par_reduce");
+    let _span = gp_telemetry::span!("par_reduce");
     reduce_rec(pool::global(), input, op, grain(input.len(), threads))
 }
 
@@ -375,7 +375,7 @@ where
             })
             .collect();
     }
-    let _span = gp_telemetry::span("par_scan");
+    let _span = gp_telemetry::span!("par_scan");
     let pool = pool::global();
     let cl = chunk_len(input.len(), threads);
     let n_chunks = input.len().div_ceil(cl);
@@ -468,7 +468,7 @@ where
         introsort(data, ord);
         return;
     }
-    let _span = gp_telemetry::span("par_sort");
+    let _span = gp_telemetry::span!("par_sort");
     let g = grain(n, threads).max(1024);
     sort_rec(pool::global(), data, ord, g);
 }
@@ -684,21 +684,6 @@ mod tests {
                 e.sort_unstable();
                 assert_eq!(s, e, "sort n={n} threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn pooled_equals_spawn_baseline() {
-        let v = random(30_000, 5);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                par_map(&v, threads, |x| x ^ 3),
-                crate::spawn::spawn_map(&v, threads, |x| x ^ 3)
-            );
-            assert_eq!(
-                par_reduce(&v, threads, &AddOp),
-                crate::spawn::spawn_reduce(&v, threads, &AddOp)
-            );
         }
     }
 

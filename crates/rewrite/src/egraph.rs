@@ -451,7 +451,7 @@ impl<'a> EGraph<'a> {
             let mut matches: Vec<(TermId, TermId, usize)> = Vec::new();
             let simp = self.simp;
             let index = simp.index();
-            let rules = simp.rules_slice();
+            let rules = simp.rules();
             let env: &ConceptEnv = simp.env();
             let mut node_budget_hit = false;
             for i in 0..n {
@@ -475,7 +475,7 @@ impl<'a> EGraph<'a> {
                     self.simp.record_fire(ri);
                     *stats
                         .applications
-                        .entry(self.simp.rules_slice()[ri].name().to_string())
+                        .entry(self.simp.rules()[ri].name().to_string())
                         .or_insert(0) += 1;
                 }
             }
@@ -645,7 +645,7 @@ impl<'a> EGraph<'a> {
         cfg: &EGraphConfig,
         cost: &dyn CostModel,
     ) -> (TermId, OptimizeStats) {
-        let _span = gp_telemetry::span("optimize");
+        let _span = gp_telemetry::span!("optimize");
         let mut stats = OptimizeStats {
             cost_before: self.tree_cost(cost, root),
             ..OptimizeStats::default()

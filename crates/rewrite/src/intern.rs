@@ -25,34 +25,10 @@
 //! represented trees in O(1).
 
 use crate::expr::{BinOp, Expr, Type, UnOp, Value};
+use gp_core::hash::FnvHasher;
 use gp_telemetry::Counter;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
-
-/// FNV-1a — the interner hashes every node of every incoming expression,
-/// so the default SipHash (keyed, init-heavy) is measurable overhead on
-/// no-sharing workloads. Collisions are harmless: candidates are confirmed
-/// structurally against the arena.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// The hash-consing index: a flat open-addressed table of
 /// `(term hash, id)` pairs with linear probing. A `HashMap<u64,
@@ -242,8 +218,13 @@ fn value_bits_eq(a: &Value, b: &Value) -> bool {
 }
 
 impl TermRef<'_> {
+    /// Word-folded FNV with the avalanche finalizer: the interner hashes
+    /// every node of every incoming expression, so SipHash's keyed setup
+    /// is measurable overhead, and the cons table takes slots from the low
+    /// bits. Collisions are harmless: candidates are confirmed
+    /// structurally against the arena.
     fn hash64(&self) -> u64 {
-        let mut h = Fnv1a::default();
+        let mut h = FnvHasher::default();
         match self {
             TermRef::Lit(v) => {
                 0u8.hash(&mut h);

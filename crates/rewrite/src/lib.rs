@@ -22,8 +22,9 @@
 //! * [`intern`] — the hash-consed term store: every distinct subterm
 //!   interned once, `u32` ids, O(1) equality.
 //! * [`simplify`] — the rewrite engine: indexed rule dispatch plus a
-//!   normal-form memo over the interner (and the original clone-per-pass
-//!   engine as a measured baseline), with application statistics.
+//!   normal-form memo over the interner, with application statistics
+//!   (the original clone-per-pass engine, its measured baseline, lives
+//!   in `gp_bench::oracle`).
 //! * [`egraph`] — the opt-in equality-saturation mode: e-classes and
 //!   congruence closure layered over the interner, bounded saturation of
 //!   the same concept-gated rules, and cost-based extraction (the

@@ -1,6 +1,5 @@
 //! The rewrite engine: hash-consed normalization with indexed rule
-//! dispatch, plus the original clone-per-pass engine kept as a measured
-//! baseline.
+//! dispatch.
 //!
 //! The default path ([`Simplifier::simplify`]) interns the expression into
 //! a [`TermStore`] (every distinct subterm once, ids are `u32`), then
@@ -19,10 +18,10 @@
 //!   happens once in, once out. [`Session::simplify_id`] exposes the
 //!   id-level entry point for callers that build DAGs directly.
 //!
-//! [`Simplifier::simplify_baseline`] preserves the original engine
-//! (bottom-up clone-per-pass, iterated to fixpoint) byte-for-byte in
-//! behavior; `exp_rewrite` (E13r) measures one against the other, and a
-//! property test pins output equality.
+//! The original engine (bottom-up clone-per-pass, iterated to fixpoint)
+//! lives on outside the library, in `gp_bench::oracle`: `exp_rewrite`
+//! (E13r) measures one against the other, and property tests pin equal
+//! outputs and per-rule counts.
 
 use crate::env::ConceptEnv;
 use crate::expr::Expr;
@@ -69,11 +68,10 @@ pub struct SimplifyStats {
     pub size_before: usize,
     /// AST size after simplification.
     pub size_after: usize,
-    /// Distinct subterms normalized (interned engine only; 0 for the
-    /// baseline).
+    /// Distinct subterms normalized (0 for the clone-per-pass baseline).
     pub distinct_terms: usize,
     /// Normal-form memo hits — repeated subterms whose normalization was
-    /// skipped entirely (interned engine only).
+    /// skipped entirely (0 for the clone-per-pass baseline).
     pub memo_hits: usize,
 }
 
@@ -209,7 +207,7 @@ impl Simplifier {
 
     /// The registered rules, in registration order (the e-graph engine
     /// e-matches the same rule objects the directed engine dispatches).
-    pub(crate) fn rules_slice(&self) -> &[Box<dyn RewriteRule + Send + Sync>] {
+    pub fn rules(&self) -> &[Box<dyn RewriteRule + Send + Sync>] {
         &self.rules
     }
 
@@ -263,84 +261,6 @@ impl Simplifier {
         let threads = gp_parallel::pool::global().workers();
         gp_parallel::par::par_map(exprs, threads, |e| self.simplify(e))
     }
-
-    /// The original clone-per-pass engine (bottom-up rewrite of a fresh
-    /// tree per pass, iterated to fixpoint with a safety cap), kept as
-    /// the measured baseline for E13r and as the behavioral reference the
-    /// interned engine is property-tested against.
-    pub fn simplify_baseline(&self, e: &Expr) -> (Expr, SimplifyStats) {
-        let _span = gp_telemetry::span("simplify");
-        let mut stats = SimplifyStats {
-            size_before: e.size(),
-            ..SimplifyStats::default()
-        };
-        let mut cur = e.clone();
-        const MAX_ITERS: usize = 64;
-        for _ in 0..MAX_ITERS {
-            stats.iterations += 1;
-            let (next, changed) = self.pass(&cur, &mut stats);
-            cur = next;
-            if !changed {
-                break;
-            }
-        }
-        stats.size_after = cur.size();
-        let m = engine_metrics();
-        m.runs.incr();
-        m.passes.add(stats.iterations as u64);
-        (cur, stats)
-    }
-
-    /// One bottom-up pass of the baseline engine. Returns (expr, changed).
-    fn pass(&self, e: &Expr, stats: &mut SimplifyStats) -> (Expr, bool) {
-        // Rewrite children first.
-        let (mut node, mut changed) = match e {
-            Expr::Unary(op, x) => {
-                let (x2, c) = self.pass(x, stats);
-                (Expr::Unary(*op, Box::new(x2)), c)
-            }
-            Expr::Binary(op, l, r) => {
-                let (l2, cl) = self.pass(l, stats);
-                let (r2, cr) = self.pass(r, stats);
-                (Expr::Binary(*op, Box::new(l2), Box::new(r2)), cl || cr)
-            }
-            Expr::Call(name, ty, args) => {
-                let mut c = false;
-                let args2 = args
-                    .iter()
-                    .map(|a| {
-                        let (a2, ca) = self.pass(a, stats);
-                        c |= ca;
-                        a2
-                    })
-                    .collect();
-                (Expr::Call(name.clone(), *ty, args2), c)
-            }
-            leaf => (leaf.clone(), false),
-        };
-        // Then the root, repeatedly until no rule fires. (This loop runs
-        // for leaves too: a rule matching a bare variable or literal at
-        // any position — including the whole-expression root — fires.)
-        loop {
-            let mut fired = false;
-            for (i, rule) in self.rules.iter().enumerate() {
-                if let Some(next) = rule.try_apply(&node, &self.env) {
-                    *stats
-                        .applications
-                        .entry(rule.name().to_string())
-                        .or_insert(0) += 1;
-                    self.rule_fires[i].incr();
-                    node = next;
-                    fired = true;
-                    changed = true;
-                    break;
-                }
-            }
-            if !fired {
-                return (node, changed);
-            }
-        }
-    }
 }
 
 /// A rewriting session: term store + normal-form memo over one
@@ -352,12 +272,12 @@ pub struct Session<'s> {
     store: TermStore,
     memo: TermMap,
     /// Remaining rule applications for the current run — the interned
-    /// engine's analogue of the baseline's pass cap, bounding adversarial
-    /// user rule sets that rewrite forever.
+    /// engine's analogue of the clone-per-pass engine's pass cap,
+    /// bounding adversarial user rule sets that rewrite forever.
     budget: usize,
 }
 
-/// Rule-application cap per `simplify` call. The baseline engine caps
+/// Rule-application cap per `simplify` call. The clone-per-pass engine caps
 /// fixpoint passes at 64 but lets a self-looping rule spin forever inside
 /// one pass; the interned engine bounds total applications instead, far
 /// above anything a terminating rule set reaches.
@@ -392,7 +312,7 @@ impl Session<'_> {
     /// Call [`Session::clear_memo`] between entries if per-call stats
     /// parity matters more than amortization.
     pub fn simplify(&mut self, e: &Expr) -> (Expr, SimplifyStats) {
-        let _span = gp_telemetry::span("simplify");
+        let _span = gp_telemetry::span!("simplify");
         let size_before = e.size();
         let root = self.store.intern_expr(e);
         let (out, mut stats) = self.simplify_id(root);
@@ -562,17 +482,13 @@ mod tests {
         assert_eq!(out, x); // (x*1) + (y + -y) → x + 0 → x
         assert!(stats.total() >= 3);
         assert!(stats.size_after < stats.size_before);
-        // And the baseline engine agrees.
-        let (out_b, stats_b) = s.simplify_baseline(&e);
-        assert_eq!(out_b, out);
-        assert_eq!(stats_b.applications, stats.applications);
     }
 
     #[test]
     fn simplification_preserves_semantics_on_random_expressions() {
         // Property: for random integer expressions, eval(simplify(e)) ==
-        // eval(e) — for both engines, which must also agree with each
-        // other exactly.
+        // eval(e). (Agreement with the clone-per-pass engine is the
+        // equivalence proptest in gp-bench.)
         let mut rng = StdRng::seed_from_u64(5);
         let s = Simplifier::standard();
         for _ in 0..200 {
@@ -586,8 +502,6 @@ mod tests {
             let (out, _) = s.simplify(&e);
             let after = out.eval(&env);
             assert_eq!(before, after, "expr {e} simplified to {out}");
-            let (out_b, _) = s.simplify_baseline(&e);
-            assert_eq!(out_b, out, "engines diverged on {e}");
         }
     }
 
@@ -699,15 +613,6 @@ mod tests {
             e = Expr::bin(BinOp::Mul, e, Expr::int(1));
         }
         let s = Simplifier::standard();
-        // Baseline engine: one fire per level, collapsed in one bottom-up
-        // pass (plus the fixpoint-confirming one).
-        let (out, stats) = s.simplify_baseline(&e);
-        assert_eq!(out, Expr::var("x", Type::Int));
-        assert!(
-            stats.iterations <= 3,
-            "bottom-up should collapse in one pass"
-        );
-        assert_eq!(stats.applications["right-identity"], 60);
         // Interned engine: every level rebuilds to the same `x*1` term, so
         // the rule fires ONCE and the other 59 levels are memo hits.
         let (out, stats) = s.simplify(&e);
@@ -737,7 +642,7 @@ mod tests {
         // bare variable or literal must fire when that leaf IS the whole
         // expression — an indexed engine that forgets Lit/Var dispatch
         // buckets, or a traversal that skips root rules for leaves, would
-        // silently drop these. Pins both engines.
+        // silently drop these.
         struct InlineX;
         impl RewriteRule for InlineX {
             fn name(&self) -> &'static str {
@@ -756,9 +661,6 @@ mod tests {
         let (out, stats) = s.simplify(&Expr::var("x", Type::Int));
         assert_eq!(out, Expr::int(7));
         assert_eq!(stats.applications["inline-x"], 1);
-        let (out_b, stats_b) = s.simplify_baseline(&Expr::var("x", Type::Int));
-        assert_eq!(out_b, Expr::int(7));
-        assert_eq!(stats_b.applications["inline-x"], 1);
         // The replacement feeds the concept rules: x + x → 7 + 7 → 14.
         let e = Expr::bin(
             BinOp::Add,
@@ -767,7 +669,6 @@ mod tests {
         );
         let (out, _) = s.simplify(&e);
         assert_eq!(out, Expr::int(14));
-        assert_eq!(s.simplify_baseline(&e).0, Expr::int(14));
         // Literal root with a literal-matching rule (standard rules leave
         // bare literals alone, so use constant-fold through a Neg chain).
         let (out, _) = s.simplify(&Expr::un(UnOp::Neg, Expr::int(3)));

@@ -178,13 +178,13 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::fnv1a;
+    use gp_core::hash::fnv1a_bytes;
 
     #[test]
     fn hits_return_the_exact_inserted_bytes() {
         let cache = ResponseCache::new(4, 64);
         let canonical = "lint:{\"name\":\"p\"}";
-        let hash = fnv1a(canonical);
+        let hash = fnv1a_bytes(canonical);
         assert_eq!(cache.get(hash, canonical), None);
         cache.put(hash, canonical, r#"{"count":0}"#);
         assert_eq!(
@@ -243,7 +243,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0u64..200 {
                         let canonical = format!("req-{}", i % 50);
-                        let hash = fnv1a(&canonical);
+                        let hash = fnv1a_bytes(&canonical);
                         if let Some(p) = cache.get(hash, &canonical) {
                             assert_eq!(p, format!("payload-{}", i % 50));
                         } else {

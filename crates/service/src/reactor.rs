@@ -53,6 +53,10 @@ use std::sync::Mutex;
 #[cfg(target_os = "linux")]
 use std::thread::JoinHandle;
 
+/// Root span of a sampled request's trace on the reactor path.
+#[cfg(target_os = "linux")]
+static REACTOR_SPAN: gp_telemetry::SpanName = gp_telemetry::SpanName::new("reactor");
+
 /// The request sink a reactor serves: [`crate::Service`] (one instance)
 /// and [`crate::shard::ShardRouter`] (a consistent-hash fleet) both
 /// implement it. Submission must not block: admission control answers
@@ -688,18 +692,8 @@ mod linux_impl {
                         // callback and closes — publishing the trace if
                         // it holds the last clone — before the response
                         // is handed to the event loop for writing.
-                        let traced = wire_trace.and_then(gp_telemetry::trace::sample).map(|ctx| {
-                            let root = ctx.span("reactor", None);
-                            let handle = gp_telemetry::trace::TraceHandle {
-                                ctx,
-                                parent: Some(root.id()),
-                            };
-                            (handle, root)
-                        });
-                        let (handle, root) = match traced {
-                            Some((h, r)) => (Some(h), Some(r)),
-                            None => (None, None),
-                        };
+                        let (handle, root) =
+                            gp_telemetry::trace::sample_root(wire_trace, &REACTOR_SPAN);
                         let completions = Arc::clone(&self.completions);
                         self.submit.submit_traced(
                             request,

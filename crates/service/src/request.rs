@@ -124,17 +124,6 @@ impl Request {
     }
 }
 
-/// FNV-1a — the cache's request hash. Small, dependency-free, and good
-/// enough given the canonical string rides along to catch collisions.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encode a request frame.
 pub fn encode_request(id: u64, req: &Request) -> String {
     encode_request_traced(id, req, None)
@@ -371,12 +360,5 @@ mod tests {
         ] {
             assert!(decode_request(frame).is_err(), "accepted {frame:?}");
         }
-    }
-
-    #[test]
-    fn fnv1a_distinguishes_close_strings() {
-        assert_ne!(fnv1a("a"), fnv1a("b"));
-        assert_ne!(fnv1a("lint:{}"), fnv1a("lint:{} "));
-        assert_eq!(fnv1a("same"), fnv1a("same"));
     }
 }

@@ -18,16 +18,17 @@
 use crate::cache::{CacheStats, ResponseCache};
 use crate::queue::BoundedQueue;
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{decode_request_traced, encode_response, fnv1a, Request, Response};
+use crate::request::{decode_request_traced, encode_response, Request, Response};
 use crate::simplify::SimplifyRequest;
 use crate::wire::{read_frame, write_frame};
 use gp_telemetry::flight::{self, FlightKind};
-use gp_telemetry::trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceSpan, TraceStore};
+use gp_telemetry::trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceStore};
+use gp_telemetry::{Counter, Histogram, Span, SpanName};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -125,8 +126,8 @@ struct Job {
 /// queued wait), and that span's id for parenting the `worker` span.
 struct JobTrace {
     ctx: TraceContext,
-    queue_id: SpanId,
-    queue_span: Option<TraceSpan>,
+    queue_id: Option<SpanId>,
+    queue_span: Option<Span>,
 }
 
 /// A pending response; `wait` blocks until the worker replies.
@@ -157,40 +158,80 @@ struct ServiceInner {
     batched: AtomicU64,
 }
 
-fn span_name(kind: &str) -> &'static str {
-    match kind {
-        "lint" => "service.lint",
-        "simplify" => "service.simplify",
-        "optimize" => "service.optimize",
-        "prove" => "service.prove",
-        _ => "service.select",
+/// One row per request kind: everything the serving core records about
+/// a request of that kind, resolved once per process instead of by name
+/// on every request.
+struct KindRow {
+    name: &'static str,
+    /// Compact code for flight-recorder payload words.
+    code: u64,
+    /// Span over the handler run (`service.<kind>`).
+    handler: SpanName,
+    /// Trace span over the engine stage (`engine.<kind>`).
+    engine: SpanName,
+    metrics: OnceLock<KindMetrics>,
+}
+
+struct KindMetrics {
+    /// `service.req.<kind>`.
+    requests: &'static Counter,
+    /// `service.latency.<kind>.ns`.
+    latency: &'static Histogram,
+}
+
+impl KindRow {
+    const fn new(
+        name: &'static str,
+        code: u64,
+        handler: &'static str,
+        engine: &'static str,
+    ) -> Self {
+        KindRow {
+            name,
+            code,
+            handler: SpanName::new(handler),
+            engine: SpanName::new(engine),
+            metrics: OnceLock::new(),
+        }
+    }
+
+    fn metrics(&self) -> &KindMetrics {
+        self.metrics.get_or_init(|| KindMetrics {
+            requests: gp_telemetry::counter(&format!("service.req.{}", self.name)),
+            latency: gp_telemetry::histogram(&format!("service.latency.{}.ns", self.name)),
+        })
     }
 }
 
-/// The engine-stage trace span name for a request kind.
-fn engine_span_name(kind: &str) -> &'static str {
-    match kind {
-        "lint" => "engine.lint",
-        "simplify" => "engine.simplify",
-        "optimize" => "engine.optimize",
-        "prove" => "engine.prove",
-        _ => "engine.select",
-    }
+static KINDS: [KindRow; 7] = [
+    KindRow::new("lint", 1, "service.lint", "engine.lint"),
+    KindRow::new("simplify", 2, "service.simplify", "engine.simplify"),
+    KindRow::new("prove", 3, "service.prove", "engine.prove"),
+    KindRow::new("select", 4, "service.select", "engine.select"),
+    KindRow::new("stats", 5, "service.stats", "engine.stats"),
+    KindRow::new("trace", 6, "service.trace", "engine.trace"),
+    KindRow::new("optimize", 7, "service.optimize", "engine.optimize"),
+];
+
+/// The [`KINDS`] row of `request`'s kind.
+fn kind_row(request: &Request) -> &'static KindRow {
+    let row = &KINDS[match request {
+        Request::Lint(_) => 0,
+        Request::Simplify(_) => 1,
+        Request::Prove(_) => 2,
+        Request::Select(_) => 3,
+        Request::Stats(_) => 4,
+        Request::Trace(_) => 5,
+        Request::Optimize(_) => 6,
+    }];
+    debug_assert_eq!(row.name, request.kind());
+    row
 }
 
-/// Compact request-kind code for flight-recorder payload words.
-fn kind_code(kind: &str) -> u64 {
-    match kind {
-        "lint" => 1,
-        "simplify" => 2,
-        "prove" => 3,
-        "select" => 4,
-        "stats" => 5,
-        "trace" => 6,
-        "optimize" => 7,
-        _ => 0,
-    }
-}
+static CACHE_SPAN: SpanName = SpanName::new("cache");
+static QUEUE_SPAN: SpanName = SpanName::new("queue");
+static WORKER_SPAN: SpanName = SpanName::new("worker");
+static SERVER_SPAN: SpanName = SpanName::new("server");
 
 impl ServiceInner {
     fn submit(self: &Arc<Self>, request: Request) -> Ticket {
@@ -241,10 +282,10 @@ impl ServiceInner {
         mut trace: Option<TraceHandle>,
         reply: ReplyFn,
     ) {
-        let kind = request.kind();
+        let kind = kind_row(&request);
         self.accepted.fetch_add(1, Ordering::Relaxed);
         gp_telemetry::counter("service.accepted").incr();
-        gp_telemetry::counter(&format!("service.req.{kind}")).incr();
+        kind.metrics().requests.incr();
 
         // Introspection answers even while draining — the whole point is
         // inspecting a server that is misbehaving.
@@ -261,23 +302,23 @@ impl ServiceInner {
             return;
         }
         let canonical = request.canonical();
-        let hash = fnv1a(&canonical);
+        let hash = gp_core::hash::fnv1a_bytes(&canonical);
         if let Some(cache) = &self.cache {
             if let Some(payload) = cache.get(hash, &canonical) {
-                flight::record(FlightKind::CacheHit, kind_code(kind), hash & 0xffff_ffff);
+                flight::record(FlightKind::CacheHit, kind.code, hash & 0xffff_ffff);
                 if let Some(t) = trace.take() {
                     // The hit never reaches a queue; a lone `cache` span
                     // under the caller's parent is the whole story. Drop
                     // the handle before replying so the trace publishes
                     // strictly before the response can be observed.
                     t.ctx.set_sink(&self.trace_store);
-                    t.span("cache").finish();
+                    t.span(&CACHE_SPAN).finish();
                 }
                 self.complete_one(kind, Instant::now());
                 reply(Response::Ok { payload });
                 return;
             }
-            flight::record(FlightKind::CacheMiss, kind_code(kind), hash & 0xffff_ffff);
+            flight::record(FlightKind::CacheMiss, kind.code, hash & 0xffff_ffff);
         }
         let batch_key = match &request {
             Request::Simplify(r) => Some(r.env.fingerprint()),
@@ -287,7 +328,7 @@ impl ServiceInner {
             // The executing shard owns the completed trace (first claim
             // wins, so a failover retry landing elsewhere re-claims).
             t.ctx.set_sink(&self.trace_store);
-            let queue_span = t.span("queue");
+            let queue_span = t.span(&QUEUE_SPAN);
             JobTrace {
                 queue_id: queue_span.id(),
                 ctx: t.ctx,
@@ -306,11 +347,7 @@ impl ServiceInner {
         match self.queue.try_push(job) {
             Ok(()) => {
                 gp_telemetry::gauge("service.queue.depth").add(1);
-                flight::record(
-                    FlightKind::Enqueue,
-                    kind_code(kind),
-                    self.queue.len() as u64,
-                );
+                flight::record(FlightKind::Enqueue, kind.code, self.queue.len() as u64);
             }
             Err(mut job) => {
                 // Drop the trace (publishing the partial trace: the queue
@@ -321,17 +358,18 @@ impl ServiceInner {
         }
     }
 
-    fn shed_one(&self, kind: &str, reply: ReplyFn) {
+    fn shed_one(&self, kind: &KindRow, reply: ReplyFn) {
         self.shed.fetch_add(1, Ordering::Relaxed);
         gp_telemetry::counter("service.shed").incr();
-        flight::record(FlightKind::Shed, kind_code(kind), 0);
+        flight::record(FlightKind::Shed, kind.code, 0);
         reply(Response::Overloaded);
     }
 
-    fn complete_one(&self, kind: &str, enqueued: Instant) {
+    fn complete_one(&self, kind: &KindRow, enqueued: Instant) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         gp_telemetry::counter("service.completed").incr();
-        gp_telemetry::histogram(&format!("service.latency.{kind}.ns"))
+        kind.metrics()
+            .latency
             .record(enqueued.elapsed().as_nanos() as u64);
     }
 
@@ -347,7 +385,7 @@ impl ServiceInner {
             }
             Err(message) => Response::Error { message },
         };
-        self.complete_one(job.request.kind(), job.enqueued);
+        self.complete_one(kind_row(&job.request), job.enqueued);
         // Drop the job's trace handle before replying: if these are the
         // last live clones the trace publishes here, strictly before the
         // response can reach a client — so a `trace` query issued after
@@ -367,14 +405,12 @@ impl ServiceInner {
         // pool thread — the explicit parent ids are what keep the tree
         // intact across the hop from the submitting thread. Batched jobs
         // each get their own span pair over the shared handler run.
-        let mut stage_spans: Vec<(TraceSpan, TraceSpan)> = Vec::new();
+        let mut stage_spans: Vec<(Span, Span)> = Vec::new();
         for job in &mut batch {
             if let Some(t) = &mut job.trace {
                 t.queue_span.take();
-                let worker = t.ctx.span("worker", Some(t.queue_id));
-                let engine = t
-                    .ctx
-                    .span(engine_span_name(job.request.kind()), Some(worker.id()));
+                let worker = t.ctx.span(&WORKER_SPAN, t.queue_id);
+                let engine = t.ctx.span(&kind_row(&job.request).engine, worker.id());
                 stage_spans.push((worker, engine));
             }
         }
@@ -386,7 +422,7 @@ impl ServiceInner {
                     _ => unreachable!("only Simplify jobs carry a batch key"),
                 })
                 .collect();
-            let _span = gp_telemetry::span("service.simplify");
+            let _span = Span::enter(&kind_row(&batch[0].request).handler);
             let results = catch_unwind(AssertUnwindSafe(|| crate::simplify::handle_batch(&reqs)));
             drop(stage_spans); // engine/worker spans end with the handler
             match results {
@@ -403,7 +439,7 @@ impl ServiceInner {
             }
         } else {
             let job = batch.pop().expect("batch is non-empty");
-            let _span = gp_telemetry::span(span_name(job.request.kind()));
+            let _span = Span::enter(&kind_row(&job.request).handler);
             let result = catch_unwind(AssertUnwindSafe(|| job.request.handle()))
                 .unwrap_or_else(|_| Err("handler panicked".into()));
             drop(stage_spans); // engine/worker spans end with the handler
@@ -432,7 +468,7 @@ impl ServiceInner {
             for job in &batch {
                 flight::record(
                     FlightKind::Dequeue,
-                    kind_code(job.request.kind()),
+                    kind_row(&job.request).code,
                     batch.len() as u64,
                 );
             }
@@ -669,20 +705,7 @@ fn serve_connection(inner: &Arc<ServiceInner>, mut stream: TcpStream) {
                 // Tracing is strictly opt-in: only a frame carrying a
                 // `trace` field can be sampled, and an unsampled or
                 // untraced request takes the identical path.
-                let sampled = wire_trace.and_then(gp_telemetry::trace::sample);
-                let (handle, root) = match sampled {
-                    Some(ctx) => {
-                        let root = ctx.span("server", None);
-                        (
-                            Some(TraceHandle {
-                                ctx: ctx.clone(),
-                                parent: Some(root.id()),
-                            }),
-                            Some(root),
-                        )
-                    }
-                    None => (None, None),
-                };
+                let (handle, root) = gp_telemetry::trace::sample_root(wire_trace, &SERVER_SPAN);
                 let response = inner.submit_traced(request, handle).wait();
                 // Close the root span before writing the response so the
                 // assembled trace is queryable the moment the client

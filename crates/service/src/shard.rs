@@ -25,13 +25,17 @@
 //! shard caches holds each key at most once.
 
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{fnv1a, Request, Response};
+use crate::request::{Request, Response};
 use crate::server::{Service, ServiceConfig, ServiceStats, Ticket};
+use gp_core::hash::hash_str;
 use gp_telemetry::trace::{TraceHandle, TraceStore};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Span over a traced request's routing decision and shard hand-off.
+static ROUTER_SPAN: gp_telemetry::SpanName = gp_telemetry::SpanName::new("router");
 
 /// A consistent-hash ring over shard indices.
 ///
@@ -48,7 +52,8 @@ impl HashRing {
     pub fn new(shards: usize, vnodes: usize) -> Self {
         let mut points: Vec<(u64, u32)> = (0..shards.max(1))
             .flat_map(|s| {
-                (0..vnodes.max(1)).map(move |v| (fnv1a(&format!("shard-{s}-vnode-{v}")), s as u32))
+                (0..vnodes.max(1))
+                    .map(move |v| (hash_str(&format!("shard-{s}-vnode-{v}")), s as u32))
             })
             .collect();
         points.sort_unstable();
@@ -161,7 +166,7 @@ impl RouterInner {
             // (not the env fingerprint): e-graph runs don't micro-batch,
             // so spreading them across shards beats cache-partition
             // affinity with simplify traffic.
-            other => fnv1a(&other.canonical()),
+            other => hash_str(&other.canonical()),
         }
     }
 
@@ -220,7 +225,7 @@ impl SubmitRequest for RouterInner {
                 // The `router` span brackets the routing decision and the
                 // hand-off into the shard's admission path; the shard's
                 // spans parent under it.
-                let span = h.span("router");
+                let span = h.span(&ROUTER_SPAN);
                 let child = h.child_of(&span);
                 drop(h);
                 self.submitters[shard].submit_traced(request, Some(child), reply);
@@ -290,7 +295,7 @@ impl ShardRouter {
     pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
         let shard = self.shard_of(&request);
         let traced = trace.map(|h| {
-            let span = h.span("router");
+            let span = h.span(&ROUTER_SPAN);
             let child = h.child_of(&span);
             (child, span)
         });
@@ -411,6 +416,36 @@ mod tests {
             hit[s] = true;
         }
         assert!(hit.iter().all(|h| *h), "64 vnodes reach every shard");
+    }
+
+    /// Fraction of the 64-bit key space each shard owns: a point owns
+    /// the arc from its predecessor (exclusive) up to itself, and the
+    /// first point also owns the wrap-around arc.
+    fn ring_shares(ring: &HashRing, shards: usize) -> Vec<f64> {
+        let mut shares = vec![0.0; shards];
+        let last = ring.points.last().expect("rings are never empty").0;
+        let mut prev = last;
+        for &(h, s) in &ring.points {
+            shares[s as usize] += h.wrapping_sub(prev) as f64 / 2f64.powi(64);
+            prev = h;
+        }
+        shares
+    }
+
+    #[test]
+    fn every_shard_owns_a_fair_share_of_the_ring() {
+        for n in (2..=16).chain([64]) {
+            let shares = ring_shares(&HashRing::new(n, 64), n);
+            assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            for (s, &share) in shares.iter().enumerate() {
+                let fair = 1.0 / n as f64;
+                assert!(
+                    (0.5 * fair..=2.0 * fair).contains(&share),
+                    "n={n}: shard {s} owns {:.3}x its fair share",
+                    share / fair
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! workloads, and the same bound every JSON consumer of the bench
 //! artifacts already lives with.
 
-use crate::request::fnv1a;
 use gp_core::json::Json;
 use gp_core::numeric::Rational;
 use gp_rewrite::env::AlgConcept;
@@ -383,7 +382,7 @@ impl EnvSpec {
     /// The batching key: hash of the canonical environment JSON. Requests
     /// with equal fingerprints can share one `Simplifier`.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.to_json().render())
+        gp_core::hash::hash_str(&self.to_json().render())
     }
 }
 

@@ -15,8 +15,8 @@
 //!   single relaxed atomic increment on a pre-resolved [`Counter`]; there
 //!   is no feature gate to get wrong, and the registry lock is touched
 //!   only at name-resolution time (cold) and snapshot time.
-//! * **Runtime kill switch.** [`set_enabled`]`(false)` turns
-//!   [`span`] timers into no-ops (no clock reads); counters keep counting
+//! * **Runtime kill switch.** [`set_enabled`]`(false)` turns untraced
+//!   [`Span`]s into no-ops (no clock reads); counters keep counting
 //!   because a relaxed increment is cheaper than a branch misprediction
 //!   profile worth worrying about.
 //! * **Lock-free reads.** [`Registry::snapshot`] reads every metric with
@@ -27,10 +27,11 @@
 //!   `results/BENCH_*.json` artifacts.
 //!
 //! Modules: [`metric`] (the atomic instruments), [`registry`] (the global
-//! name → instrument map and snapshots), [`span`] (RAII timers with a
-//! per-thread scope stack), [`trace`] (causal traces with explicit
-//! parents that survive thread hops), [`flight`] (a lock-free flight
-//! recorder of recent structured events).
+//! name → instrument map and snapshots), [`mod@span`] (the one RAII span
+//! type: a `span.<name>.ns` histogram always, a trace record when a
+//! context is attached), [`trace`] (causal traces with explicit parents
+//! that survive thread hops), [`flight`] (a lock-free flight recorder of
+//! recent structured events).
 
 pub mod flight;
 pub mod metric;
@@ -41,8 +42,8 @@ pub mod trace;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use metric::{Counter, Gauge, HistSnapshot, Histogram};
 pub use registry::{global, Registry, Snapshot};
-pub use span::{current_span_path, span, SpanTimer};
-pub use trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceSpan, TraceStore};
+pub use span::{Span, SpanName};
+pub use trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceStore};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

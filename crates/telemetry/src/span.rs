@@ -1,96 +1,126 @@
-//! RAII span timers with per-thread scoping.
+//! Spans: one RAII type for timed regions, traced or not.
 //!
-//! A span measures one region of work: created at region entry, it
-//! records the elapsed wall time (nanoseconds) into the histogram
-//! `span.<name>.ns` and bumps the counter `span.<name>.calls` when it
-//! drops. Spans nest: each thread keeps a stack of active span names, so
-//! [`current_span_path`] can attribute low-level work ("who called this
-//! reduce?") without threading labels through every API.
+//! A [`Span`] measures one region of work. When it closes it records the
+//! elapsed wall time (nanoseconds) into the histogram `span.<name>.ns`
+//! (having bumped `span.<name>.calls` on open), and — only when it was
+//! opened through a [`TraceContext`] — it also records a
+//! [`SpanRecord`](crate::trace::SpanRecord) with its explicit parent link
+//! into that trace.
 //!
-//! When telemetry is disabled ([`crate::set_enabled`]`(false)`) a span is
-//! constructed as a no-op: no clock read, no registry access, no
-//! thread-local push — the documented way to make instrumented hot paths
-//! indistinguishable from uninstrumented ones.
+//! A span's name is a `static` [`SpanName`] that resolves its two metric
+//! handles once per process, so opening a span on a request path costs
+//! no formatting and no registry lock. [`span!`](crate::span!) declares
+//! the static inline for a literal name; call sites that share a name
+//! (the service's per-kind tables) declare their own.
+//!
+//! When telemetry is disabled ([`crate::set_enabled`]`(false)`) an
+//! untraced span is a no-op (no clock read, no metric update). A traced
+//! span still records into its trace: the client asked for that trace.
 
-use crate::metric::Histogram;
+use crate::metric::{Counter, Histogram};
 use crate::registry::global;
-use std::cell::RefCell;
+use crate::trace::{SpanId, TraceContext};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-thread_local! {
-    /// Names of the spans currently open on this thread, outermost first.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+/// A span name with its `span.<name>.ns` / `span.<name>.calls` handles,
+/// resolved on first use. Declare one as a `static`.
+pub struct SpanName {
+    name: &'static str,
+    metrics: OnceLock<(&'static Histogram, &'static Counter)>,
 }
 
-/// The active span scope of the calling thread, rendered as
-/// `outer/inner/innermost` (empty string when no span is open).
-pub fn current_span_path() -> String {
-    SPAN_STACK.with(|s| s.borrow().join("/"))
-}
-
-/// Depth of the calling thread's span stack.
-pub fn span_depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
-}
-
-/// Truncate the calling thread's span stack to `depth` entries. Exposed
-/// for executors that run untrusted jobs behind `catch_unwind`: a job
-/// that leaks an open [`SpanTimer`] (or carries one into a panic payload
-/// that is caught and discarded) leaves entries on the worker's stack
-/// with no drop left to remove them, permanently corrupting every later
-/// job's [`current_span_path`]. The pool snapshots [`span_depth`] before
-/// the catch boundary and restores it here after.
-pub fn truncate_span_stack(depth: usize) {
-    SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if stack.len() > depth {
-            stack.truncate(depth);
+impl SpanName {
+    /// A name whose metrics resolve lazily.
+    pub const fn new(name: &'static str) -> SpanName {
+        SpanName {
+            name,
+            metrics: OnceLock::new(),
         }
-    });
-}
-
-/// An RAII timer for one named region; see the module docs. Obtain via
-/// [`span`].
-pub struct SpanTimer {
-    /// `None` when telemetry was disabled at construction: drop is a no-op.
-    /// The `usize` is the stack depth *before* this span pushed — drop
-    /// truncates back to it rather than blind-popping, so out-of-LIFO
-    /// drops (possible when caught panics reorder destruction) cannot pop
-    /// someone else's entry.
-    armed: Option<(Instant, &'static Histogram, usize)>,
-}
-
-/// Open a span named `name`. The name must be `'static` because it lives
-/// on the thread's scope stack; metric names derive from it
-/// (`span.<name>.ns`, `span.<name>.calls`). Resolution hits the registry
-/// mutex, so spans belong on coarse boundaries (an entire `par_sort`
-/// call, one simplifier run), not per-element loops.
-pub fn span(name: &'static str) -> SpanTimer {
-    if !crate::enabled() {
-        return SpanTimer { armed: None };
     }
-    let hist = global().histogram(&format!("span.{name}.ns"));
-    global().counter(&format!("span.{name}.calls")).incr();
-    let depth = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let depth = stack.len();
-        stack.push(name);
-        depth
-    });
-    SpanTimer {
-        armed: Some((Instant::now(), hist, depth)),
+
+    fn metrics(&self) -> (&'static Histogram, &'static Counter) {
+        *self.metrics.get_or_init(|| {
+            (
+                global().histogram(&format!("span.{}.ns", self.name)),
+                global().counter(&format!("span.{}.calls", self.name)),
+            )
+        })
     }
 }
 
-impl Drop for SpanTimer {
+/// Open an untraced span over a literal name, declaring its [`SpanName`]
+/// static in place: `let _span = gp_telemetry::span!("par_map");`.
+#[macro_export]
+macro_rules! span {
+    ($name:literal) => {{
+        static NAME: $crate::SpanName = $crate::SpanName::new($name);
+        $crate::Span::enter(&NAME)
+    }};
+}
+
+/// An open span; see the module docs. `Send`, so a traced span may be
+/// moved into a queue, a boxed job, or a callback on another thread and
+/// closed there.
+pub struct Span {
+    name: &'static SpanName,
+    /// Open time; `None` when the span records nowhere.
+    start: Option<Instant>,
+    /// Whether the close feeds `span.<name>.ns` (telemetry was enabled
+    /// at open).
+    timed: bool,
+    trace: Option<(TraceContext, SpanId, Option<SpanId>)>,
+}
+
+impl Span {
+    /// Open an untraced span (a no-op while telemetry is disabled).
+    pub fn enter(name: &'static SpanName) -> Span {
+        Span::open(name, None)
+    }
+
+    /// Open a span, recording into `trace` (context, this span's id, its
+    /// parent) when one is attached.
+    pub(crate) fn open(
+        name: &'static SpanName,
+        trace: Option<(TraceContext, SpanId, Option<SpanId>)>,
+    ) -> Span {
+        let timed = crate::enabled();
+        if timed {
+            name.metrics().1.incr();
+        }
+        let start = (timed || trace.is_some()).then(Instant::now);
+        Span {
+            name,
+            start,
+            timed,
+            trace,
+        }
+    }
+
+    /// This span's id within its trace (`None` when untraced) — the
+    /// parent link for child spans.
+    pub fn id(&self) -> Option<SpanId> {
+        self.trace.as_ref().map(|t| t.1)
+    }
+
+    /// Close the span now (drop does the same; this spells out intent).
+    pub fn finish(self) {}
+}
+
+impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((start, hist, depth)) = self.armed.take() {
-            hist.record(start.elapsed().as_nanos() as u64);
-            // Truncate to the depth this span pushed at, not pop: if an
-            // inner span leaked (caught panic discarded its timer without
-            // running drop) the stale entries above us go too, and if
-            // drops run out of LIFO order we never pop an outer entry.
-            truncate_span_stack(depth);
+        let Some(start) = self.start else {
+            return;
+        };
+        let end = Instant::now();
+        if self.timed {
+            self.name
+                .metrics()
+                .0
+                .record(end.duration_since(start).as_nanos() as u64);
+        }
+        if let Some((ctx, id, parent)) = self.trace.take() {
+            ctx.record(id, parent, self.name.name, start, end);
         }
     }
 }
@@ -105,7 +135,8 @@ mod tests {
         let _guard = crate::test_flag_lock();
         let before = snapshot();
         {
-            let _s = span("span_unit_test");
+            let s = crate::span!("span_unit_test");
+            assert_eq!(s.id(), None, "untraced spans have no trace id");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let d = snapshot().delta(&before);
@@ -116,62 +147,21 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_and_unwind_per_thread() {
-        assert_eq!(current_span_path(), "");
-        {
-            let _a = span("outer_scope");
-            assert_eq!(current_span_path(), "outer_scope");
-            {
-                let _b = span("inner_scope");
-                assert_eq!(current_span_path(), "outer_scope/inner_scope");
-                assert_eq!(span_depth(), 2);
-            }
-            assert_eq!(current_span_path(), "outer_scope");
+    fn names_resolve_once_and_are_shared_across_opens() {
+        static NAME: SpanName = SpanName::new("span_shared_name_test");
+        let _guard = crate::test_flag_lock();
+        let before = snapshot();
+        for _ in 0..3 {
+            Span::enter(&NAME).finish();
         }
-        assert_eq!(span_depth(), 0);
-        // Another thread's stack is independent.
-        let _a = span("outer_scope");
-        std::thread::spawn(|| assert_eq!(current_span_path(), ""))
-            .join()
-            .unwrap();
-    }
-
-    #[test]
-    fn out_of_order_drops_cannot_corrupt_the_stack() {
-        // Caught panics can reorder destruction (a payload carrying a
-        // timer drops after the catch). Dropping the OUTER span first
-        // must clear its whole scope, and the late inner drop must not
-        // pop anything beneath it.
-        let outer = span("ooo_outer");
-        let inner = span("ooo_inner");
-        assert_eq!(current_span_path(), "ooo_outer/ooo_inner");
-        drop(outer);
+        let (hist, calls) = NAME.metrics();
+        assert!(std::ptr::eq(hist, NAME.metrics().0), "one handle");
+        let d = snapshot().delta(&before);
+        assert_eq!(calls.get(), 3);
         assert_eq!(
-            current_span_path(),
-            "",
-            "closing the outer scope closes everything nested in it"
+            d.histogram("span.span_shared_name_test.ns").unwrap().count,
+            3
         );
-        let bystander = span("ooo_bystander");
-        drop(inner); // recorded at depth 1: must not touch the bystander
-        assert_eq!(current_span_path(), "ooo_bystander");
-        drop(bystander);
-        assert_eq!(span_depth(), 0);
-    }
-
-    #[test]
-    fn leaked_span_is_cleaned_by_depth_truncation() {
-        // A leaked timer (e.g. mem::forget inside a pooled job that then
-        // panics) leaves entries with no drop to remove them; the
-        // executor restores the stack via truncate_span_stack.
-        let depth_before = span_depth();
-        let leaked = span("leaked_span_test");
-        std::mem::forget(leaked);
-        assert_eq!(current_span_path(), "leaked_span_test");
-        truncate_span_stack(depth_before);
-        assert_eq!(current_span_path(), "", "stack restored after leak");
-        // Truncating deeper than the stack is a no-op, not a panic.
-        truncate_span_stack(100);
-        assert_eq!(span_depth(), 0);
     }
 
     #[test]
@@ -180,12 +170,27 @@ mod tests {
         crate::set_enabled(false);
         let before = snapshot();
         {
-            let _s = span("disabled_span_test");
-            assert_eq!(span_depth(), 0, "disabled span must not push scope");
+            let s = crate::span!("disabled_span_test");
+            assert!(s.start.is_none(), "disabled span must not read the clock");
         }
         let d = snapshot().delta(&before);
         assert_eq!(d.counter("span.disabled_span_test.calls"), 0);
         assert!(d.histogram("span.disabled_span_test.ns").is_none());
         crate::set_enabled(true);
+    }
+
+    #[test]
+    fn traced_spans_feed_both_the_histogram_and_the_trace() {
+        static NAME: SpanName = SpanName::new("span_traced_test");
+        let _guard = crate::test_flag_lock();
+        let before = snapshot();
+        let ctx = TraceContext::new(11);
+        let s = ctx.span(&NAME, None);
+        assert_eq!(s.id(), Some(SpanId(0)));
+        s.finish();
+        assert_eq!(ctx.recorded(), 1);
+        let d = snapshot().delta(&before);
+        assert_eq!(d.counter("span.span_traced_test.calls"), 1);
+        assert_eq!(d.histogram("span.span_traced_test.ns").unwrap().count, 1);
     }
 }

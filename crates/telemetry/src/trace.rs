@@ -1,14 +1,14 @@
 //! Causal tracing: explicit-parent spans that survive thread hops.
 //!
-//! The RAII [`crate::span`] timers attribute time to a *per-thread* scope
-//! stack, which is exactly wrong for the service's request path: a
-//! request crosses the reactor thread, a router, a queue, a service
-//! worker, and finally a `gp-parallel` pool thread — five stacks, none of
-//! which sees the whole story. A [`TraceContext`] instead carries an
-//! explicit parent link per span: any thread holding a clone of the
-//! context can open a [`TraceSpan`] with a chosen parent [`SpanId`], so
-//! the assembled tree reflects the request's causal structure, not the
-//! accident of which thread ran which stage.
+//! A request crosses the reactor thread, a router, a queue, a service
+//! worker, and finally a `gp-parallel` pool thread, so no per-thread
+//! notion of "the current span" sees the whole story. A [`TraceContext`]
+//! instead carries an explicit parent link per span: any thread holding a
+//! clone of the context can open a [`Span`] with a chosen parent
+//! [`SpanId`], so the assembled tree reflects the request's causal
+//! structure, not the accident of which thread ran which stage. The span
+//! is the same type untraced code uses ([`mod@crate::span`]); attaching a
+//! context only adds the trace record.
 //!
 //! Lifecycle: a context is created per sampled request ([`sample`] applies
 //! the process-wide 1-in-N rate). Every span holds a clone of the context;
@@ -21,6 +21,7 @@
 //! spans recorded on different threads order consistently without any
 //! cross-thread clock agreement beyond `Instant`'s own monotonicity.
 
+use crate::span::{Span, SpanName};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -115,16 +116,36 @@ impl TraceContext {
 
     /// Open a span named `name` under `parent` (`None` = root). The span
     /// may be moved across threads and closed anywhere; it records into
-    /// this context when dropped (or [`TraceSpan::finish`]ed).
-    pub fn span(&self, name: &'static str, parent: Option<SpanId>) -> TraceSpan {
+    /// this context when dropped (or [`Span::finish`]ed).
+    pub fn span(&self, name: &'static SpanName, parent: Option<SpanId>) -> Span {
         let id = SpanId(self.inner.next_span.fetch_add(1, Ordering::Relaxed));
-        TraceSpan {
-            ctx: self.clone(),
+        Span::open(name, Some((self.clone(), id, parent)))
+    }
+
+    /// Record a closed span (called by [`Span`]'s drop).
+    pub(crate) fn record(
+        &self,
+        id: SpanId,
+        parent: Option<SpanId>,
+        name: &'static str,
+        start: Instant,
+        end: Instant,
+    ) {
+        let epoch = self.inner.epoch;
+        let offset = |t: Instant| {
+            t.checked_duration_since(epoch)
+                .map(|d| d.as_nanos() as u64)
+                .unwrap_or(0)
+        };
+        let record = SpanRecord {
             id,
             parent,
             name,
-            start: Instant::now(),
-        }
+            start_ns: offset(start),
+            end_ns: offset(end),
+            thread: current_thread_name(),
+        };
+        self.inner.spans.lock().expect("spans lock").push(record);
     }
 
     /// Claim the store this trace publishes to when it completes. The
@@ -144,27 +165,6 @@ impl TraceContext {
     }
 }
 
-/// An open span. Unlike [`crate::SpanTimer`] it is `Send` and carries its
-/// parent link explicitly, so it survives being moved into a queue, a
-/// boxed job, or a completion callback on another thread.
-pub struct TraceSpan {
-    ctx: TraceContext,
-    id: SpanId,
-    parent: Option<SpanId>,
-    name: &'static str,
-    start: Instant,
-}
-
-impl TraceSpan {
-    /// This span's id — the parent link for child spans.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    /// Close the span now (drop does the same; this spells out intent).
-    pub fn finish(self) {}
-}
-
 /// The closing thread's name, resolved through a thread-local cache —
 /// span closes are hot, and `std::thread::current()` clones an `Arc`
 /// and re-derives the name on every call.
@@ -174,32 +174,6 @@ fn current_thread_name() -> String {
             std::thread::current().name().unwrap_or("").to_string();
     }
     NAME.with(|n| n.clone())
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let epoch = self.ctx.inner.epoch;
-        let end_ns = epoch.elapsed().as_nanos() as u64;
-        let start_ns = self
-            .start
-            .checked_duration_since(epoch)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let record = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns,
-            end_ns,
-            thread: current_thread_name(),
-        };
-        self.ctx
-            .inner
-            .spans
-            .lock()
-            .expect("spans lock")
-            .push(record);
-    }
 }
 
 /// Default sampling rate: 1 in 16 trace-carrying requests.
@@ -256,6 +230,23 @@ pub fn sample(id: u64) -> Option<TraceContext> {
     Some(TraceContext::new(id))
 }
 
+/// A front end's entry into tracing: apply the sampling rate to a
+/// request's wire trace id and, when sampled, open the root span `name`.
+/// Returns the handle the next layer parents under and the root span,
+/// which the caller closes once the response is ready (closing it may
+/// publish the trace).
+pub fn sample_root(
+    wire_trace: Option<u64>,
+    name: &'static SpanName,
+) -> (Option<TraceHandle>, Option<Span>) {
+    let Some(ctx) = wire_trace.and_then(sample) else {
+        return (None, None);
+    };
+    let root = ctx.span(name, None);
+    let parent = root.id();
+    (Some(TraceHandle { ctx, parent }), Some(root))
+}
+
 /// A context plus the caller's current parent span — the unit of trace
 /// propagation through submission interfaces. Each layer opens its own
 /// span under `parent` and passes a new handle (same context, its span as
@@ -275,15 +266,15 @@ impl TraceHandle {
     }
 
     /// Open a span under this handle's parent.
-    pub fn span(&self, name: &'static str) -> TraceSpan {
+    pub fn span(&self, name: &'static SpanName) -> Span {
         self.ctx.span(name, self.parent)
     }
 
     /// The same context re-parented under `span` — what gets passed down.
-    pub fn child_of(&self, span: &TraceSpan) -> TraceHandle {
+    pub fn child_of(&self, span: &Span) -> TraceHandle {
         TraceHandle {
             ctx: self.ctx.clone(),
-            parent: Some(span.id()),
+            parent: span.id(),
         }
     }
 }
@@ -417,12 +408,22 @@ pub fn render_tree(id: TraceId, spans: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
 
+    static REACTOR: SpanName = SpanName::new("reactor");
+    static ROUTER: SpanName = SpanName::new("router");
+    static QUEUE: SpanName = SpanName::new("queue");
+    static WORKER: SpanName = SpanName::new("worker");
+    static ENGINE: SpanName = SpanName::new("engine");
+    static ENGINE_SIMPLIFY: SpanName = SpanName::new("engine.simplify");
+    static S: SpanName = SpanName::new("s");
+    static OUTER: SpanName = SpanName::new("outer");
+    static INNER: SpanName = SpanName::new("inner");
+
     #[test]
     fn spans_record_explicit_parents_across_threads() {
         let ctx = TraceContext::new(7);
         let store = TraceStore::new(8);
         ctx.set_sink(&store);
-        let root = ctx.span("reactor", None);
+        let root = ctx.span(&REACTOR, None);
         let root_id = root.id();
         let child_ctx = ctx.clone();
         // The child opens and closes on another thread; the parent link
@@ -430,8 +431,8 @@ mod tests {
         let t = std::thread::Builder::new()
             .name("hop-thread".into())
             .spawn(move || {
-                let worker = child_ctx.span("worker", Some(root_id));
-                let engine = child_ctx.span("engine", Some(worker.id()));
+                let worker = child_ctx.span(&WORKER, root_id);
+                let engine = child_ctx.span(&ENGINE, worker.id());
                 engine.finish();
                 worker.finish();
             })
@@ -454,7 +455,7 @@ mod tests {
         let ctx = TraceContext::new(1);
         let store = TraceStore::new(8);
         ctx.set_sink(&store);
-        let span = ctx.span("only", None);
+        let span = ctx.span(&S, None);
         drop(ctx);
         assert!(store.get(1).is_none(), "a live span holds the trace open");
         drop(span);
@@ -467,7 +468,7 @@ mod tests {
         for id in 0..4u64 {
             let ctx = TraceContext::new(id);
             ctx.set_sink(&store);
-            ctx.span("s", None).finish();
+            ctx.span(&S, None).finish();
         }
         assert_eq!(store.len(), 2);
         assert!(store.get(0).is_none());
@@ -483,7 +484,7 @@ mod tests {
         let ctx = TraceContext::new(9);
         ctx.set_sink(&a);
         ctx.set_sink(&b);
-        ctx.span("s", None).finish();
+        ctx.span(&S, None).finish();
         drop(ctx);
         assert!(a.get(9).is_some());
         assert!(b.get(9).is_none());
@@ -504,12 +505,12 @@ mod tests {
     #[test]
     fn render_tree_nests_children_under_parents() {
         let ctx = TraceContext::new(42);
-        let root = ctx.span("reactor", None);
-        let mid = ctx.span("queue", Some(root.id()));
-        let leaf = ctx.span("engine.simplify", Some(mid.id()));
+        let root = ctx.span(&REACTOR, None);
+        let mid = ctx.span(&QUEUE, root.id());
+        let leaf = ctx.span(&ENGINE_SIMPLIFY, mid.id());
         leaf.finish();
         mid.finish();
-        let sibling = ctx.span("router", Some(root.id()));
+        let sibling = ctx.span(&ROUTER, root.id());
         sibling.finish();
         root.finish();
         let store = TraceStore::new(2);
@@ -534,9 +535,9 @@ mod tests {
     fn handles_thread_parents_through_layers() {
         let ctx = TraceContext::new(5);
         let h = TraceHandle::root(ctx.clone());
-        let outer = h.span("outer");
+        let outer = h.span(&OUTER);
         let h2 = h.child_of(&outer);
-        let inner = h2.span("inner");
+        let inner = h2.span(&INNER);
         inner.finish();
         outer.finish();
         let store = TraceStore::new(2);
