@@ -52,7 +52,7 @@ fn baseline_reduce(pool: &ThreadPool, input: &[i64], grain: usize) -> i64 {
 fn counters_json(delta: &Snapshot, prefix: &str) -> Json {
     let mut obj = Json::obj();
     for (k, v) in &delta.filter(prefix).counters {
-        obj = obj.field(k, *v);
+        obj = obj.field(k.clone(), *v);
     }
     obj
 }

@@ -11,7 +11,7 @@
 use gp_checker::analyze::{
     Diagnostic, DiagnosticCode, Reporter, Severity, MSG_PAST_END, MSG_SINGULAR, MSG_SORTED_LINEAR,
 };
-use gp_checker::ir::{AlgorithmName, Cond, ContainerKind, PosExpr, Program, Stmt};
+use gp_checker::ir::{AlgorithmName, Cond, ContainerKind, Name, PosExpr, Program, Stmt};
 use gp_checker::state::{AtEnd, Sortedness, Validity};
 use std::collections::BTreeMap;
 
@@ -38,7 +38,7 @@ struct ContainerInfo {
 /// mutation" with "stale".
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct IterInfo {
-    container: String,
+    container: Name,
     validity: Validity,
     at_end: AtEnd,
 }
@@ -46,7 +46,7 @@ struct IterInfo {
 impl IterInfo {
     fn new(container: &str, at_end: AtEnd) -> IterInfo {
         IterInfo {
-            container: container.to_string(),
+            container: Name::from(container),
             validity: Validity::Valid,
             at_end,
         }
@@ -78,8 +78,8 @@ impl IterInfo {
 /// The full abstract state at a program point.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct AbsState {
-    containers: BTreeMap<String, ContainerInfo>,
-    iters: BTreeMap<String, IterInfo>,
+    containers: BTreeMap<Name, ContainerInfo>,
+    iters: BTreeMap<Name, IterInfo>,
 }
 
 impl AbsState {
@@ -116,7 +116,7 @@ impl AbsState {
     /// policies decide when this is called).
     fn invalidate(&mut self, container: &str) {
         for it in self.iters.values_mut() {
-            if it.container == container {
+            if *it.container == *container {
                 it.validity = Validity::Singular;
             }
         }
@@ -310,7 +310,7 @@ fn exec(rep: &mut Reporter, stmt: &Stmt, state: &mut AbsState) {
         Stmt::Invoke { function, .. } => rep.report(
             Severity::Error,
             DiagnosticCode::BadInvoke,
-            function,
+            &**function,
             format!("invoke of unknown function `{function}`"),
         ),
     }
@@ -339,7 +339,7 @@ fn exec_algorithm(
         AlgorithmName::Find if c.sorted == Sortedness::Sorted => rep.report(
             Severity::Suggestion,
             DiagnosticCode::SortedLinearSearch,
-            &format!("find({container})"),
+            format!("find({container})"),
             MSG_SORTED_LINEAR.to_string(),
         ),
         AlgorithmName::LowerBound | AlgorithmName::BinarySearch => {
@@ -353,7 +353,7 @@ fn exec_algorithm(
                 rep.report(
                     severity,
                     DiagnosticCode::RequiresSorted,
-                    &format!("{}({container})", alg.as_str()),
+                    format!("{}({container})", alg.as_str()),
                     format!(
                         "algorithm `{}` requires the sequence to be sorted, but {verdict}",
                         alg.as_str()
@@ -366,7 +366,7 @@ fn exec_algorithm(
                 rep.report(
                     Severity::Warning,
                     DiagnosticCode::RequiresSorted,
-                    &format!("unique({container})"),
+                    format!("unique({container})"),
                     "algorithm `unique` removes only adjacent duplicates; on an unsorted \
                      sequence this is unlikely to be the intended full deduplication"
                         .to_string(),
@@ -381,7 +381,7 @@ fn exec_algorithm(
     if let Some(cap) = capture {
         state
             .iters
-            .insert(cap.to_string(), IterInfo::new(container, AtEnd::Maybe));
+            .insert(Name::from(cap), IterInfo::new(container, AtEnd::Maybe));
     }
 }
 

@@ -64,10 +64,7 @@ fn object_keys_are_escaped_like_values() {
     let j = Json::obj().field("key \"with\"\nnasties\u{1}", 1u64);
     assert_eq!(
         parse(&j.render()),
-        Json::Obj(vec![(
-            "key \"with\"\nnasties\u{1}".to_string(),
-            Json::Num(1.0)
-        )])
+        Json::Obj(vec![("key \"with\"\nnasties\u{1}".into(), Json::Num(1.0))])
     );
 }
 
@@ -208,7 +205,7 @@ impl Strategy for JsonTree {
                 let n = rng.gen_range(0usize..4);
                 Json::Obj(
                     (0..n)
-                        .map(|_| (arb_string(rng), inner.sample(rng)))
+                        .map(|_| (arb_string(rng).into(), inner.sample(rng)))
                         .collect(),
                 )
             }
@@ -216,7 +213,98 @@ impl Strategy for JsonTree {
     }
 }
 
+/// The renderer as it was before escaping copied runs of safe bytes:
+/// one `char` at a time, every key cloned into a `Json::Str`, numbers
+/// through `format!`. Frozen as the byte-identity reference.
+fn render_seed(j: &Json, out: &mut String) {
+    match j {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(x) => {
+            if x.is_finite() {
+                if x.fract() == 0.0 && x.abs() < 1e15 {
+                    out.push_str(&format!("{}", *x as i64));
+                } else {
+                    out.push_str(&format!("{x}"));
+                }
+            } else {
+                out.push_str("null");
+            }
+        }
+        Json::Int(n) => out.push_str(&n.to_string()),
+        Json::Str(s) => {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_seed(item, out);
+            }
+            out.push(']');
+        }
+        Json::Raw(s) => out.push_str(s),
+        Json::Obj(fields) => {
+            out.push('{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_seed(&Json::Str(k.to_string()), out);
+                out.push(':');
+                render_seed(v, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+#[test]
+fn escaping_is_byte_identical_to_the_char_at_a_time_escaper() {
+    // Every code point class at every position: runs of safe bytes
+    // between escapes, escapes back to back, multi-byte characters next
+    // to escapes, and a long run (the lint payload's common case).
+    let pieces = [
+        "", "a", "é", "🚀", "\"", "\\", "\n", "\t", "\r", "\u{0}", "\u{1f}", "\u{7f}",
+    ];
+    for a in pieces {
+        for b in pieces {
+            for c in pieces {
+                let s = format!("{a}{b}x{c}{a}");
+                let j = Json::Str(s.clone());
+                let mut want = String::new();
+                render_seed(&j, &mut want);
+                assert_eq!(j.render(), want, "{s:?}");
+            }
+        }
+    }
+    let long = "container v vector\n\tpush_back v # \"quoted\" \\ é\n".repeat(500);
+    let mut want = String::new();
+    render_seed(&Json::Str(long.clone()), &mut want);
+    assert_eq!(Json::Str(long).render(), want);
+}
+
 proptest! {
+    #[test]
+    fn rendering_is_byte_identical_to_the_seed_renderer(j in JsonTree { depth: 3 }) {
+        let mut want = String::new();
+        render_seed(&j, &mut want);
+        prop_assert_eq!(j.render(), want);
+    }
+
     #[test]
     fn arbitrary_trees_round_trip_through_render_and_parse(
         j in JsonTree { depth: 3 }

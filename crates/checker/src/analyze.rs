@@ -3,8 +3,10 @@
 //! The analysis itself is [`crate::interp`].
 
 use crate::ir::Program;
-use std::collections::BTreeSet;
+use gp_core::hash::FnvMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Diagnostic severity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,10 +157,16 @@ with one specialized for sorted sequences (e.g., lower_bound)";
 /// The interprocedural emission pass and the seed analyzer (the
 /// flat-program oracle in `gp_bench`) both report through it, so both
 /// produce identically deduplicated output.
+///
+/// The owned subject moves into the [`Diagnostic`]; pairs are found
+/// through a keyed hash of `(code, subject)` pointing at the first
+/// diagnostic with that hash (a colliding pair falls back to a scan), so
+/// a report copies nothing.
 #[derive(Default)]
 pub struct Reporter {
     diags: Vec<Diagnostic>,
-    seen: BTreeSet<(DiagnosticCode, String)>,
+    index: FnvMap<u64, usize>,
+    keys: RandomState,
 }
 
 impl Reporter {
@@ -167,28 +175,35 @@ impl Reporter {
         &mut self,
         severity: Severity,
         code: DiagnosticCode,
-        subject: &str,
+        subject: impl Into<String> + AsRef<str>,
         message: String,
     ) {
-        // Loop fixpoint passes revisit statements; report each finding once.
-        if self.seen.insert((code, subject.to_string())) {
-            diag_counter(code).incr();
-            self.diags.push(Diagnostic {
-                severity,
-                code,
-                subject: subject.to_string(),
-                message,
-            });
-        } else if severity == Severity::Error {
-            // Upgrade an earlier Warning to Error if a later pass proves it.
-            if let Some(d) = self
-                .diags
-                .iter_mut()
-                .find(|d| d.code == code && d.subject == subject)
-            {
-                if d.severity == Severity::Warning {
+        let key = self.keys.hash_one((code, subject.as_ref()));
+        let same = |d: &Diagnostic| d.code == code && d.subject == subject.as_ref();
+        let found = match self.index.get(&key) {
+            Some(&i) if same(&self.diags[i]) => Some(i),
+            Some(_) => self.diags.iter().position(same),
+            None => None,
+        };
+        match found {
+            // Loop fixpoint passes revisit statements; report each
+            // finding once, upgrading an earlier Warning to Error if a
+            // later pass proves it.
+            Some(i) => {
+                let d = &mut self.diags[i];
+                if severity == Severity::Error && d.severity == Severity::Warning {
                     d.severity = Severity::Error;
                 }
+            }
+            None => {
+                diag_counter(code).incr();
+                self.index.entry(key).or_insert(self.diags.len());
+                self.diags.push(Diagnostic {
+                    severity,
+                    code,
+                    subject: subject.into(),
+                    message,
+                });
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::analyze::{DiagnosticCode, Severity};
 use crate::interp::CheckError;
-use crate::ir::{ContainerKind, FunctionDef, Program, Stmt};
+use crate::ir::{ContainerKind, FunctionDef, Name, Program, Stmt};
 use crate::summary::{CallCtx, Event, ParamBinding};
 use gp_core::hash::{FnvMap, FnvSet};
 use std::collections::{BTreeMap, VecDeque};
@@ -34,8 +34,8 @@ pub(crate) const MAX_LOOP_PASSES: usize = 6;
 /// container was not also passed: the callee cannot name it (`<` is not a
 /// legal identifier character), so nothing in the callee can mutate it —
 /// which is what makes `into: None` sound.
-pub(crate) fn external_container(param: usize) -> String {
-    format!("<ext:{param}>")
+pub(crate) fn external_container(param: usize) -> Name {
+    Name::from(format!("<ext:{param}>"))
 }
 
 /// One reachable `(function, context)` analysis unit. `fn_idx` indexes
@@ -58,6 +58,8 @@ pub struct InstanceGraph {
     /// `edges[i]` = callee instance ids invoked from instance `i`
     /// (deduplicated, first-encounter order).
     pub edges: Vec<Vec<usize>>,
+    /// Instance id by `(fn_idx, ctx)`, as discovery assigned them.
+    ids: FnvMap<(usize, CallCtx), usize>,
 }
 
 /// How an `invoke` site resolves against the current scope.
@@ -82,16 +84,16 @@ pub(crate) fn resolve_invoke(
     functions: &[FunctionDef],
     fn_ids: &FnvMap<&str, usize>,
     function: &str,
-    args: &[String],
+    args: &[Name],
     kind_of: impl Fn(&str) -> Option<ContainerKind>,
-    iter_target: impl Fn(&str) -> Option<String>,
+    iter_target: impl Fn(&str) -> Option<Name>,
 ) -> Resolution {
     let Some(&fn_idx) = fn_ids.get(function) else {
         return Resolution::Bad(vec![Event::Diag {
             severity: Severity::Error,
             code: DiagnosticCode::BadInvoke,
             subject: function.to_string(),
-            message: format!("invoke of unknown function `{function}`"),
+            message: format!("invoke of unknown function `{function}`").into(),
         }]);
     };
     let arity = functions[fn_idx].params.len();
@@ -103,7 +105,8 @@ pub(crate) fn resolve_invoke(
             message: format!(
                 "invoke of `{function}` with {} argument(s), expected {arity}",
                 args.len()
-            ),
+            )
+            .into(),
         }]);
     }
     let mut bad = Vec::new();
@@ -116,7 +119,8 @@ pub(crate) fn resolve_invoke(
                 message: format!(
                     "invoke of `{function}` passes `{a}` more than once; \
                      aliased arguments are not supported"
-                ),
+                )
+                .into(),
             });
         }
     }
@@ -139,8 +143,8 @@ pub(crate) fn resolve_invoke(
             bad.push(Event::Diag {
                 severity: Severity::Error,
                 code: DiagnosticCode::UnknownName,
-                subject: a.clone(),
-                message: format!("use of undeclared name `{a}` in invoke of `{function}`"),
+                subject: a.to_string(),
+                message: format!("use of undeclared name `{a}` in invoke of `{function}`").into(),
             });
         }
     }
@@ -157,9 +161,9 @@ pub(crate) fn resolve_invoke(
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct RedState {
     /// Container name → kind.
-    containers: BTreeMap<String, ContainerKind>,
+    containers: BTreeMap<Name, ContainerKind>,
     /// Iterator name → container it points into.
-    iters: BTreeMap<String, String>,
+    iters: BTreeMap<Name, Name>,
 }
 
 impl RedState {
@@ -177,7 +181,7 @@ impl RedState {
         out
     }
 
-    fn from_ctx(params: &[String], ctx: &CallCtx) -> RedState {
+    fn from_ctx(params: &[Name], ctx: &CallCtx) -> RedState {
         let mut st = RedState::default();
         for (i, (name, b)) in params.iter().zip(&ctx.0).enumerate() {
             match b {
@@ -232,13 +236,13 @@ fn binds_names(stmts: &[Stmt]) -> bool {
 /// container/iterator is undeclared — the seed reports and skips).
 fn exec_red(
     stmt: &Stmt,
-    params: &[String],
+    params: &[Name],
     st: &mut RedState,
-    sink: &mut impl FnMut(&RedState, &str, &[String]),
+    sink: &mut impl FnMut(&RedState, &str, &[Name]),
 ) {
     // Declarations that would shadow a parameter are skipped, matching
     // the symbolic analyzer (which reports `ShadowedParam` and skips).
-    let shadows = |name: &str| params.iter().any(|p| p == name);
+    let shadows = |name: &str| params.iter().any(|p| **p == *name);
     match stmt {
         Stmt::DeclContainer { name, kind } => {
             if !shadows(name) {
@@ -342,7 +346,7 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
     let functions = &program.functions;
     let mut fn_ids: FnvMap<&str, usize> = FnvMap::default();
     for (i, f) in functions.iter().enumerate() {
-        if fn_ids.insert(f.name.as_str(), i).is_some() {
+        if fn_ids.insert(&f.name, i).is_some() {
             return Err(CheckError::Config(format!(
                 "duplicate function definition `{}`",
                 f.name
@@ -367,7 +371,7 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
     let mut depth = Vec::with_capacity(cap);
     depth.push(0usize);
     let mut work: VecDeque<usize> = VecDeque::from([0]);
-    let empty: Vec<String> = Vec::new();
+    let empty: Vec<Name> = Vec::new();
     // A body with no `invoke` can never add edges; skip its reduced
     // execution outright (leaf functions dominate wide graphs).
     let mut leaf: Vec<bool> = functions
@@ -375,20 +379,21 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
         .map(|f| !contains_invoke(&f.body))
         .collect();
     leaf.push(!contains_invoke(&program.stmts));
+    let mut seen_set: FnvSet<usize> = FnvSet::default();
     while let Some(id) = work.pop_front() {
-        let inst = instances[id].clone();
-        if leaf[inst.fn_idx] {
+        let fn_idx = instances[id].fn_idx;
+        if leaf[fn_idx] {
             continue; // edges[id] stays empty
         }
-        let (params, body): (&[String], &[Stmt]) = if inst.fn_idx == main_idx {
+        let (params, body): (&[Name], &[Stmt]) = if fn_idx == main_idx {
             (&empty, &program.stmts)
         } else {
-            (&functions[inst.fn_idx].params, &functions[inst.fn_idx].body)
+            (&functions[fn_idx].params, &functions[fn_idx].body)
         };
-        let mut st = RedState::from_ctx(params, &inst.ctx);
+        let mut st = RedState::from_ctx(params, &instances[id].ctx);
         let mut callees: Vec<(usize, CallCtx)> = Vec::new();
         {
-            let mut sink = |st: &RedState, function: &str, args: &[String]| {
+            let mut sink = |st: &RedState, function: &str, args: &[Name]| {
                 if let Resolution::Call { fn_idx, ctx } = resolve_invoke(
                     functions,
                     &fn_ids,
@@ -405,7 +410,7 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
             }
         }
         let mut seen_edges: Vec<usize> = Vec::new();
-        let mut seen_set: FnvSet<usize> = FnvSet::default();
+        seen_set.clear();
         for (fn_idx, ctx) in callees {
             let key = (fn_idx, ctx);
             let callee_id = match ids.get(&key) {
@@ -435,17 +440,17 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
         }
         edges[id] = seen_edges;
     }
-    Ok(InstanceGraph { instances, edges })
+    Ok(InstanceGraph {
+        instances,
+        edges,
+        ids,
+    })
 }
 
 impl InstanceGraph {
     /// Instance id for `(fn_idx, ctx)` (symbolic analyzer lookups).
-    pub fn instance_ids(&self) -> FnvMap<(usize, CallCtx), usize> {
-        self.instances
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| ((inst.fn_idx, inst.ctx.clone()), i))
-            .collect()
+    pub fn instance_ids(&self) -> &FnvMap<(usize, CallCtx), usize> {
+        &self.ids
     }
 }
 

@@ -266,8 +266,8 @@ pub fn random_program(seed: u64, size: usize) -> Program {
                 let name = format!("it{}", iters.len());
                 let c = format!("c{}", rng.gen_range(0..n_containers));
                 stmts.push(Stmt::DeclIter {
-                    name: name.clone(),
-                    container: c,
+                    name: name.as_str().into(),
+                    container: c.into(),
                     pos: crate::ir::PosExpr::SearchResult,
                 });
                 iters.push(name);

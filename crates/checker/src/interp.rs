@@ -18,7 +18,9 @@ use crate::callgraph::{
     self, external_container, height_batches, scc_heights, tarjan_sccs, InstanceGraph, Resolution,
     MAX_LOOP_PASSES,
 };
-use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Program, Stmt};
+use crate::ir::{
+    first_duplicate, AlgorithmName, Cond, ContainerKind, FunctionDef, Name, PosExpr, Program, Stmt,
+};
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::summary::{
     content_hash, content_hash_stmts, global_cache, iter_check_events, sort_check_events, CallCtx,
@@ -149,12 +151,23 @@ fn ip_metrics() -> &'static IpMetrics {
 /// the path at 4 segments (`f::…::x::y`) so deep symbolic chains cannot
 /// grow subjects — and summary sizes — linearly in call depth.
 pub(crate) fn prefix_subject(fname: &str, subject: &str) -> String {
-    let segs: Vec<&str> = subject.split("::").collect();
-    if segs.len() >= 4 {
-        format!("{fname}::…::{}", segs[segs.len() - 2..].join("::"))
-    } else {
-        format!("{fname}::{subject}")
+    let (mut segs, mut prev, mut last) = (0, "", "");
+    for seg in subject.split("::") {
+        (segs, prev, last) = (segs + 1, last, seg);
     }
+    // `::…::` is 7 bytes: one allocation covers either shape.
+    let mut out = String::with_capacity(fname.len() + subject.len() + 7);
+    out.push_str(fname);
+    if segs >= 4 {
+        out.push_str("::…::");
+        out.push_str(prev);
+        out.push_str("::");
+        out.push_str(last);
+    } else {
+        out.push_str("::");
+        out.push_str(subject);
+    }
+    out
 }
 
 /// Abstract container state (sortedness and emptiness may be symbolic).
@@ -170,7 +183,7 @@ struct SymContainer {
 /// that position must escape to the caller's copy).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SymIter {
-    container: String,
+    container: Name,
     validity: Sym<Validity>,
     at_end: Sym<AtEnd>,
     pos_of: Option<u8>,
@@ -201,8 +214,8 @@ impl SymIter {
 /// analyzer).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct SymState {
-    containers: BTreeMap<String, SymContainer>,
-    iters: BTreeMap<String, SymIter>,
+    containers: BTreeMap<Name, SymContainer>,
+    iters: BTreeMap<Name, SymIter>,
     /// Per-parameter: did this path invalidate the container argument?
     inval: Vec<Lat3>,
     /// Per-parameter: did this path erase the iterator argument's position?
@@ -266,7 +279,7 @@ impl SymState {
     }
 }
 
-fn init_state(params: &[String], ctx: &CallCtx) -> SymState {
+fn init_state(params: &[Name], ctx: &CallCtx) -> SymState {
     let mut st = SymState {
         inval: vec![Lat3::No; ctx.0.len()],
         pos_erased: vec![Lat3::No; ctx.0.len()],
@@ -310,11 +323,10 @@ struct IpCtx<'a> {
     main_stmts: &'a [Stmt],
     fn_ids: FnvMap<&'a str, usize>,
     graph: &'a InstanceGraph,
-    ids: FnvMap<(usize, CallCtx), usize>,
 }
 
 impl<'a> IpCtx<'a> {
-    fn params_body(&self, fn_idx: usize) -> (&'a [String], &'a [Stmt]) {
+    fn params_body(&self, fn_idx: usize) -> (&'a [Name], &'a [Stmt]) {
         if fn_idx == self.functions.len() {
             (&[], self.main_stmts)
         } else {
@@ -334,7 +346,7 @@ impl<'a> IpCtx<'a> {
 /// The symbolic analyzer for one instance body.
 struct InstanceAnalyzer<'a, 'b> {
     ip: &'a IpCtx<'a>,
-    params: &'a [String],
+    params: &'a [Name],
     /// Container-parameter name → parameter index (stable for the whole
     /// body: shadowing declarations are rejected).
     ctr_param: HashMap<&'a str, u8>,
@@ -348,14 +360,14 @@ struct InstanceAnalyzer<'a, 'b> {
 impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
     fn new(
         ip: &'a IpCtx<'a>,
-        params: &'a [String],
+        params: &'a [Name],
         ctx: &CallCtx,
         lookup: &'b dyn Fn(usize) -> Option<Arc<Summary>>,
     ) -> Self {
         let mut ctr_param = HashMap::new();
         for (i, (name, b)) in params.iter().zip(&ctx.0).enumerate() {
             if matches!(b, ParamBinding::Container { .. }) {
-                ctr_param.insert(name.as_str(), i as u8);
+                ctr_param.insert(&**name, i as u8);
             }
         }
         InstanceAnalyzer {
@@ -387,12 +399,12 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
             severity,
             code,
             subject: subject.to_string(),
-            message,
+            message: message.into(),
         });
     }
 
     fn is_param(&self, name: &str) -> bool {
-        self.params.iter().any(|p| p == name)
+        self.params.iter().any(|p| **p == *name)
     }
 
     /// Reports (and skips) a declaration that would shadow a parameter.
@@ -442,7 +454,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
 
     fn invalidate(state: &mut SymState, container: &str) {
         for it in state.iters.values_mut() {
-            if it.container == container {
+            if *it.container == *container {
                 it.validity = Sym::Const(Validity::Singular);
             }
         }
@@ -692,8 +704,8 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
                             debug_assert!(false, "callee summary not ready");
                             return;
                         };
-                        let callee = self.ip.fn_name(fn_idx).to_string();
-                        self.apply_summary(state, &callee, args, &ctx, &summary);
+                        let callee = self.ip.fn_name(fn_idx);
+                        self.apply_summary(state, callee, args, &ctx, &summary);
                     }
                 }
             }
@@ -701,7 +713,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
     }
 
     fn ids(&self) -> &FnvMap<(usize, CallCtx), usize> {
-        &self.ip.ids
+        self.ip.graph.instance_ids()
     }
 
     /// The algorithm entry/exit handlers (§3.1: "entry handlers check
@@ -752,9 +764,9 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
         if let Some(cap) = capture {
             if !self.reject_shadow(cap) {
                 state.iters.insert(
-                    cap.to_string(),
+                    Name::from(cap),
                     SymIter {
-                        container: container.to_string(),
+                        container: Name::from(container),
                         validity: Sym::Const(Validity::Valid),
                         at_end: Sym::Const(AtEnd::Maybe),
                         pos_of: None,
@@ -771,7 +783,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
         &mut self,
         state: &mut SymState,
         callee: &str,
-        args: &[String],
+        args: &[Name],
         ctx: &CallCtx,
         summary: &Summary,
     ) {
@@ -883,7 +895,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
                     // Every caller value still denoting that position
                     // dies with it (the argument itself when the
                     // position is purely local to the call).
-                    let victims: Vec<String> = match pos {
+                    let victims: Vec<Name> = match pos {
                         Some(j) => state
                             .iters
                             .iter()
@@ -913,7 +925,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
     }
 }
 
-fn extract_effects(state: &SymState, params: &[String], ctx: &CallCtx) -> Vec<ParamEffect> {
+fn extract_effects(state: &SymState, params: &[Name], ctx: &CallCtx) -> Vec<ParamEffect> {
     ctx.0
         .iter()
         .enumerate()
@@ -1039,24 +1051,19 @@ fn analyze_ip(
     let functions = &program.functions;
     let mut fn_ids: FnvMap<&str, usize> = FnvMap::default();
     for (i, f) in functions.iter().enumerate() {
-        fn_ids.insert(f.name.as_str(), i);
-        let mut seen = HashSet::new();
-        for p in &f.params {
-            if !seen.insert(p.as_str()) {
-                return Err(CheckError::Config(format!(
-                    "duplicate parameter `{p}` in function `{}`",
-                    f.name
-                )));
-            }
+        fn_ids.insert(&f.name, i);
+        if let Some(p) = first_duplicate(&f.params) {
+            return Err(CheckError::Config(format!(
+                "duplicate parameter `{p}` in function `{}`",
+                f.name
+            )));
         }
     }
-    let ids = graph.instance_ids();
     let ip = IpCtx {
         functions,
         main_stmts: &program.stmts,
         fn_ids,
         graph: &graph,
-        ids,
     };
     let sccs = tarjan_sccs(&graph.edges);
     let heights = scc_heights(&sccs, &graph.edges);
@@ -1152,7 +1159,7 @@ fn analyze_ip(
                 Some(f) => prefix_subject(f, subject),
                 None => subject.clone(),
             };
-            rep.report(*severity, *code, &subject, message.clone());
+            rep.report(*severity, *code, subject, message.to_string());
         }
         debug_assert!(
             fname.is_some() || summary.deferred.is_empty(),

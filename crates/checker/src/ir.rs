@@ -6,6 +6,19 @@
 //! is a statement list with structured control flow (`while` over an
 //! iterator-vs-end condition, nondeterministic `if`).
 
+use std::sync::Arc;
+
+/// An identifier: container, iterator, function or parameter name.
+///
+/// Shared, immutable text: the parser interns each distinct identifier
+/// once per program, so every statement naming it holds the same
+/// allocation, and the analyses clone names by bumping a refcount.
+pub type Name = Arc<str>;
+
+/// A parameter or argument list, shared the same way: every `(A, B)` in
+/// one parsed program is one allocation.
+pub type NameList = Arc<[Name]>;
+
 /// Container kinds, distinguished by their **invalidation semantics** —
 /// the cross-cutting semantic iterator concept of §3.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,7 +51,7 @@ pub enum Cond {
     /// dereferenceable; after the loop it is at the end.
     IterNotEnd {
         /// The iterator compared against `end()`.
-        iter: String,
+        iter: Name,
     },
     /// An opaque condition (analyzed as nondeterministic).
     Unknown,
@@ -83,63 +96,63 @@ pub enum Stmt {
     /// Declare a container with statically unknown contents.
     DeclContainer {
         /// Container name.
-        name: String,
+        name: Name,
         /// Invalidation-semantics kind.
         kind: ContainerKind,
     },
     /// Obtain an iterator into a container.
     DeclIter {
         /// Iterator name.
-        name: String,
+        name: Name,
         /// Container it points into.
-        container: String,
+        container: Name,
         /// Initial position.
         pos: PosExpr,
     },
     /// `++iter`.
     Advance {
         /// The iterator.
-        iter: String,
+        iter: Name,
     },
     /// `*iter` (read).
     Deref {
         /// The iterator.
-        iter: String,
+        iter: Name,
     },
     /// `c.erase(iter)`, optionally capturing the returned (valid) iterator:
     /// `res = c.erase(iter)`.
     Erase {
         /// The container.
-        container: String,
+        container: Name,
         /// The erased position.
-        iter: String,
+        iter: Name,
         /// Name to bind the returned iterator to, if captured.
-        capture: Option<String>,
+        capture: Option<Name>,
     },
     /// `c.insert(iter, v)`.
     Insert {
         /// The container.
-        container: String,
+        container: Name,
         /// Insertion position.
-        iter: String,
+        iter: Name,
     },
     /// `c.push_back(v)`.
     PushBack {
         /// The container.
-        container: String,
+        container: Name,
     },
     /// `c.clear()` — invalidates every iterator (all kinds) and leaves an
     /// empty (hence vacuously sorted) container.
     Clear {
         /// The container.
-        container: String,
+        container: Name,
     },
     /// Iterator assignment `dst = src`.
     Assign {
         /// Destination iterator name.
-        dst: String,
+        dst: Name,
         /// Source iterator name.
-        src: String,
+        src: Name,
     },
     /// A library algorithm call over the whole container, optionally
     /// binding a returned iterator.
@@ -147,9 +160,9 @@ pub enum Stmt {
         /// The algorithm.
         algorithm: AlgorithmName,
         /// The container argument.
-        container: String,
+        container: Name,
         /// Name to bind a returned iterator to, if any.
-        capture: Option<String>,
+        capture: Option<Name>,
     },
     /// `while cond { body }`.
     While {
@@ -174,10 +187,27 @@ pub enum Stmt {
     /// too, exactly like C++ iterators).
     Invoke {
         /// Callee name.
-        function: String,
+        function: Name,
         /// Argument names (containers or iterators in the caller's scope).
-        args: Vec<String>,
+        args: NameList,
     },
+}
+
+/// The first name in `names` that repeats an earlier one. Short lists
+/// (every real parameter list) are scanned in place with no allocation;
+/// long ones go through a hash set, so a hostile list cannot make the
+/// check quadratic.
+pub(crate) fn first_duplicate(names: &[Name]) -> Option<&Name> {
+    const SCAN: usize = 16;
+    if names.len() <= SCAN {
+        return names
+            .iter()
+            .enumerate()
+            .find(|(i, n)| names[..*i].contains(n))
+            .map(|(_, n)| n);
+    }
+    let mut seen = std::collections::HashSet::with_capacity(names.len());
+    names.iter().find(|n| !seen.insert(&***n))
 }
 
 /// A user-defined function: `fn name(params) { body }`.
@@ -188,10 +218,12 @@ pub enum Stmt {
 /// context (parameter kinds + aliasing), not once per call site.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FunctionDef {
-    /// Function name (the `invoke` target).
+    /// Function name (the `invoke` target). Owned text rather than a
+    /// [`Name`]: a definition's name is one string per function, looked
+    /// up by value, and never held by another statement.
     pub name: String,
     /// Parameter names, bound per call site.
-    pub params: Vec<String>,
+    pub params: NameList,
     /// Body statements.
     pub body: Vec<Stmt>,
 }
@@ -359,15 +391,15 @@ pub mod build {
     pub fn invoke(function: &str, args: &[&str]) -> Stmt {
         Stmt::Invoke {
             function: function.into(),
-            args: args.iter().map(|a| (*a).to_string()).collect(),
+            args: args.iter().map(|a| Name::from(*a)).collect(),
         }
     }
 
     /// `fn name(params) { body }`
     pub fn func(name: &str, params: &[&str], body: Vec<Stmt>) -> FunctionDef {
         FunctionDef {
-            name: name.into(),
-            params: params.iter().map(|p| (*p).to_string()).collect(),
+            name: name.to_string(),
+            params: params.iter().map(|p| Name::from(*p)).collect(),
             body,
         }
     }

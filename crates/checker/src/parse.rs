@@ -32,7 +32,11 @@
 //! program — no `fn`/`invoke` lines — parses to exactly the same
 //! [`Program`] the seed parser produced, as the implicit `main`.
 
-use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Program, Stmt};
+use crate::ir::{
+    first_duplicate, AlgorithmName, Cond, ContainerKind, FunctionDef, Name, NameList, PosExpr,
+    Program, Stmt,
+};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A parse failure with its 1-based line number.
@@ -59,81 +63,141 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
+/// An open block. Its statements so far are `stmts[start..]` of the
+/// parser's one shared statement stack, so each block is moved into its
+/// own exact-size `Vec` once, when it closes.
 enum Frame {
     While {
         cond: Cond,
-        body: Vec<Stmt>,
+        start: usize,
     },
     IfThen {
-        then_branch: Vec<Stmt>,
+        start: usize,
     },
     IfElse {
         then_branch: Vec<Stmt>,
-        else_branch: Vec<Stmt>,
+        start: usize,
     },
     Fn {
         name: String,
-        params: Vec<String>,
-        body: Vec<Stmt>,
+        params: NameList,
+        start: usize,
     },
 }
 
+/// One [`Name`] per distinct identifier, and one [`NameList`] per
+/// distinct `(…)` text, in the source being parsed. Identifiers come from
+/// the wire, so the maps keep std's keyed hasher.
+#[derive(Default)]
+struct Interner<'s> {
+    names: HashMap<&'s str, Name>,
+    lists: HashMap<&'s str, NameList>,
+}
+
+impl<'s> Interner<'s> {
+    fn name(&mut self, s: &'s str) -> Name {
+        self.names.entry(s).or_insert_with(|| Name::from(s)).clone()
+    }
+}
+
+/// Whitespace runs collapsed to one space: how `name(args)` text reads
+/// in error messages.
+fn squash(s: &str) -> String {
+    s.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
 /// Split `name(a, b)` into the name and comma-separated argument names.
-/// `rest` is the already-whitespace-joined text after the keyword.
-fn parse_name_args(line: usize, rest: &str) -> Result<(String, Vec<String>), ParseError> {
+/// `rest` is the source text of the tokens after the keyword.
+fn parse_name_args<'s>(
+    line: usize,
+    rest: &'s str,
+    names: &mut Interner<'s>,
+) -> Result<(&'s str, NameList), ParseError> {
     let open = match rest.find('(') {
         Some(i) => i,
-        None => return err(line, format!("expected `name(args)`, got `{rest}`")),
+        None => {
+            return err(
+                line,
+                format!("expected `name(args)`, got `{}`", squash(rest)),
+            )
+        }
     };
     if !rest.ends_with(')') {
-        return err(line, format!("expected closing `)` in `{rest}`"));
+        return err(line, format!("expected closing `)` in `{}`", squash(rest)));
     }
     let name = rest[..open].trim();
-    if name.is_empty() || name.contains(|c: char| c.is_whitespace()) {
-        return err(line, format!("bad function name in `{rest}`"));
+    if name.is_empty() || name.contains(char::is_whitespace) {
+        return err(line, format!("bad function name in `{}`", squash(rest)));
     }
     let inner = &rest[open + 1..rest.len() - 1];
-    let mut args = Vec::new();
-    for piece in inner.split(',') {
+    if let Some(list) = names.lists.get(inner) {
+        return Ok((name, list.clone())); // the same text parsed before
+    }
+    // `name()`, blank inside the parentheses, takes zero arguments.
+    let pieces = if inner.trim().is_empty() {
+        0
+    } else {
+        inner.matches(',').count() + 1
+    };
+    let mut args = Vec::with_capacity(pieces);
+    for piece in inner.split(',').take(pieces) {
         let piece = piece.trim();
         if piece.is_empty() {
-            if inner.trim().is_empty() && args.is_empty() {
-                break; // `name()` — zero args
-            }
-            return err(line, format!("empty argument name in `{rest}`"));
+            return err(line, format!("empty argument name in `{}`", squash(rest)));
         }
-        if piece.contains(|c: char| c.is_whitespace()) {
-            return err(line, format!("bad argument `{piece}` in `{rest}`"));
+        if piece.contains(char::is_whitespace) {
+            return err(
+                line,
+                format!("bad argument `{}` in `{}`", squash(piece), squash(rest)),
+            );
         }
-        args.push(piece.to_string());
+        args.push(names.name(piece));
     }
-    Ok((name.to_string(), args))
+    let list = NameList::from(args);
+    names.lists.insert(inner, list.clone());
+    Ok((name, list))
+}
+
+/// Tokens of one line kept in place: no line has a fixed shape longer
+/// than 5 tokens, so a longer line can only be a `fn`/`invoke` (whose
+/// argument text is re-read from the line itself) or an error.
+const MAX_TOKENS: usize = 6;
+
+/// Byte offset of `tok` (a subslice of `line`) within `line`.
+fn offset_in(line: &str, tok: &str) -> usize {
+    tok.as_ptr() as usize - line.as_ptr() as usize
 }
 
 /// Parse a program from source text.
 pub fn parse(name: &str, src: &str) -> Result<Program, ParseError> {
     let mut stack: Vec<Frame> = Vec::new();
-    let mut top: Vec<Stmt> = Vec::new();
+    // Statements of the top level and of every open block, innermost
+    // block last.
+    let mut stmts: Vec<Stmt> = Vec::new();
     let mut functions: Vec<FunctionDef> = Vec::new();
+    let mut fn_names: HashSet<&str> = HashSet::new();
+    let mut names = Interner::default();
 
-    fn current<'a>(stack: &'a mut [Frame], top: &'a mut Vec<Stmt>) -> &'a mut Vec<Stmt> {
-        match stack.last_mut() {
-            None => top,
-            Some(Frame::While { body, .. }) => body,
-            Some(Frame::IfThen { then_branch }) => then_branch,
-            Some(Frame::IfElse { else_branch, .. }) => else_branch,
-            Some(Frame::Fn { body, .. }) => body,
-        }
-    }
-
+    let mut lines = 0;
     for (idx, raw) in src.lines().enumerate() {
+        lines = idx + 1;
         let lineno = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks.as_slice() {
+        let mut buf = [""; MAX_TOKENS];
+        let mut count = 0;
+        let mut last = "";
+        for t in line.split_whitespace() {
+            if count < MAX_TOKENS {
+                buf[count] = t;
+            }
+            count += 1;
+            last = t;
+        }
+        let toks = &buf[..count.min(MAX_TOKENS)];
+        let stmt = match toks {
             ["container", name, kind] => {
                 let kind = match *kind {
                     "vector" => ContainerKind::Vector,
@@ -141,10 +205,10 @@ pub fn parse(name: &str, src: &str) -> Result<Program, ParseError> {
                     "deque" => ContainerKind::Deque,
                     other => return err(lineno, format!("unknown container kind `{other}`")),
                 };
-                current(&mut stack, &mut top).push(Stmt::DeclContainer {
-                    name: name.to_string(),
+                Stmt::DeclContainer {
+                    name: names.name(name),
                     kind,
-                });
+                }
             }
             ["iter", name, "=", pos, container] => {
                 let pos = match *pos {
@@ -153,42 +217,42 @@ pub fn parse(name: &str, src: &str) -> Result<Program, ParseError> {
                     "search" => PosExpr::SearchResult,
                     other => return err(lineno, format!("unknown position `{other}`")),
                 };
-                current(&mut stack, &mut top).push(Stmt::DeclIter {
-                    name: name.to_string(),
-                    container: container.to_string(),
+                Stmt::DeclIter {
+                    name: names.name(name),
+                    container: names.name(container),
                     pos,
-                });
+                }
             }
-            ["advance", it] => current(&mut stack, &mut top).push(Stmt::Advance {
-                iter: it.to_string(),
-            }),
-            ["deref", it] => current(&mut stack, &mut top).push(Stmt::Deref {
-                iter: it.to_string(),
-            }),
-            ["erase", c, it] => current(&mut stack, &mut top).push(Stmt::Erase {
-                container: c.to_string(),
-                iter: it.to_string(),
+            ["advance", it] => Stmt::Advance {
+                iter: names.name(it),
+            },
+            ["deref", it] => Stmt::Deref {
+                iter: names.name(it),
+            },
+            ["erase", c, it] => Stmt::Erase {
+                container: names.name(c),
+                iter: names.name(it),
                 capture: None,
-            }),
-            ["erase", c, it, "->", cap] => current(&mut stack, &mut top).push(Stmt::Erase {
-                container: c.to_string(),
-                iter: it.to_string(),
-                capture: Some(cap.to_string()),
-            }),
-            ["insert", c, it] => current(&mut stack, &mut top).push(Stmt::Insert {
-                container: c.to_string(),
-                iter: it.to_string(),
-            }),
-            ["push_back", c] => current(&mut stack, &mut top).push(Stmt::PushBack {
-                container: c.to_string(),
-            }),
-            ["clear", c] => current(&mut stack, &mut top).push(Stmt::Clear {
-                container: c.to_string(),
-            }),
-            ["assign", dst, src_] => current(&mut stack, &mut top).push(Stmt::Assign {
-                dst: dst.to_string(),
-                src: src_.to_string(),
-            }),
+            },
+            ["erase", c, it, "->", cap] => Stmt::Erase {
+                container: names.name(c),
+                iter: names.name(it),
+                capture: Some(names.name(cap)),
+            },
+            ["insert", c, it] => Stmt::Insert {
+                container: names.name(c),
+                iter: names.name(it),
+            },
+            ["push_back", c] => Stmt::PushBack {
+                container: names.name(c),
+            },
+            ["clear", c] => Stmt::Clear {
+                container: names.name(c),
+            },
+            ["assign", dst, src_] => Stmt::Assign {
+                dst: names.name(dst),
+                src: names.name(src_),
+            },
             ["call", alg, c] | ["call", alg, c, "->", _] => {
                 let algorithm = match *alg {
                     "sort" => AlgorithmName::Sort,
@@ -199,103 +263,113 @@ pub fn parse(name: &str, src: &str) -> Result<Program, ParseError> {
                     "max_element" => AlgorithmName::MaxElement,
                     other => return err(lineno, format!("unknown algorithm `{other}`")),
                 };
-                let capture = if toks.len() == 5 {
-                    Some(toks[4].to_string())
-                } else {
-                    None
-                };
-                current(&mut stack, &mut top).push(Stmt::Call {
+                Stmt::Call {
                     algorithm,
-                    container: c.to_string(),
-                    capture,
-                });
+                    container: names.name(c),
+                    capture: (toks.len() == 5).then(|| names.name(toks[4])),
+                }
             }
-            ["fn", ..] if toks.last() == Some(&"{") => {
+            ["fn", ..] if last == "{" => {
                 if !stack.is_empty() {
                     return err(lineno, "`fn` definitions must be at the top level");
                 }
-                let rest = toks[1..toks.len() - 1].join(" ");
-                let (fname, params) = parse_name_args(lineno, &rest)?;
-                if functions.iter().any(|f: &FunctionDef| f.name == fname) {
+                // The text between `fn` and the closing `{` token.
+                let rest = if count > 2 {
+                    &line[offset_in(line, toks[1])..offset_in(line, last)]
+                } else {
+                    ""
+                };
+                let (fname, params) = parse_name_args(lineno, rest.trim_end(), &mut names)?;
+                if !fn_names.insert(fname) {
                     return err(lineno, format!("duplicate function `{fname}`"));
                 }
-                let mut seen = params.clone();
-                seen.sort();
-                seen.dedup();
-                if seen.len() != params.len() {
+                if first_duplicate(&params).is_some() {
                     return err(lineno, format!("duplicate parameter name in `fn {fname}`"));
                 }
                 stack.push(Frame::Fn {
-                    name: fname,
+                    name: fname.to_string(),
                     params,
-                    body: Vec::new(),
+                    start: stmts.len(),
                 });
+                continue;
             }
             ["invoke", ..] => {
-                let rest = toks[1..].join(" ");
-                let (fname, args) = parse_name_args(lineno, &rest)?;
-                current(&mut stack, &mut top).push(Stmt::Invoke {
-                    function: fname,
+                let rest = if count > 1 {
+                    &line[offset_in(line, toks[1])..]
+                } else {
+                    ""
+                };
+                let (fname, args) = parse_name_args(lineno, rest, &mut names)?;
+                Stmt::Invoke {
+                    function: names.name(fname),
                     args,
-                });
+                }
             }
-            ["while", it, "!=", "end", "{"] => stack.push(Frame::While {
-                cond: Cond::IterNotEnd {
-                    iter: it.to_string(),
+            ["while", it, "!=", "end", "{"] => {
+                stack.push(Frame::While {
+                    cond: Cond::IterNotEnd {
+                        iter: names.name(it),
+                    },
+                    start: stmts.len(),
+                });
+                continue;
+            }
+            ["while", "?", "{"] => {
+                stack.push(Frame::While {
+                    cond: Cond::Unknown,
+                    start: stmts.len(),
+                });
+                continue;
+            }
+            ["if", "{"] => {
+                stack.push(Frame::IfThen { start: stmts.len() });
+                continue;
+            }
+            ["}", "else", "{"] => {
+                match stack.pop() {
+                    Some(Frame::IfThen { start }) => stack.push(Frame::IfElse {
+                        then_branch: stmts.split_off(start),
+                        start,
+                    }),
+                    _ => return err(lineno, "`} else {` without a matching `if {`"),
+                }
+                continue;
+            }
+            ["}"] => match stack.pop() {
+                Some(Frame::While { cond, start }) => Stmt::While {
+                    cond,
+                    body: stmts.split_off(start),
                 },
-                body: Vec::new(),
-            }),
-            ["while", "?", "{"] => stack.push(Frame::While {
-                cond: Cond::Unknown,
-                body: Vec::new(),
-            }),
-            ["if", "{"] => stack.push(Frame::IfThen {
-                then_branch: Vec::new(),
-            }),
-            ["}", "else", "{"] => match stack.pop() {
-                Some(Frame::IfThen { then_branch }) => stack.push(Frame::IfElse {
-                    then_branch,
+                Some(Frame::IfThen { start }) => Stmt::If {
+                    then_branch: stmts.split_off(start),
                     else_branch: Vec::new(),
-                }),
-                _ => return err(lineno, "`} else {` without a matching `if {`"),
-            },
-            ["}"] => {
-                let stmt = match stack.pop() {
-                    Some(Frame::While { cond, body }) => Stmt::While { cond, body },
-                    Some(Frame::IfThen { then_branch }) => Stmt::If {
-                        then_branch,
-                        else_branch: Vec::new(),
-                    },
-                    Some(Frame::IfElse {
-                        then_branch,
-                        else_branch,
-                    }) => Stmt::If {
-                        then_branch,
-                        else_branch,
-                    },
-                    Some(Frame::Fn {
+                },
+                Some(Frame::IfElse { then_branch, start }) => Stmt::If {
+                    then_branch,
+                    else_branch: stmts.split_off(start),
+                },
+                Some(Frame::Fn {
+                    name: fname,
+                    params,
+                    start,
+                }) => {
+                    functions.push(FunctionDef {
                         name: fname,
                         params,
-                        body,
-                    }) => {
-                        functions.push(FunctionDef {
-                            name: fname,
-                            params,
-                            body,
-                        });
-                        continue;
-                    }
-                    None => return err(lineno, "unmatched `}`"),
-                };
-                current(&mut stack, &mut top).push(stmt);
-            }
+                        body: stmts.split_off(start),
+                    });
+                    continue;
+                }
+                None => return err(lineno, "unmatched `}`"),
+            },
             _ => return err(lineno, format!("cannot parse `{line}`")),
-        }
+        };
+        stmts.push(stmt);
     }
     if !stack.is_empty() {
-        return err(src.lines().count(), "unclosed block at end of input");
+        return err(lines, "unclosed block at end of input");
     }
-    Ok(Program::with_functions(name, top, functions))
+    Ok(Program::with_functions(name, stmts, functions))
 }
 
 #[cfg(test)]

@@ -15,8 +15,10 @@ use crate::analyze::{DiagnosticCode, Severity, MSG_PAST_END, MSG_SINGULAR, MSG_S
 use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Stmt};
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::sym::{Lat3, Sym};
-use gp_core::hash::{Fnv, FnvMap};
+use gp_core::hash::{Fnv, FnvHasher, FnvMap};
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a callee parameter is bound to, as far as the summary needs to
@@ -91,8 +93,9 @@ pub enum Event {
         code: DiagnosticCode,
         /// Body-relative subject (emission prefixes the function path).
         subject: String,
-        /// Ready message text.
-        message: String,
+        /// Ready message text; the fixed texts borrow their constants, so
+        /// a cached summary holds no copy of them.
+        message: Cow<'static, str>,
     },
     /// A deferred iterator-use check (`deref`/`advance`/`erase`).
     IterCheck {
@@ -194,7 +197,7 @@ impl ParamEffect {
 }
 
 /// The abstract effect of one `(function, context)` instance.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Summary {
     /// Concrete diagnostics attributed to this instance's body
     /// (including callee checks that resolved here, path-prefixed).
@@ -277,9 +280,9 @@ pub fn iter_check_events(
             },
             subject: subject.to_string(),
             message: if deref {
-                MSG_SINGULAR.to_string()
+                MSG_SINGULAR.into()
             } else {
-                format!("attempt to advance a singular iterator (`{subject}`)")
+                format!("attempt to advance a singular iterator (`{subject}`)").into()
             },
         }),
         Validity::MaybeSingular => out.push(Event::Diag {
@@ -291,9 +294,9 @@ pub fn iter_check_events(
             },
             subject: subject.to_string(),
             message: if deref {
-                MSG_SINGULAR.to_string()
+                MSG_SINGULAR.into()
             } else {
-                format!("attempt to advance a possibly singular iterator (`{subject}`)")
+                format!("attempt to advance a possibly singular iterator (`{subject}`)").into()
             },
         }),
         Validity::Valid => {}
@@ -309,16 +312,16 @@ pub fn iter_check_events(
                 },
                 subject: subject.to_string(),
                 message: if deref {
-                    MSG_PAST_END.to_string()
+                    MSG_PAST_END.into()
                 } else {
-                    format!("attempt to advance past the end (`{subject}`)")
+                    format!("attempt to advance past the end (`{subject}`)").into()
                 },
             }),
             AtEnd::Maybe if deref => out.push(Event::Diag {
                 severity: Severity::Warning,
                 code: DiagnosticCode::DerefPastEnd,
                 subject: subject.to_string(),
-                message: MSG_PAST_END.to_string(),
+                message: MSG_PAST_END.into(),
             }),
             _ => {}
         }
@@ -340,7 +343,7 @@ pub fn sort_check_events(
                     severity: Severity::Suggestion,
                     code: DiagnosticCode::SortedLinearSearch,
                     subject: subject.to_string(),
-                    message: MSG_SORTED_LINEAR.to_string(),
+                    message: MSG_SORTED_LINEAR.into(),
                 });
             }
         }
@@ -350,19 +353,13 @@ pub fn sort_check_events(
                 severity: Severity::Error,
                 code: DiagnosticCode::RequiresSorted,
                 subject: subject.to_string(),
-                message: format!(
-                    "algorithm `{}` requires the sequence to be sorted, but it is not",
-                    alg.as_str()
-                ),
+                message: requires_sorted_message(alg, Sortedness::Unsorted).into(),
             }),
             Sortedness::Unknown => out.push(Event::Diag {
                 severity: Severity::Warning,
                 code: DiagnosticCode::RequiresSorted,
                 subject: subject.to_string(),
-                message: format!(
-                    "algorithm `{}` requires the sequence to be sorted, but it may not be",
-                    alg.as_str()
-                ),
+                message: requires_sorted_message(alg, Sortedness::Unknown).into(),
             }),
         },
         AlgorithmName::Unique => {
@@ -374,11 +371,28 @@ pub fn sort_check_events(
                     message: "algorithm `unique` removes only adjacent duplicates; on an \
                               unsorted sequence this is unlikely to be the intended full \
                               deduplication"
-                        .to_string(),
+                        .into(),
                 });
             }
         }
         AlgorithmName::Sort | AlgorithmName::MaxElement => {}
+    }
+}
+
+/// The `RequiresSorted` text for a sortedness-requiring algorithm
+/// (`lower_bound`, `binary_search`) on an unsorted or unknown sequence.
+fn requires_sorted_message(alg: AlgorithmName, sorted: Sortedness) -> &'static str {
+    match (alg, sorted) {
+        (AlgorithmName::LowerBound, Sortedness::Unsorted) => {
+            "algorithm `lower_bound` requires the sequence to be sorted, but it is not"
+        }
+        (AlgorithmName::LowerBound, _) => {
+            "algorithm `lower_bound` requires the sequence to be sorted, but it may not be"
+        }
+        (_, Sortedness::Unsorted) => {
+            "algorithm `binary_search` requires the sequence to be sorted, but it is not"
+        }
+        _ => "algorithm `binary_search` requires the sequence to be sorted, but it may not be",
     }
 }
 
@@ -472,7 +486,7 @@ fn hash_stmt(h: &mut Fnv, s: &Stmt) {
             h.write_u8(13);
             h.write_str(function);
             h.write_u64(args.len() as u64);
-            for a in args {
+            for a in args.iter() {
                 h.write_str(a);
             }
         }
@@ -493,7 +507,7 @@ fn hash_block(h: &mut Fnv, stmts: &[Stmt]) {
 pub fn content_hash(f: &FunctionDef) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(f.params.len() as u64);
-    for p in &f.params {
+    for p in f.params.iter() {
         h.write_str(p);
     }
     hash_block(&mut h, &f.body);
@@ -527,12 +541,41 @@ fn cache_metrics() -> &'static CacheMetrics {
 struct CacheInner {
     map: FnvMap<u64, Arc<Summary>>,
     order: VecDeque<u64>,
+    /// One shared copy per distinct summary value, by value hash. Many
+    /// keys map to equal summaries (an edit elsewhere re-keys a caller
+    /// whose summary does not change), and each then costs a map slot,
+    /// not a copy.
+    values: FnvMap<u64, Arc<Summary>>,
+}
+
+impl CacheInner {
+    /// The shared copy of `summary`'s value, registering it if new (a
+    /// value-hash collision just replaces the slot: sharing is an
+    /// optimization, lookups never depend on it).
+    fn share(&mut self, summary: Arc<Summary>) -> Arc<Summary> {
+        let mut h = FnvHasher::default();
+        summary.hash(&mut h);
+        let h = h.finish();
+        match self.values.get(&h) {
+            Some(v) if **v == *summary => Arc::clone(v),
+            _ => {
+                // Values no key references any more are dropped once they
+                // outnumber the keys, which bounds the table by the cache.
+                if self.values.len() > 2 * self.map.len() + 64 {
+                    self.values.retain(|_, v| Arc::strong_count(v) > 1);
+                }
+                self.values.insert(h, Arc::clone(&summary));
+                summary
+            }
+        }
+    }
 }
 
 /// A bounded summary store keyed by transitive content hash. FIFO
 /// eviction (deterministic, no access-order dependence), safe to share
 /// across threads and requests: a key's value is a pure function of the
-/// key, so concurrent inserts of the same key are idempotent.
+/// key, so concurrent inserts of the same key are idempotent. Equal
+/// summaries under different keys share one allocation.
 pub struct SummaryCache {
     inner: Mutex<CacheInner>,
     cap: usize,
@@ -545,6 +588,7 @@ impl SummaryCache {
             inner: Mutex::new(CacheInner {
                 map: FnvMap::default(),
                 order: VecDeque::new(),
+                values: FnvMap::default(),
             }),
             cap: cap.max(1),
         }
@@ -566,6 +610,7 @@ impl SummaryCache {
     /// capacity; counts `checker.summary.evict`.
     pub fn insert(&self, key: u64, summary: Arc<Summary>) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let summary = inner.share(summary);
         if inner.map.insert(key, summary).is_none() {
             inner.order.push_back(key);
             while inner.order.len() > self.cap {

@@ -115,15 +115,19 @@ impl ResponseCache {
     }
 
     /// Insert (or refresh) an entry, evicting the shard's least-recently
-    /// used entry when the stripe is full.
-    pub fn put(&self, hash: u64, canonical: &str, payload: &str) {
+    /// used entry when the stripe is full. An owned `canonical` moves in
+    /// without a copy; spare capacity left from rendering it is released,
+    /// since the entry may live as long as the cache.
+    pub fn put(&self, hash: u64, canonical: impl Into<String>, payload: &str) {
+        let mut canonical = canonical.into();
+        canonical.shrink_to_fit();
         let mut shard = self.shard(hash).lock().unwrap();
         shard.clock += 1;
         let clock = shard.clock;
         if let Some(e) = shard.entries.get_mut(&hash) {
             // Same hash again: refresh (collision keys overwrite — the
             // colliding pair would otherwise thrash misses forever).
-            e.canonical = canonical.to_string();
+            e.canonical = canonical;
             e.payload = payload.to_string();
             e.last_used = clock;
             return;
@@ -145,7 +149,7 @@ impl ResponseCache {
         shard.entries.insert(
             hash,
             Entry {
-                canonical: canonical.to_string(),
+                canonical,
                 payload: payload.to_string(),
                 last_used: clock,
             },
@@ -227,7 +231,7 @@ mod tests {
     fn shards_partition_the_capacity() {
         let cache = ResponseCache::new(4, 8); // 2 per shard
         for h in 0u64..32 {
-            cache.put(h, &format!("c{h}"), "p");
+            cache.put(h, format!("c{h}"), "p");
         }
         assert_eq!(cache.len(), 8, "per-shard LRU holds the stripe cap");
         assert_eq!(cache.stats().evictions, 24);

@@ -61,10 +61,7 @@ impl TraceQuery {
     /// Decode from a `req` object.
     pub fn from_json(j: &Json) -> Result<TraceQuery, String> {
         Ok(TraceQuery {
-            id: j
-                .get("id")
-                .and_then(Json::as_f64)
-                .ok_or("trace: missing numeric field 'id'")? as u64,
+            id: crate::request::wire_u64(j.get("id")).ok_or("trace: missing numeric field 'id'")?,
         })
     }
 }

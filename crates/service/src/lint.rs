@@ -73,14 +73,16 @@ pub fn handle(req: &LintRequest) -> Result<Json, String> {
     };
     let diags =
         gp_checker::analyze_program_cached(&program, &cfg).map_err(|e| format!("check: {e}"))?;
+    // Rows take each diagnostic's strings by move; their keys are
+    // borrowed literals.
     let rows: Vec<Json> = diags
-        .iter()
+        .into_iter()
         .map(|d| {
             Json::obj()
                 .field("severity", severity_str(d.severity))
                 .field("code", d.code.as_str())
-                .field("subject", d.subject.as_str())
-                .field("message", d.message.as_str())
+                .field("subject", d.subject)
+                .field("message", d.message)
         })
         .collect();
     Ok(Json::obj()

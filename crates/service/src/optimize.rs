@@ -173,7 +173,7 @@ pub fn handle(req: &OptimizeRequest) -> Result<Json, String> {
     let (out, stats) = session.optimize(&req.expr, &req.config(), cost.as_ref());
     let mut apps = Json::obj();
     for (rule, count) in &stats.applications {
-        apps = apps.field(rule, *count);
+        apps = apps.field(rule.clone(), *count);
     }
     Ok(Json::obj()
         .field("expr", expr_to_json(&out))

@@ -48,7 +48,7 @@ impl ProveRequest {
         model.sort();
         let mut m = Json::obj();
         for (from, to) in &model {
-            m = m.field(from, to.as_str());
+            m = m.field(from.clone(), to.as_str());
         }
         Json::obj()
             .field("theory", self.theory.as_str())
@@ -74,7 +74,7 @@ impl ProveRequest {
                 let to = to
                     .as_str()
                     .ok_or_else(|| format!("prove: model entry {from:?} must map to a string"))?;
-                model.push((from.clone(), to.to_string()));
+                model.push((from.to_string(), to.to_string()));
             }
         }
         model.sort();

@@ -66,12 +66,28 @@ pub trait SubmitRequest: Send + Sync + 'static {
     /// Submit one decoded request with an optional trace handle (the
     /// sampled context plus the caller's span to parent under); `reply`
     /// is invoked exactly once, on whatever thread completes the request.
+    /// `canonical` is the request's [`canonical`] form when the caller
+    /// already rendered it (a router does, to route), so the serving core
+    /// keys its cache with that string instead of rendering its own.
+    ///
+    /// [`canonical`]: crate::request::Request::canonical
+    fn submit_canonical(
+        &self,
+        request: crate::request::Request,
+        canonical: Option<String>,
+        trace: Option<gp_telemetry::trace::TraceHandle>,
+        reply: ReplyFn,
+    );
+
+    /// Submit one request whose canonical form is not rendered yet.
     fn submit_traced(
         &self,
         request: crate::request::Request,
         trace: Option<gp_telemetry::trace::TraceHandle>,
         reply: ReplyFn,
-    );
+    ) {
+        self.submit_canonical(request, None, trace, reply);
+    }
 
     /// Submit one untraced request — identical to passing `None`.
     fn submit_with(&self, request: crate::request::Request, reply: ReplyFn) {
@@ -321,7 +337,34 @@ pub use linux_impl::{Reactor, ReactorHandle};
 #[cfg(target_os = "linux")]
 mod linux_impl {
     use super::*;
+    use gp_telemetry::{Counter, Gauge, Histogram};
+    use std::sync::OnceLock;
     use sys::{Epoll, EpollEvent, WakePipe};
+
+    /// The event loop's instruments, resolved once per process (wakeups
+    /// and pipeline depth are bumped per event and per request).
+    struct ReactorMetrics {
+        wakeups: &'static Counter,
+        spurious: &'static Counter,
+        conn_shed: &'static Counter,
+        conn_open: &'static Gauge,
+        protocol_errors: &'static Counter,
+        pipeline_depth: &'static Histogram,
+        read_pauses: &'static Counter,
+    }
+
+    fn metrics() -> &'static ReactorMetrics {
+        static METRICS: OnceLock<ReactorMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| ReactorMetrics {
+            wakeups: gp_telemetry::counter("service.reactor.wakeups"),
+            spurious: gp_telemetry::counter("service.reactor.spurious"),
+            conn_shed: gp_telemetry::counter("service.conn.shed"),
+            conn_open: gp_telemetry::gauge("service.conn.open"),
+            protocol_errors: gp_telemetry::counter("service.reactor.protocol_errors"),
+            pipeline_depth: gp_telemetry::histogram("service.reactor.pipeline.depth"),
+            read_pauses: gp_telemetry::counter("service.reactor.read_pauses"),
+        })
+    }
 
     /// One completed request on its way back to a connection.
     struct Completion {
@@ -486,7 +529,7 @@ mod linux_impl {
             let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
             while !self.stop.load(Ordering::Acquire) {
                 let n = self.epoll.wait(&mut events, -1);
-                gp_telemetry::counter("service.reactor.wakeups").incr();
+                metrics().wakeups.incr();
                 let mut any_work = false;
                 for ev in events.iter().take(n) {
                     let (data, bits) = (ev.data, ev.events);
@@ -510,7 +553,7 @@ mod linux_impl {
                 // were reading flush in the same iteration.
                 let completed = self.apply_completions();
                 if !any_work && !completed {
-                    gp_telemetry::counter("service.reactor.spurious").incr();
+                    metrics().spurious.incr();
                 }
             }
             // Drop every connection (gauge kept honest) before exiting.
@@ -544,7 +587,7 @@ mod linux_impl {
         /// close. The frame is written blockingly — it is 40 bytes into an
         /// empty socket buffer, so it cannot wedge the loop.
         fn shed_connection(&self, stream: TcpStream) {
-            gp_telemetry::counter("service.conn.shed").incr();
+            metrics().conn_shed.incr();
             let mut stream = stream;
             let _ = stream.set_nonblocking(false);
             let _ =
@@ -586,7 +629,7 @@ mod linux_impl {
                 want_write: false,
             });
             self.open += 1;
-            gp_telemetry::gauge("service.conn.open").add(1);
+            metrics().conn_open.add(1);
             Ok(())
         }
 
@@ -599,7 +642,7 @@ mod linux_impl {
                 slot.gen = slot.gen.wrapping_add(1);
                 self.free.push(token);
                 self.open -= 1;
-                gp_telemetry::gauge("service.conn.open").sub(1);
+                metrics().conn_open.sub(1);
             }
         }
 
@@ -672,7 +715,7 @@ mod linux_impl {
                     Err(_) => {
                         // Oversized or non-UTF-8: the stream is poisoned;
                         // match the blocking path and hang up.
-                        gp_telemetry::counter("service.reactor.protocol_errors").incr();
+                        metrics().protocol_errors.incr();
                         self.close(token);
                         return false;
                     }
@@ -680,8 +723,7 @@ mod linux_impl {
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 conn.in_flight += 1;
-                gp_telemetry::histogram("service.reactor.pipeline.depth")
-                    .record(conn.in_flight as u64);
+                metrics().pipeline_depth.record(conn.in_flight as u64);
                 let gen = self.slots[token as usize].gen;
                 match decode_request_traced(&frame) {
                     Ok((id, request, wire_trace)) => {
@@ -816,7 +858,7 @@ mod linux_impl {
                 return;
             }
             if !want_read && conn.want_read {
-                gp_telemetry::counter("service.reactor.read_pauses").incr();
+                metrics().read_pauses.incr();
             }
             conn.want_read = want_read;
             conn.want_write = want_write;

@@ -14,7 +14,7 @@
 //! semantically equal requests however the client ordered its fields.
 
 use crate::{introspect, lint, optimize, prove, select, simplify};
-use gp_core::json::Json;
+use gp_core::json::{write_escaped, Json};
 
 /// One query against the library stack.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,7 +103,12 @@ impl Request {
     /// semantically equal requests; the cache key is its hash (with the
     /// full string kept for collision checks).
     pub fn canonical(&self) -> String {
-        format!("{}:{}", self.kind(), self.to_json().render())
+        let body = self.to_json();
+        let mut out = String::with_capacity(self.kind().len() + 1 + body.size_hint());
+        out.push_str(self.kind());
+        out.push(':');
+        body.write(&mut out);
+        out
     }
 
     /// Dispatch to the backing handler (a batch of one for `Simplify`;
@@ -158,29 +163,56 @@ pub fn decode_request(frame: &str) -> Result<(u64, Request), String> {
 /// decoded before tracing existed.
 pub fn decode_request_traced(frame: &str) -> Result<(u64, Request, Option<u64>), String> {
     let j = Json::parse(frame).map_err(|e| format!("bad frame: {e}"))?;
-    let id = j.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let id = wire_u64(j.get("id")).unwrap_or(0);
     let kind = j
         .get("kind")
         .and_then(Json::as_str)
         .ok_or("bad frame: missing string field 'kind'")?;
     let req = j.get("req").ok_or("bad frame: missing field 'req'")?;
-    let trace = j.get("trace").and_then(Json::as_f64).map(|t| t as u64);
+    let trace = wire_u64(j.get("trace"));
     Ok((id, Request::from_kind_json(kind, req)?, trace))
 }
 
-/// Encode a response frame.
+/// An envelope's `id` or `trace` number (or a `trace` query's id). Integers are exact across the
+/// whole `u64` range. Any other number converts as Rust's `as` cast does
+/// (fraction dropped, negative to 0, saturating), and a field that is
+/// missing or not a number reads as `None`: decoders map a missing `id`
+/// to 0 and a missing `trace` to untraced.
+pub(crate) fn wire_u64(v: Option<&Json>) -> Option<u64> {
+    match v? {
+        Json::Int(n) => Some(*n),
+        Json::Num(x) => Some(*x as u64),
+        _ => None,
+    }
+}
+
+/// Encode a response frame: `{"id":N,"status":...}` written around the
+/// borrowed payload or message, the same bytes an envelope `Json` would
+/// render to.
 pub fn encode_response(id: u64, resp: &Response) -> String {
-    let j = Json::obj().field("id", id);
+    let body_len = match resp {
+        Response::Ok { payload } => payload.len(),
+        Response::Error { message } => message.len() + 2,
+        Response::Overloaded => 0,
+    };
+    let mut out = String::with_capacity(body_len + 56);
+    out.push_str("{\"id\":");
+    Json::from(id).write(&mut out);
     match resp {
         // The payload is already rendered JSON; splice it verbatim so the
         // bytes a cache hit returns are identical to the fresh ones.
-        Response::Ok { payload } => j
-            .field("status", "ok")
-            .field("resp", Json::Raw(payload.clone())),
-        Response::Error { message } => j.field("status", "error").field("error", message.as_str()),
-        Response::Overloaded => j.field("status", "overloaded"),
+        Response::Ok { payload } => {
+            out.push_str(",\"status\":\"ok\",\"resp\":");
+            out.push_str(payload);
+        }
+        Response::Error { message } => {
+            out.push_str(",\"status\":\"error\",\"error\":");
+            write_escaped(&mut out, message);
+        }
+        Response::Overloaded => out.push_str(",\"status\":\"overloaded\""),
     }
-    .render()
+    out.push('}');
+    out
 }
 
 /// Decode a response frame into `(id, response)`. The payload is
@@ -188,7 +220,7 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
 /// (`parse(r).render() == r`, proptested in `gp-bench`).
 pub fn decode_response(frame: &str) -> Result<(u64, Response), String> {
     let j = Json::parse(frame).map_err(|e| format!("bad frame: {e}"))?;
-    let id = j.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let id = wire_u64(j.get("id")).unwrap_or(0);
     let status = j
         .get("status")
         .and_then(Json::as_str)
@@ -347,6 +379,78 @@ mod tests {
             let (_, back) = decode_response(&encode_response(0, &r)).unwrap();
             assert_eq!(back, r);
         }
+    }
+
+    /// The response envelope as a `Json` tree renders it: the reference
+    /// the borrowed writer must match byte for byte.
+    fn envelope_json(id: u64, resp: &Response) -> String {
+        let j = Json::obj().field("id", id);
+        match resp {
+            Response::Ok { payload } => j
+                .field("status", "ok")
+                .field("resp", Json::Raw(payload.clone())),
+            Response::Error { message } => {
+                j.field("status", "error").field("error", message.as_str())
+            }
+            Response::Overloaded => j.field("status", "overloaded"),
+        }
+        .render()
+    }
+
+    #[test]
+    fn encode_response_matches_the_json_built_envelope() {
+        let cases = [
+            Response::Ok {
+                payload: r#"{"program":"p","count":0,"diagnostics":[]}"#.into(),
+            },
+            Response::Error {
+                message: "parse: line 2: cannot parse `a \"b\"\\`\n\t\u{1}é".into(),
+            },
+            Response::Error {
+                message: String::new(),
+            },
+            Response::Overloaded,
+        ];
+        for id in [0, 7, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            for resp in &cases {
+                assert_eq!(encode_response(id, resp), envelope_json(id, resp));
+            }
+        }
+    }
+
+    #[test]
+    fn ids_above_2_pow_53_round_trip_exactly() {
+        let req = sample_requests().remove(0);
+        for id in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let frame = encode_request_traced(id, &req, Some(id - 1));
+            assert!(frame.contains(&format!("\"id\":{id}")), "{frame}");
+            let (got, back, trace) = decode_request_traced(&frame).unwrap();
+            assert_eq!((got, trace), (id, Some(id - 1)));
+            assert_eq!(back, req);
+            for resp in [
+                Response::Ok {
+                    payload: "{}".into(),
+                },
+                Response::Overloaded,
+            ] {
+                assert_eq!(
+                    decode_response(&encode_response(id, &resp)).unwrap(),
+                    (id, resp)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_id_decodes_as_zero_and_a_missing_trace_as_untraced() {
+        let (id, _, trace) =
+            decode_request_traced(r#"{"kind":"stats","req":{"prefix":""}}"#).unwrap();
+        assert_eq!((id, trace), (0, None));
+        let (id, resp) = decode_response(r#"{"status":"overloaded"}"#).unwrap();
+        assert_eq!((id, resp), (0, Response::Overloaded));
+        // A non-integral id converts as an `as` cast, as it always has.
+        let (id, _) = decode_request(r#"{"id":2.9,"kind":"stats","req":{}}"#).unwrap();
+        assert_eq!(id, 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::simplify::SimplifyRequest;
 use crate::wire::{read_frame, write_frame};
 use gp_telemetry::flight::{self, FlightKind};
 use gp_telemetry::trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceStore};
-use gp_telemetry::{Counter, Histogram, Span, SpanName};
+use gp_telemetry::{Counter, Gauge, Histogram, Span, SpanName};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -228,6 +228,26 @@ fn kind_row(request: &Request) -> &'static KindRow {
     row
 }
 
+/// The serving core's own instruments, resolved once per process.
+struct ServiceMetrics {
+    accepted: &'static Counter,
+    completed: &'static Counter,
+    shed: &'static Counter,
+    batch_merged: &'static Counter,
+    queue_depth: &'static Gauge,
+}
+
+fn service_metrics() -> &'static ServiceMetrics {
+    static METRICS: OnceLock<ServiceMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| ServiceMetrics {
+        accepted: gp_telemetry::counter("service.accepted"),
+        completed: gp_telemetry::counter("service.completed"),
+        shed: gp_telemetry::counter("service.shed"),
+        batch_merged: gp_telemetry::counter("service.batch.merged"),
+        queue_depth: gp_telemetry::gauge("service.queue.depth"),
+    })
+}
+
 static CACHE_SPAN: SpanName = SpanName::new("cache");
 static QUEUE_SPAN: SpanName = SpanName::new("queue");
 static WORKER_SPAN: SpanName = SpanName::new("worker");
@@ -235,13 +255,19 @@ static SERVER_SPAN: SpanName = SpanName::new("server");
 
 impl ServiceInner {
     fn submit(self: &Arc<Self>, request: Request) -> Ticket {
-        self.submit_traced(request, None)
+        self.submit_ticket(request, None, None)
     }
 
-    fn submit_traced(self: &Arc<Self>, request: Request, trace: Option<TraceHandle>) -> Ticket {
+    fn submit_ticket(
+        self: &Arc<Self>,
+        request: Request,
+        canonical: Option<String>,
+        trace: Option<TraceHandle>,
+    ) -> Ticket {
         let (tx, rx) = mpsc::channel();
         self.submit_traced_callback(
             request,
+            canonical,
             trace,
             Box::new(move |resp| {
                 let _ = tx.send(resp);
@@ -275,16 +301,20 @@ impl ServiceInner {
 
     /// The one submission path: admission control, cache, queue. `reply`
     /// is invoked exactly once — synchronously for sheds, cache hits, and
-    /// introspection, from a worker otherwise.
+    /// introspection, from a worker otherwise. `canonical` is the
+    /// request's canonical form if the caller rendered it already; it is
+    /// rendered here otherwise, and then moves into the job and the cache
+    /// without another copy.
     fn submit_traced_callback(
         &self,
         request: Request,
+        canonical: Option<String>,
         mut trace: Option<TraceHandle>,
         reply: ReplyFn,
     ) {
         let kind = kind_row(&request);
         self.accepted.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.accepted").incr();
+        service_metrics().accepted.incr();
         kind.metrics().requests.incr();
 
         // Introspection answers even while draining — the whole point is
@@ -301,7 +331,7 @@ impl ServiceInner {
             self.shed_one(kind, reply);
             return;
         }
-        let canonical = request.canonical();
+        let canonical = canonical.unwrap_or_else(|| request.canonical());
         let hash = gp_core::hash::fnv1a_bytes(&canonical);
         if let Some(cache) = &self.cache {
             if let Some(payload) = cache.get(hash, &canonical) {
@@ -346,7 +376,7 @@ impl ServiceInner {
         };
         match self.queue.try_push(job) {
             Ok(()) => {
-                gp_telemetry::gauge("service.queue.depth").add(1);
+                service_metrics().queue_depth.add(1);
                 flight::record(FlightKind::Enqueue, kind.code, self.queue.len() as u64);
             }
             Err(mut job) => {
@@ -360,14 +390,14 @@ impl ServiceInner {
 
     fn shed_one(&self, kind: &KindRow, reply: ReplyFn) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.shed").incr();
+        service_metrics().shed.incr();
         flight::record(FlightKind::Shed, kind.code, 0);
         reply(Response::Overloaded);
     }
 
     fn complete_one(&self, kind: &KindRow, enqueued: Instant) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.completed").incr();
+        service_metrics().completed.incr();
         kind.metrics()
             .latency
             .record(enqueued.elapsed().as_nanos() as u64);
@@ -379,7 +409,7 @@ impl ServiceInner {
             Ok(json) => {
                 let payload = json.render();
                 if let Some(cache) = &self.cache {
-                    cache.put(job.hash, &job.canonical, &payload);
+                    cache.put(job.hash, job.canonical, &payload);
                 }
                 Response::Ok { payload }
             }
@@ -450,15 +480,15 @@ impl ServiceInner {
     /// Worker loop: pop, gather batch-mates, run on the global pool.
     fn worker_loop(self: Arc<Self>) {
         while let Some(job) = self.queue.pop() {
-            gp_telemetry::gauge("service.queue.depth").sub(1);
+            service_metrics().queue_depth.sub(1);
             let mut batch = vec![job];
             if let Some(key) = batch[0].batch_key {
                 while batch.len() < self.config.batch_max {
                     match self.queue.try_take_matching(|j| j.batch_key == Some(key)) {
                         Some(mate) => {
-                            gp_telemetry::gauge("service.queue.depth").sub(1);
+                            service_metrics().queue_depth.sub(1);
                             self.batched.fetch_add(1, Ordering::Relaxed);
-                            gp_telemetry::counter("service.batch.merged").incr();
+                            service_metrics().batch_merged.incr();
                             batch.push(mate);
                         }
                         None => break,
@@ -501,8 +531,14 @@ impl ServiceInner {
 }
 
 impl SubmitRequest for ServiceInner {
-    fn submit_traced(&self, request: Request, trace: Option<TraceHandle>, reply: ReplyFn) {
-        self.submit_traced_callback(request, trace, reply);
+    fn submit_canonical(
+        &self,
+        request: Request,
+        canonical: Option<String>,
+        trace: Option<TraceHandle>,
+        reply: ReplyFn,
+    ) {
+        self.submit_traced_callback(request, canonical, trace, reply);
     }
 }
 
@@ -570,7 +606,18 @@ impl Service {
     /// publishes the completed trace to this shard's store. `None`
     /// behaves exactly like [`Service::submit`].
     pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
-        self.inner.submit_traced(request, trace)
+        self.inner.submit_ticket(request, None, trace)
+    }
+
+    /// [`Service::submit_traced`] for a request whose canonical form the
+    /// caller (the shard router) already rendered.
+    pub(crate) fn submit_canonical(
+        &self,
+        request: Request,
+        canonical: Option<String>,
+        trace: Option<TraceHandle>,
+    ) -> Ticket {
+        self.inner.submit_ticket(request, canonical, trace)
     }
 
     /// This shard's bounded store of completed traces (what `trace`
@@ -706,7 +753,7 @@ fn serve_connection(inner: &Arc<ServiceInner>, mut stream: TcpStream) {
                 // `trace` field can be sampled, and an unsampled or
                 // untraced request takes the identical path.
                 let (handle, root) = gp_telemetry::trace::sample_root(wire_trace, &SERVER_SPAN);
-                let response = inner.submit_traced(request, handle).wait();
+                let response = inner.submit_ticket(request, None, handle).wait();
                 // Close the root span before writing the response so the
                 // assembled trace is queryable the moment the client
                 // reads its answer.

@@ -158,15 +158,17 @@ struct RouterInner {
 impl RouterInner {
     /// The routing key: environment fingerprint for `Simplify` (batch
     /// density), canonical-form hash otherwise. Both are functions of
-    /// the canonical form, so the cache partition is deterministic.
-    fn routing_key(request: &Request) -> u64 {
+    /// the canonical form, so the cache partition is deterministic. A
+    /// canonical form rendered here is left in `canonical` for the shard
+    /// to key its cache with, so a request is rendered once.
+    fn routing_key(request: &Request, canonical: &mut Option<String>) -> u64 {
         match request {
             Request::Simplify(r) => r.env.fingerprint(),
             // Optimize deliberately hash-routes on its canonical form
             // (not the env fingerprint): e-graph runs don't micro-batch,
             // so spreading them across shards beats cache-partition
             // affinity with simplify traffic.
-            other => hash_str(&other.canonical()),
+            other => hash_str(canonical.get_or_insert_with(|| other.canonical())),
         }
     }
 
@@ -180,13 +182,13 @@ impl RouterInner {
     /// the shard whose store holds the trace (any shard may have executed
     /// it); everything else — including a trace id no store holds, which
     /// the routed shard reports as not-found — hash-routes.
-    fn shard_for(&self, request: &Request) -> usize {
+    fn shard_for(&self, request: &Request, canonical: &mut Option<String>) -> usize {
         if let Request::Trace(q) = request {
             if let Some(shard) = self.trace_stores.iter().position(|s| s.get(q.id).is_some()) {
                 return shard;
             }
         }
-        self.route(Self::routing_key(request))
+        self.route(Self::routing_key(request, canonical))
     }
 }
 
@@ -218,8 +220,14 @@ impl FailoverTarget for RouterInner {
 }
 
 impl SubmitRequest for RouterInner {
-    fn submit_traced(&self, request: Request, trace: Option<TraceHandle>, reply: ReplyFn) {
-        let shard = self.shard_for(&request);
+    fn submit_canonical(
+        &self,
+        request: Request,
+        mut canonical: Option<String>,
+        trace: Option<TraceHandle>,
+        reply: ReplyFn,
+    ) {
+        let shard = self.shard_for(&request, &mut canonical);
         match trace {
             Some(h) => {
                 // The `router` span brackets the routing decision and the
@@ -228,10 +236,10 @@ impl SubmitRequest for RouterInner {
                 let span = h.span(&ROUTER_SPAN);
                 let child = h.child_of(&span);
                 drop(h);
-                self.submitters[shard].submit_traced(request, Some(child), reply);
+                self.submitters[shard].submit_canonical(request, canonical, Some(child), reply);
                 span.finish();
             }
-            None => self.submitters[shard].submit_traced(request, None, reply),
+            None => self.submitters[shard].submit_canonical(request, canonical, None, reply),
         }
     }
 }
@@ -281,19 +289,19 @@ impl ShardRouter {
     /// dead shard's vnode ranges). A `trace` query routes to the shard
     /// whose store holds the trace.
     pub fn shard_of(&self, request: &Request) -> usize {
-        self.inner.shard_for(request)
+        self.inner.shard_for(request, &mut None)
     }
 
     /// Submit without waiting; the [`Ticket`] resolves to the response.
     pub fn submit(&self, request: Request) -> Ticket {
-        let shard = self.shard_of(&request);
-        self.services[shard].submit(request)
+        self.submit_traced(request, None)
     }
 
     /// Submit carrying a trace handle: the router opens a `router` span
     /// and the chosen shard's spans nest under it.
     pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
-        let shard = self.shard_of(&request);
+        let mut canonical = None;
+        let shard = self.inner.shard_for(&request, &mut canonical);
         let traced = trace.map(|h| {
             let span = h.span(&ROUTER_SPAN);
             let child = h.child_of(&span);
@@ -301,11 +309,11 @@ impl ShardRouter {
         });
         match traced {
             Some((child, span)) => {
-                let ticket = self.services[shard].submit_traced(request, Some(child));
+                let ticket = self.services[shard].submit_canonical(request, canonical, Some(child));
                 span.finish();
                 ticket
             }
-            None => self.services[shard].submit_traced(request, None),
+            None => self.services[shard].submit_canonical(request, canonical, None),
         }
     }
 

@@ -451,7 +451,7 @@ pub fn handle_batch(reqs: &[SimplifyRequest]) -> Vec<Result<Json, String>> {
 fn render_result(out: &Expr, stats: &gp_rewrite::SimplifyStats) -> Json {
     let mut apps = Json::obj();
     for (rule, count) in &stats.applications {
-        apps = apps.field(rule, *count);
+        apps = apps.field(rule.clone(), *count);
     }
     Json::obj()
         .field("expr", expr_to_json(out))

@@ -1,9 +1,10 @@
 //! The process-wide metric registry and point-in-time snapshots.
 //!
-//! Name resolution (`counter("pool.steal_hit")`) takes a mutex and
-//! allocates once per distinct name — strictly cold-path; instruments are
-//! leaked into `'static` storage so the returned references can be cached
-//! in `OnceLock`s next to the hot loops that bump them. Snapshots walk the
+//! Name resolution (`counter("pool.steal_hit")`) takes a mutex and looks
+//! the name up, allocating only when it registers a new name. Hot paths
+//! still resolve once: instruments are leaked into `'static` storage so
+//! the returned references can be cached in `OnceLock`s next to the hot
+//! loops that bump them. Snapshots walk the
 //! name map under the same mutex but read each instrument with relaxed
 //! loads, so they never block writers.
 
@@ -17,6 +18,22 @@ struct Inner {
     counters: BTreeMap<String, &'static Counter>,
     gauges: BTreeMap<String, &'static Gauge>,
     histograms: BTreeMap<String, &'static Histogram>,
+}
+
+/// The instrument registered as `name`, leaking a fresh one on first use.
+/// An existing name is found by `&str` lookup: only a first registration
+/// allocates (the key and the instrument).
+fn resolve<T>(
+    map: &mut BTreeMap<String, &'static T>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> &'static T {
+    if let Some(&found) = map.get(name) {
+        return found;
+    }
+    let leaked: &'static T = Box::leak(Box::new(new()));
+    map.insert(name.to_string(), leaked);
+    leaked
 }
 
 /// A named collection of instruments. Most code uses the process-wide
@@ -42,28 +59,19 @@ impl Registry {
     /// `'static`: resolve once, cache, and increment lock-free after.
     pub fn counter(&self, name: &str) -> &'static Counter {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Counter::new())))
+        resolve(&mut inner.counters, name, Counter::new)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
+        resolve(&mut inner.gauges, name, Gauge::new)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+        resolve(&mut inner.histograms, name, Histogram::new)
     }
 
     /// Point-in-time view of every registered instrument.
