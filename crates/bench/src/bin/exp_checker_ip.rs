@@ -450,6 +450,7 @@ fn main() {
         "Two different lint requests share summaries",
         "semantic layer above the byte-level response cache",
     );
+    use gp_service::RequestKind;
     const HELPER: &str = "fn helper(C) {\n    push_back C\n}\n";
     let req_a = gp_service::lint::LintRequest {
         name: "alpha".into(),
@@ -462,8 +463,8 @@ fn main() {
         program: format!("{HELPER}container W vector\ninvoke helper(W)\n"),
     };
     let hit0 = counter("checker.summary.hit");
-    let pay_a = gp_service::lint::handle(&req_a).expect("lint alpha");
-    let pay_b = gp_service::lint::handle(&req_b).expect("lint beta");
+    let pay_a = req_a.handle().expect("lint alpha");
+    let pay_b = req_b.handle().expect("lint beta");
     let cross_hits = counter("checker.summary.hit") - hit0;
     let mut identical = true;
     for (req, pay) in [(&req_a, &pay_a), (&req_b, &pay_b)] {

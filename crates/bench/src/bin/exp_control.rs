@@ -26,6 +26,7 @@ use gp_service::prove::ProveRequest;
 use gp_service::reactor::SubmitRequest;
 use gp_service::{
     ControlConfig, ControlPlane, Request, Response, ServiceConfig, ShardRouter, ShardRouterConfig,
+    Ticket,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -427,14 +428,5 @@ fn part_b_failover(smoke: bool) -> Json {
 /// Synchronous call through the router's submitter handle (the handle
 /// keeps the router itself free for `kill_shard`).
 fn call(submit: &Arc<dyn SubmitRequest>, req: Request) -> Response {
-    let (tx, rx) = std::sync::mpsc::channel();
-    submit.submit_with(
-        req,
-        Box::new(move |r| {
-            let _ = tx.send(r);
-        }),
-    );
-    rx.recv().unwrap_or(Response::Error {
-        message: "service dropped the request without replying".into(),
-    })
+    Ticket::submit(submit.as_ref(), req, None).wait()
 }

@@ -36,16 +36,26 @@ pub fn sorted_ints(n: usize) -> Vec<i64> {
 /// Write a machine-readable artifact to `results/<file_name>`, creating
 /// the `results/` directory first (a fresh checkout has none, and failing
 /// at the end of a long run is the worst possible time). Every `exp_*`
-/// binary emits its `BENCH_*.json` through this helper. Returns the path
-/// written.
+/// binary emits its `BENCH_*.json` through this helper. A `--smoke` run
+/// writes `BENCH_<x>.smoke.json` instead, so it never overwrites the
+/// committed full-run artifact. Returns the path written.
 pub fn write_results(file_name: &str, report: &Json) -> std::path::PathBuf {
     let out_dir = std::path::Path::new("results");
     std::fs::create_dir_all(out_dir)
         .unwrap_or_else(|e| panic!("create {}: {e}", out_dir.display()));
-    let path = out_dir.join(file_name);
+    let path = out_dir.join(if std::env::args().any(|a| a == "--smoke") {
+        smoke_name(file_name)
+    } else {
+        file_name.to_string()
+    });
     std::fs::write(&path, report.render() + "\n")
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     path
+}
+
+/// `BENCH_x.json` → `BENCH_x.smoke.json`.
+fn smoke_name(file_name: &str) -> String {
+    format!("{}.smoke.json", file_name.trim_end_matches(".json"))
 }
 
 /// Minimal fixed-width table printer for the experiment binaries.
@@ -174,5 +184,10 @@ mod tests {
             r#"{"name":"exp \"quoted\"","n":1000000,"ms":1.5,"ok":true,"series":[1,null]}"#
         );
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn smoke_artifacts_never_take_the_full_run_name() {
+        assert_eq!(smoke_name("BENCH_control.json"), "BENCH_control.smoke.json");
     }
 }

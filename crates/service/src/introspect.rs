@@ -16,7 +16,9 @@
 //! and reactor front ends because both funnel through the same
 //! submission path.
 
+use crate::request::{RequestKind, Route};
 use gp_core::json::Json;
+use gp_telemetry::trace::{render_tree, TraceId, TraceStore};
 
 /// The `stats` request: export the telemetry registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,14 +28,12 @@ pub struct StatsRequest {
     pub prefix: String,
 }
 
-impl StatsRequest {
-    /// Canonical `req` object.
-    pub fn to_json(&self) -> Json {
-        Json::obj().field("prefix", self.prefix.as_str())
-    }
+impl RequestKind for StatsRequest {
+    const NAME: &'static str = "stats";
+    const CODE: u64 = 5;
 
-    /// Decode from a `req` object (a missing prefix means "everything").
-    pub fn from_json(j: &Json) -> Result<StatsRequest, String> {
+    /// A missing prefix means "everything".
+    fn from_json(j: &Json) -> Result<StatsRequest, String> {
         Ok(StatsRequest {
             prefix: j
                 .get("prefix")
@@ -41,6 +41,25 @@ impl StatsRequest {
                 .unwrap_or("")
                 .to_string(),
         })
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj().field("prefix", self.prefix.as_str())
+    }
+
+    fn handle(&self) -> Result<Json, String> {
+        Ok(Json::Raw(stats_payload(&self.prefix)))
+    }
+
+    fn answer_inline(&self, _traces: &TraceStore) -> Option<Result<Json, String>> {
+        Some(self.handle())
+    }
+
+    #[cfg(test)]
+    fn sample(_salt: usize) -> Self {
+        StatsRequest {
+            prefix: "service.".into(),
+        }
     }
 }
 
@@ -52,17 +71,44 @@ pub struct TraceQuery {
     pub id: u64,
 }
 
-impl TraceQuery {
-    /// Canonical `req` object.
-    pub fn to_json(&self) -> Json {
-        Json::obj().field("id", self.id)
-    }
+impl RequestKind for TraceQuery {
+    const NAME: &'static str = "trace";
+    const CODE: u64 = 6;
 
-    /// Decode from a `req` object.
-    pub fn from_json(j: &Json) -> Result<TraceQuery, String> {
+    fn from_json(j: &Json) -> Result<TraceQuery, String> {
         Ok(TraceQuery {
             id: crate::request::wire_u64(j.get("id")).ok_or("trace: missing numeric field 'id'")?,
         })
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj().field("id", self.id)
+    }
+
+    /// Trace lookups need a serving shard's store, which only
+    /// [`answer_inline`](RequestKind::answer_inline) has.
+    fn handle(&self) -> Result<Json, String> {
+        Err("trace lookup requires a running service".into())
+    }
+
+    fn answer_inline(&self, traces: &TraceStore) -> Option<Result<Json, String>> {
+        Some(match traces.get(self.id) {
+            Some(spans) => Ok(Json::Raw(render_tree(TraceId(self.id), &spans))),
+            None => Err(format!(
+                "trace {} not found (unsampled, still in flight, or evicted)",
+                self.id
+            )),
+        })
+    }
+
+    /// The shard that executed the traced request holds the trace.
+    fn route(&self) -> Route {
+        Route::Trace(self.id)
+    }
+
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self {
+        TraceQuery { id: salt as u64 }
     }
 }
 
@@ -112,21 +158,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_request_round_trips_and_defaults_prefix() {
-        let r = StatsRequest {
-            prefix: "service.".into(),
-        };
-        let back = StatsRequest::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        let empty = StatsRequest::from_json(&Json::parse("{}").unwrap()).unwrap();
-        assert_eq!(empty.prefix, "");
-    }
-
-    #[test]
-    fn trace_query_round_trips_and_requires_id() {
-        let q = TraceQuery { id: 42 };
-        assert_eq!(TraceQuery::from_json(&q.to_json()).unwrap(), q);
-        assert!(TraceQuery::from_json(&Json::parse("{}").unwrap()).is_err());
+    fn stats_prefix_defaults_to_everything_and_trace_requires_an_id() {
+        let empty = Json::parse("{}").unwrap();
+        assert_eq!(StatsRequest::from_json(&empty).unwrap().prefix, "");
+        assert!(TraceQuery::from_json(&empty).is_err());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! | `optimize` | `gp-rewrite`  | what is the *cheapest* equivalent form?     |
 //! | `prove`    | `gp-proofs`   | do the theory's proofs hold on this model?  |
 //! | `select`   | `gp-taxonomy` | which algorithm fits this deployment?       |
+//! | `stats`    | `gp-telemetry`| what do the server's metrics read now?      |
+//! | `trace`    | `gp-telemetry`| where did this sampled request spend time?  |
+//!
+//! Each kind is one [`RequestKind`] implementation in its own module plus
+//! one row of the kind table in [`request`]; the table generates
+//! [`Request`] and the per-kind telemetry rows, and the serving core and
+//! shard router read each kind's policy (inline or queued, batch key,
+//! route) from it.
 //!
 //! `simplify` runs the directed engine — one pass to a normal form, the
 //! fast path. `optimize` escalates to the equality-saturation e-graph
@@ -22,12 +30,13 @@
 //!
 //! The wire is length-prefixed JSON frames over TCP ([`wire`]); the same
 //! serving core answers in-process through [`Service::call`]. Three
-//! mechanisms make it a *server* rather than four function calls:
+//! mechanisms make it a *server* rather than seven function calls:
 //!
 //! - **Admission control** ([`queue`]): a bounded queue sheds overflow as
 //!   retriable [`Response::Overloaded`] instead of queueing unboundedly.
-//! - **Micro-batching** ([`server`]): queued `Simplify` requests sharing
-//!   an environment fingerprint execute under one `Simplifier` build.
+//! - **Micro-batching** ([`server`]): queued requests of one kind sharing
+//!   a batch key run as one batch; `simplify` keys on its environment
+//!   fingerprint, so a batch shares one `Simplifier` build.
 //! - **Response caching** ([`cache`]): mutex-striped LRU keyed by the
 //!   request's canonical form; hits are byte-identical to fresh answers.
 //!
@@ -65,6 +74,8 @@
 //! `stats`/`trace` wire request kinds that export both — served on either
 //! front end, even while draining.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cache;
 pub mod control;
 pub mod introspect;
@@ -87,7 +98,7 @@ pub use optimize::{CostSpec, OptimizeRequest};
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle, SubmitRequest};
 pub use request::{
     decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
-    encode_response, Request, Response,
+    encode_response, Request, RequestKind, Response, Route,
 };
 pub use server::{Service, ServiceConfig, ServiceStats, Ticket};
 pub use shard::{FailoverTarget, HashRing, ShardRouter, ShardRouterConfig};

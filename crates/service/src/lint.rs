@@ -18,6 +18,7 @@
 //! requests. SCCs at equal call-graph height run on the gp-parallel
 //! global pool.
 
+use crate::request::RequestKind;
 use gp_checker::analyze::Severity;
 use gp_checker::CheckConfig;
 use gp_core::json::Json;
@@ -39,16 +40,11 @@ fn severity_str(s: Severity) -> &'static str {
     }
 }
 
-impl LintRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("name", self.name.as_str())
-            .field("program", self.program.as_str())
-    }
+impl RequestKind for LintRequest {
+    const NAME: &'static str = "lint";
+    const CODE: u64 = 1;
 
-    /// Decode from the `req` object of a request envelope.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
+    fn from_json(j: &Json) -> Result<Self, String> {
         let program = j
             .get("program")
             .and_then(Json::as_str)
@@ -61,34 +57,48 @@ impl LintRequest {
             .to_string();
         Ok(LintRequest { name, program })
     }
-}
 
-/// Parse and analyze; the response payload lists every diagnostic.
-pub fn handle(req: &LintRequest) -> Result<Json, String> {
-    let program =
-        gp_checker::parse::parse(&req.name, &req.program).map_err(|e| format!("parse: {e}"))?;
-    let cfg = CheckConfig {
-        parallel: true,
-        ..CheckConfig::default()
-    };
-    let diags =
-        gp_checker::analyze_program_cached(&program, &cfg).map_err(|e| format!("check: {e}"))?;
-    // Rows take each diagnostic's strings by move; their keys are
-    // borrowed literals.
-    let rows: Vec<Json> = diags
-        .into_iter()
-        .map(|d| {
-            Json::obj()
-                .field("severity", severity_str(d.severity))
-                .field("code", d.code.as_str())
-                .field("subject", d.subject)
-                .field("message", d.message)
-        })
-        .collect();
-    Ok(Json::obj()
-        .field("program", req.name.as_str())
-        .field("count", rows.len())
-        .field("diagnostics", rows))
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .field("name", self.name.as_str())
+            .field("program", self.program.as_str())
+    }
+
+    /// Parse and analyze; the response payload lists every diagnostic.
+    fn handle(&self) -> Result<Json, String> {
+        let program = gp_checker::parse::parse(&self.name, &self.program)
+            .map_err(|e| format!("parse: {e}"))?;
+        let cfg = CheckConfig {
+            parallel: true,
+            ..CheckConfig::default()
+        };
+        let diags = gp_checker::analyze_program_cached(&program, &cfg)
+            .map_err(|e| format!("check: {e}"))?;
+        // Rows take each diagnostic's strings by move; their keys are
+        // borrowed literals.
+        let rows: Vec<Json> = diags
+            .into_iter()
+            .map(|d| {
+                Json::obj()
+                    .field("severity", severity_str(d.severity))
+                    .field("code", d.code.as_str())
+                    .field("subject", d.subject)
+                    .field("message", d.message)
+            })
+            .collect();
+        Ok(Json::obj()
+            .field("program", self.name.as_str())
+            .field("count", rows.len())
+            .field("diagnostics", rows))
+    }
+
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self {
+        LintRequest {
+            name: format!("p{salt}"),
+            program: "container xs vector\niter it = begin xs\nderef it\n".into(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -118,7 +128,7 @@ while it != end {
             name: "fig4".into(),
             program: FIG4.into(),
         };
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         let diags = payload.get("diagnostics").and_then(Json::as_arr).unwrap();
         assert!(!diags.is_empty());
         assert!(
@@ -137,7 +147,7 @@ while it != end {
             name: "bad".into(),
             program: "container x vectorr\n".into(),
         };
-        let err = handle(&req).unwrap_err();
+        let err = req.handle().unwrap_err();
         assert!(err.starts_with("parse:"), "got {err}");
     }
 
@@ -157,15 +167,17 @@ fn grow(C) {
         let prog_b = format!("{HELPER}container W vector\ninvoke grow(W)\nderef Z\n");
         let hits = gp_telemetry::counter("checker.summary.hit");
         let before = hits.get();
-        let pay_a = handle(&LintRequest {
+        let pay_a = LintRequest {
             name: "a".into(),
             program: prog_a.clone(),
-        })
+        }
+        .handle()
         .unwrap();
-        let pay_b = handle(&LintRequest {
+        let pay_b = LintRequest {
             name: "b".into(),
             program: prog_b.clone(),
-        })
+        }
+        .handle()
         .unwrap();
         assert!(
             hits.get() > before,
@@ -209,17 +221,7 @@ invoke f(V)
 "
             .into(),
         };
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         assert_eq!(payload.get("count").and_then(Json::as_f64), Some(0.0));
-    }
-
-    #[test]
-    fn request_json_round_trips() {
-        let req = LintRequest {
-            name: "fig4".into(),
-            program: FIG4.into(),
-        };
-        let back = LintRequest::from_json(&req.to_json()).unwrap();
-        assert_eq!(back, req);
     }
 }

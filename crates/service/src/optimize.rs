@@ -22,6 +22,7 @@
 //! `budget-hit` flag in the response stats, mirroring
 //! `gp_rewrite::egraph::OptimizeStats`.
 
+use crate::request::{RequestKind, WireNames};
 use crate::simplify::{expr_from_json, expr_to_json, EnvSpec};
 use gp_core::json::Json;
 use gp_rewrite::egraph::{ComplexityCost, CostModel, EGraphConfig, MeasuredCost};
@@ -43,22 +44,15 @@ pub enum CostSpec {
     Measured,
 }
 
+pub(crate) const COST_MODELS: WireNames<CostSpec> = WireNames::new(
+    "cost model",
+    &[
+        (CostSpec::Annotation, "annotation"),
+        (CostSpec::Measured, "measured"),
+    ],
+);
+
 impl CostSpec {
-    fn name(self) -> &'static str {
-        match self {
-            CostSpec::Annotation => "annotation",
-            CostSpec::Measured => "measured",
-        }
-    }
-
-    fn from_name(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "annotation" => CostSpec::Annotation,
-            "measured" => CostSpec::Measured,
-            other => return Err(format!("unknown cost model {other:?}")),
-        })
-    }
-
     /// Build the model from the taxonomy's surfaced tables.
     pub fn build(self) -> Box<dyn CostModel + Send + Sync> {
         match self {
@@ -91,28 +85,18 @@ pub struct OptimizeRequest {
     pub max_iters: Option<u64>,
 }
 
-impl OptimizeRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it;
-    /// unset budgets are omitted, not rendered as null).
-    pub fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .field("expr", expr_to_json(&self.expr))
-            .field("env", self.env.to_json())
-            .field("cost-model", self.cost.name());
-        let j = match self.max_nodes {
-            Some(n) => j.field("max-nodes", n),
-            None => j,
-        };
-        match self.max_iters {
-            Some(n) => j.field("max-iters", n),
-            None => j,
-        }
-    }
+// No batch key, so optimize hash-routes on its canonical form rather than
+// its environment fingerprint: e-graph runs don't micro-batch, and
+// spreading them across shards beats cache-partition affinity with
+// simplify traffic.
+impl RequestKind for OptimizeRequest {
+    const NAME: &'static str = "optimize";
+    const CODE: u64 = 7;
 
-    /// Decode and validate from the `req` object. Missing `env` defaults
-    /// to standard, missing `cost-model` to `"annotation"`; budgets must
-    /// be positive integers within the service ceilings.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
+    /// Decode and validate. Missing `env` defaults to standard, missing
+    /// `cost-model` to `"annotation"`; budgets must be positive integers
+    /// within the service ceilings.
+    fn from_json(j: &Json) -> Result<Self, String> {
         let expr = expr_from_json(j.get("expr").ok_or("optimize: missing 'expr'")?)?;
         let env = match j.get("env") {
             None => EnvSpec::Standard,
@@ -120,7 +104,7 @@ impl OptimizeRequest {
         };
         let cost = match j.get("cost-model") {
             None => CostSpec::Annotation,
-            Some(c) => CostSpec::from_name(
+            Some(c) => COST_MODELS.parse(
                 c.as_str()
                     .ok_or("optimize: 'cost-model' must be a string")?,
             )?,
@@ -136,6 +120,70 @@ impl OptimizeRequest {
         })
     }
 
+    /// Unset budgets are omitted, not rendered as null.
+    fn to_json(&self) -> Json {
+        let j = Json::obj()
+            .field("expr", expr_to_json(&self.expr))
+            .field("env", self.env.to_json())
+            .field("cost-model", COST_MODELS.name(self.cost));
+        let j = match self.max_nodes {
+            Some(n) => j.field("max-nodes", n),
+            None => j,
+        };
+        match self.max_iters {
+            Some(n) => j.field("max-iters", n),
+            None => j,
+        }
+    }
+
+    /// Superoptimizer rule set (standard plus exploration equalities)
+    /// over the requested environment, bounded saturation, cost-based
+    /// extraction.
+    fn handle(&self) -> Result<Json, String> {
+        let simplifier = Simplifier::superopt(self.env.build());
+        let cost = self.cost.build();
+        let mut session = simplifier.session();
+        let (out, stats) = session.optimize(&self.expr, &self.config(), cost.as_ref());
+        let mut apps = Json::obj();
+        for (rule, count) in &stats.applications {
+            apps = apps.field(rule.clone(), *count);
+        }
+        Ok(Json::obj()
+            .field("expr", expr_to_json(&out))
+            .field("display", out.to_string())
+            .field(
+                "stats",
+                Json::obj()
+                    .field("classes", stats.classes)
+                    .field("nodes", stats.nodes)
+                    .field("unions", stats.unions)
+                    .field("iters", stats.iters)
+                    .field("saturated", stats.saturated)
+                    .field("budget-hit", stats.budget_hit)
+                    .field("cost-before", stats.cost_before)
+                    .field("cost-after", stats.cost_after)
+                    .field("extracted-size", stats.extracted_size)
+                    .field("applications", apps),
+            ))
+    }
+
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self {
+        OptimizeRequest {
+            expr: Expr::bin(
+                gp_rewrite::BinOp::Add,
+                Expr::var(format!("x{salt}"), gp_rewrite::Type::Int),
+                Expr::int(0),
+            ),
+            env: EnvSpec::Standard,
+            cost: CostSpec::Annotation,
+            max_nodes: Some(4096),
+            max_iters: Some(8),
+        }
+    }
+}
+
+impl OptimizeRequest {
     /// The saturation budgets this request asks for.
     pub fn config(&self) -> EGraphConfig {
         let defaults = EGraphConfig::default();
@@ -161,37 +209,6 @@ fn budget_field(j: &Json, name: &str, ceiling: u64) -> Result<Option<u64>, Strin
         ));
     }
     Ok(Some(f as u64))
-}
-
-/// Run one optimize request: superoptimizer rule set (standard plus
-/// exploration equalities) over the requested environment, bounded
-/// saturation, cost-based extraction.
-pub fn handle(req: &OptimizeRequest) -> Result<Json, String> {
-    let simplifier = Simplifier::superopt(req.env.build());
-    let cost = req.cost.build();
-    let mut session = simplifier.session();
-    let (out, stats) = session.optimize(&req.expr, &req.config(), cost.as_ref());
-    let mut apps = Json::obj();
-    for (rule, count) in &stats.applications {
-        apps = apps.field(rule.clone(), *count);
-    }
-    Ok(Json::obj()
-        .field("expr", expr_to_json(&out))
-        .field("display", out.to_string())
-        .field(
-            "stats",
-            Json::obj()
-                .field("classes", stats.classes)
-                .field("nodes", stats.nodes)
-                .field("unions", stats.unions)
-                .field("iters", stats.iters)
-                .field("saturated", stats.saturated)
-                .field("budget-hit", stats.budget_hit)
-                .field("cost-before", stats.cost_before)
-                .field("cost-after", stats.cost_after)
-                .field("extracted-size", stats.extracted_size)
-                .field("applications", apps),
-        ))
 }
 
 #[cfg(test)]
@@ -265,7 +282,7 @@ mod tests {
 
     #[test]
     fn handler_finds_the_cancellation_the_directed_engine_cannot() {
-        let payload = handle(&sample()).unwrap().render();
+        let payload = sample().handle().unwrap().render();
         assert!(payload.contains("\"display\":\"x\""), "payload: {payload}");
         assert!(payload.contains("\"budget-hit\":false"));
         assert!(payload.contains("\"saturated\":true"));

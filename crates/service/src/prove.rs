@@ -8,6 +8,7 @@
 //! plus which theorem broke and why, so a client probing a bogus model
 //! still gets a cacheable, well-formed answer.
 
+use crate::request::RequestKind;
 use gp_core::json::Json;
 use gp_proofs::logic::SymbolMap;
 use gp_proofs::theories::{group, monoid, order, ring, Theory};
@@ -40,10 +41,12 @@ pub fn lookup_theory(name: &str) -> Result<Theory, String> {
     })
 }
 
-impl ProveRequest {
-    /// Canonical JSON form (field order fixed, model sorted — cache keys
-    /// depend on it).
-    pub fn to_json(&self) -> Json {
+impl RequestKind for ProveRequest {
+    const NAME: &'static str = "prove";
+    const CODE: u64 = 3;
+
+    /// The model renders sorted, so its order never splits a cache key.
+    fn to_json(&self) -> Json {
         let mut model = self.model.clone();
         model.sort();
         let mut m = Json::obj();
@@ -56,8 +59,7 @@ impl ProveRequest {
             .field("model", m)
     }
 
-    /// Decode from the `req` object of a request envelope.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
+    fn from_json(j: &Json) -> Result<Self, String> {
         let theory = j
             .get("theory")
             .and_then(Json::as_str)
@@ -84,44 +86,53 @@ impl ProveRequest {
             model,
         })
     }
-}
 
-/// Look up, optionally instantiate, and check. The payload reports the
-/// verdict plus the proved theorems (success) or the failing theorem and
-/// its error (failure).
-pub fn handle(req: &ProveRequest) -> Result<Json, String> {
-    let base = lookup_theory(&req.theory)?;
-    let theory = if req.instance.is_empty() && req.model.is_empty() {
-        base
-    } else {
-        let map = SymbolMap::new(req.model.iter().map(|(a, b)| (a.clone(), b.clone())));
-        base.instantiate(&req.instance, &map)
-    };
-    let payload = Json::obj()
-        .field("theory", theory.name.as_str())
-        .field("axioms", theory.axioms.len())
-        .field("proof_size", theory.proof_size());
-    Ok(match theory.check() {
-        Ok(props) => payload.field("ok", true).field(
-            "theorems",
-            Json::Arr(
-                theory
-                    .theorems
-                    .iter()
-                    .zip(&props)
-                    .map(|(t, p)| {
-                        Json::obj()
-                            .field("name", t.name.as_str())
-                            .field("statement", p.to_string())
-                    })
-                    .collect(),
+    /// Look up, optionally instantiate, and check. The payload reports
+    /// the verdict plus the proved theorems (success) or the failing
+    /// theorem and its error (failure).
+    fn handle(&self) -> Result<Json, String> {
+        let base = lookup_theory(&self.theory)?;
+        let theory = if self.instance.is_empty() && self.model.is_empty() {
+            base
+        } else {
+            let map = SymbolMap::new(self.model.iter().map(|(a, b)| (a.clone(), b.clone())));
+            base.instantiate(&self.instance, &map)
+        };
+        let payload = Json::obj()
+            .field("theory", theory.name.as_str())
+            .field("axioms", theory.axioms.len())
+            .field("proof_size", theory.proof_size());
+        Ok(match theory.check() {
+            Ok(props) => payload.field("ok", true).field(
+                "theorems",
+                Json::Arr(
+                    theory
+                        .theorems
+                        .iter()
+                        .zip(&props)
+                        .map(|(t, p)| {
+                            Json::obj()
+                                .field("name", t.name.as_str())
+                                .field("statement", p.to_string())
+                        })
+                        .collect(),
+                ),
             ),
-        ),
-        Err(e) => payload
-            .field("ok", false)
-            .field("failed_theorem", e.theorem.as_str())
-            .field("error", format!("{:?}", e.error)),
-    })
+            Err(e) => payload
+                .field("ok", false)
+                .field("failed_theorem", e.theorem.as_str())
+                .field("error", format!("{:?}", e.error)),
+        })
+    }
+
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self {
+        ProveRequest {
+            theory: "monoid".into(),
+            instance: format!("i{salt}"),
+            model: vec![("op".into(), format!("op{salt}"))],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,11 +148,12 @@ mod tests {
             "ring",
             "order",
         ] {
-            let payload = handle(&ProveRequest {
+            let payload = ProveRequest {
                 theory: name.into(),
                 instance: String::new(),
                 model: Vec::new(),
-            })
+            }
+            .handle()
             .unwrap();
             assert_eq!(
                 payload.get("ok").and_then(Json::as_bool),
@@ -162,7 +174,7 @@ mod tests {
                 ("M".into(), "Int".into()),
             ],
         };
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         assert_eq!(payload.get("ok").and_then(Json::as_bool), Some(true));
         let theorems = payload.get("theorems").and_then(Json::as_arr).unwrap();
         assert!(!theorems.is_empty());
@@ -172,11 +184,12 @@ mod tests {
 
     #[test]
     fn unknown_theory_is_a_handler_error() {
-        let err = handle(&ProveRequest {
+        let err = ProveRequest {
             theory: "field".into(),
             instance: String::new(),
             model: Vec::new(),
-        })
+        }
+        .handle()
         .unwrap_err();
         assert!(err.contains("unknown theory"), "got {err}");
     }

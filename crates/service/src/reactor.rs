@@ -69,30 +69,16 @@ pub trait SubmitRequest: Send + Sync + 'static {
     /// `canonical` is the request's [`canonical`] form when the caller
     /// already rendered it (a router does, to route), so the serving core
     /// keys its cache with that string instead of rendering its own.
+    /// [`crate::Ticket::submit`] wraps this in a blocking ticket.
     ///
     /// [`canonical`]: crate::request::Request::canonical
-    fn submit_canonical(
+    fn submit(
         &self,
         request: crate::request::Request,
         canonical: Option<String>,
         trace: Option<gp_telemetry::trace::TraceHandle>,
         reply: ReplyFn,
     );
-
-    /// Submit one request whose canonical form is not rendered yet.
-    fn submit_traced(
-        &self,
-        request: crate::request::Request,
-        trace: Option<gp_telemetry::trace::TraceHandle>,
-        reply: ReplyFn,
-    ) {
-        self.submit_canonical(request, None, trace, reply);
-    }
-
-    /// Submit one untraced request — identical to passing `None`.
-    fn submit_with(&self, request: crate::request::Request, reply: ReplyFn) {
-        self.submit_traced(request, None, reply);
-    }
 }
 
 /// The one-shot completion callback handed to [`SubmitRequest`].
@@ -162,6 +148,7 @@ pub(crate) mod sys {
     /// Pin a socket's kernel send buffer (disables autotuning for it).
     pub fn set_sndbuf(fd: RawFd, bytes: usize) -> std::io::Result<()> {
         let val = bytes.min(i32::MAX as usize) as i32;
+        // SAFETY: `optval` points at a live `i32` of `optlen` bytes, only read.
         let rc = unsafe {
             setsockopt(
                 fd,
@@ -189,6 +176,7 @@ pub(crate) mod sys {
 
     impl Epoll {
         pub fn new() -> std::io::Result<Epoll> {
+            // SAFETY: no pointers; the result is checked before use.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(std::io::Error::last_os_error());
@@ -198,6 +186,7 @@ pub(crate) mod sys {
 
         pub fn ctl(&self, op: i32, fd: RawFd, events: u32, data: u64) -> std::io::Result<()> {
             let mut ev = EpollEvent { events, data };
+            // SAFETY: `ev` is a live `epoll_event` that the kernel only copies.
             let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(std::io::Error::last_os_error());
@@ -207,6 +196,7 @@ pub(crate) mod sys {
 
         pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> usize {
             loop {
+                // SAFETY: the kernel writes at most `events.len()` entries.
                 let rc = unsafe {
                     epoll_wait(
                         self.fd,
@@ -229,6 +219,7 @@ pub(crate) mod sys {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: `self.fd` is owned by this value and closed once, here.
             unsafe { close(self.fd) };
         }
     }
@@ -242,6 +233,7 @@ pub(crate) mod sys {
     impl WakePipe {
         pub fn new() -> std::io::Result<WakePipe> {
             let mut fds = [0i32; 2];
+            // SAFETY: `fds` is the live two-element array `pipe2` writes.
             let rc = unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) };
             if rc < 0 {
                 return Err(std::io::Error::last_os_error());
@@ -256,18 +248,21 @@ pub(crate) mod sys {
         /// a wakeup is already pending — EAGAIN is success here.
         pub fn wake(&self) {
             let byte = 1u8;
+            // SAFETY: writes one byte from a live local to the open pipe.
             unsafe { write(self.wr, &byte, 1) };
         }
 
         /// Drain every pending wakeup byte.
         pub fn drain(&self) {
             let mut buf = [0u8; 64];
+            // SAFETY: reads at most `buf.len()` bytes into a live local buffer.
             while unsafe { read(self.rd, buf.as_mut_ptr(), buf.len()) } > 0 {}
         }
     }
 
     impl Drop for WakePipe {
         fn drop(&mut self) {
+            // SAFETY: both ends are owned by this value and closed once, here.
             unsafe {
                 close(self.rd);
                 close(self.wr);
@@ -281,6 +276,8 @@ pub(crate) mod sys {
 /// descriptors than the usual 1024 default; everything else ignores this.
 #[cfg(target_os = "linux")]
 pub fn raise_fd_limit() -> u64 {
+    // SAFETY: `getrlimit` writes and `setrlimit` reads one live
+    // `[u64; 2]`, the layout of `struct rlimit` on 64-bit Linux.
     unsafe {
         let mut lim = [0u64; 2];
         if sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) != 0 {
@@ -737,8 +734,9 @@ mod linux_impl {
                         let (handle, root) =
                             gp_telemetry::trace::sample_root(wire_trace, &REACTOR_SPAN);
                         let completions = Arc::clone(&self.completions);
-                        self.submit.submit_traced(
+                        self.submit.submit(
                             request,
+                            None,
                             handle,
                             Box::new(move |resp| {
                                 drop(root);
@@ -899,7 +897,7 @@ mod linux_impl {
 mod tests {
     use super::*;
     use crate::lint::LintRequest;
-    use crate::request::{decode_response, encode_request, Request, Response};
+    use crate::request::{decode_response, encode_request, Request, RequestKind, Response};
     use crate::server::{Service, ServiceConfig};
     use crate::simplify::{EnvSpec, SimplifyRequest};
     use crate::wire::{read_frame, write_frame, TcpClient};
@@ -909,21 +907,11 @@ mod tests {
     use std::time::Duration;
 
     fn lint_req(i: usize) -> Request {
-        Request::Lint(LintRequest {
-            name: format!("p{i}"),
-            program: "container xs vector\niter it = begin xs\nderef it\n".into(),
-        })
+        Request::Lint(LintRequest::sample(i))
     }
 
     fn simplify_req(i: usize) -> Request {
-        Request::Simplify(SimplifyRequest {
-            expr: Expr::bin(
-                BinOp::Mul,
-                Expr::var(format!("x{i}"), Type::Int),
-                Expr::int(1),
-            ),
-            env: EnvSpec::Standard,
-        })
+        Request::Simplify(SimplifyRequest::sample(i))
     }
 
     #[test]
@@ -1115,6 +1103,7 @@ mod tests {
             use std::os::fd::AsRawFd;
             const SO_RCVBUF: i32 = 8;
             let bytes: i32 = 4096;
+            // SAFETY: `optval` points at a live `i32` of `optlen` bytes, only read.
             let rc = unsafe {
                 sys::setsockopt(
                     stream.as_raw_fd(),

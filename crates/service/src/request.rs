@@ -15,27 +15,238 @@
 
 use crate::{introspect, lint, optimize, prove, select, simplify};
 use gp_core::json::{write_escaped, Json};
+use gp_telemetry::trace::TraceStore;
+use gp_telemetry::{Counter, Histogram, SpanName};
+use std::sync::OnceLock;
 
-/// One query against the library stack.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+/// A request kind: everything the server knows about one kind of query,
+/// in one place. Each kind module implements it for its request type and
+/// adds one row to the kind table below, which generates [`Request`] and
+/// the per-kind telemetry rows; the serving core and the router read
+/// every per-kind policy through it.
+pub trait RequestKind: Sized {
+    /// Wire name (the envelope's `"kind"`) and telemetry label.
+    const NAME: &'static str;
+    /// Compact code for flight-recorder payload words.
+    const CODE: u64;
+
+    /// Decode from the `req` object of a request envelope.
+    fn from_json(req: &Json) -> Result<Self, String>;
+
+    /// The `req` object in canonical field order.
+    fn to_json(&self) -> Json;
+
+    /// Run the backing engine.
+    fn handle(&self) -> Result<Json, String>;
+
+    /// Run a micro-batch of queued requests sharing one
+    /// [`batch_key`](RequestKind::batch_key): one result per request, in
+    /// order.
+    fn handle_batch(batch: &[&Self]) -> Vec<Result<Json, String>> {
+        batch.iter().map(|r| r.handle()).collect()
+    }
+
+    /// Admission policy. `Some` answers the request at admission from the
+    /// serving shard's trace store: never queued, never cached, and served
+    /// even while draining. `None` (the default) queues it.
+    fn answer_inline(&self, _traces: &TraceStore) -> Option<Result<Json, String>> {
+        None
+    }
+
+    /// Micro-batching key: queued requests of this kind with equal keys
+    /// run as one [`handle_batch`](RequestKind::handle_batch) call.
+    fn batch_key(&self) -> Option<u64> {
+        None
+    }
+
+    /// Where a shard router sends the request. By default batch-mates
+    /// share a shard, and everything else hashes its canonical form.
+    fn route(&self) -> Route {
+        self.batch_key().map_or(Route::Canonical, Route::Key)
+    }
+
+    /// A representative request for tests, distinct per `salt` where the
+    /// kind allows.
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self;
+}
+
+/// A request's routing policy across shards. Every key is a function of
+/// the canonical form, so the map from cache key to shard is
+/// deterministic and the shard caches partition the key space.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// Hash the canonical form (the cache key), spreading load uniformly.
+    Canonical,
+    /// Route by this key (a batching key, so batch-mates meet).
+    Key(u64),
+    /// The shard whose trace store holds this trace; the canonical hash
+    /// when no store does.
+    Trace(u64),
+}
+
+/// One row of the kind table: what the serving core records about a
+/// kind, resolved once per process instead of by name on every request.
+pub(crate) struct KindRow {
+    pub(crate) name: &'static str,
+    pub(crate) code: u64,
+    instruments: OnceLock<Instruments>,
+}
+
+/// A kind's spans and metrics.
+pub(crate) struct Instruments {
+    /// Span over the handler run (`service.<kind>`).
+    pub(crate) handler: SpanName,
+    /// Trace span over the engine stage (`engine.<kind>`).
+    pub(crate) engine: SpanName,
+    /// `service.req.<kind>`.
+    pub(crate) requests: &'static Counter,
+    /// `service.latency.<kind>.ns`.
+    pub(crate) latency: &'static Histogram,
+}
+
+impl KindRow {
+    const fn of<K: RequestKind>() -> KindRow {
+        KindRow {
+            name: K::NAME,
+            code: K::CODE,
+            instruments: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn instruments(&self) -> &Instruments {
+        self.instruments.get_or_init(|| {
+            // Span names are `&'static`; seven kinds leak fourteen short
+            // strings once per process.
+            let span = |prefix: &str| SpanName::new(format!("{prefix}.{}", self.name).leak());
+            Instruments {
+                handler: span("service"),
+                engine: span("engine"),
+                requests: gp_telemetry::counter(&format!("service.req.{}", self.name)),
+                latency: gp_telemetry::histogram(&format!("service.latency.{}.ns", self.name)),
+            }
+        })
+    }
+}
+
+/// Generates [`Request`], its per-kind dispatch and the [`KINDS`] rows
+/// from one list of `Variant(KindType)` rows.
+macro_rules! request_kinds {
+    ($($(#[$doc:meta])* $variant:ident($ty:ty),)+) => {
+        /// One query against the library stack.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Request {
+            $($(#[$doc])* $variant($ty),)+
+        }
+
+        /// Each kind's index into [`KINDS`].
+        #[derive(Clone, Copy)]
+        enum Slot {
+            $($variant,)+
+        }
+
+        /// The kind table's rows, in table order.
+        pub(crate) static KINDS: [KindRow; [$(Slot::$variant),+].len()] =
+            [$(KindRow::of::<$ty>(),)+];
+
+        impl Request {
+            /// This request's row of the kind table.
+            pub(crate) fn row(&self) -> &'static KindRow {
+                &KINDS[match self {
+                    $(Request::$variant(_) => Slot::$variant as usize,)+
+                }]
+            }
+
+            /// The `req` object in canonical field order.
+            pub fn to_json(&self) -> Json {
+                match self {
+                    $(Request::$variant(r) => r.to_json(),)+
+                }
+            }
+
+            /// Decode from `kind` + `req` object.
+            pub fn from_kind_json(kind: &str, req: &Json) -> Result<Request, String> {
+                $(if kind == <$ty as RequestKind>::NAME {
+                    return <$ty as RequestKind>::from_json(req).map(Request::$variant);
+                })+
+                Err(format!("unknown request kind {kind:?}"))
+            }
+
+            /// Dispatch to the backing handler (a batch of one for
+            /// `Simplify`; the serving core batches when it can).
+            pub fn handle(&self) -> Result<Json, String> {
+                match self {
+                    $(Request::$variant(r) => r.handle(),)+
+                }
+            }
+
+            /// Run a batch of requests of one kind sharing a batch key.
+            pub(crate) fn handle_batch(batch: &[&Request]) -> Vec<Result<Json, String>> {
+                match batch.first() {
+                    None => Vec::new(),
+                    $(Some(Request::$variant(_)) => <$ty as RequestKind>::handle_batch(
+                        &batch
+                            .iter()
+                            .map(|r| match r {
+                                Request::$variant(r) => r,
+                                _ => unreachable!("a batch holds one kind"),
+                            })
+                            .collect::<Vec<_>>(),
+                    ),)+
+                }
+            }
+
+            /// The admission-time answer of an inline kind; `None` queues.
+            pub(crate) fn answer_inline(
+                &self,
+                traces: &TraceStore,
+            ) -> Option<Result<Json, String>> {
+                match self {
+                    $(Request::$variant(r) => r.answer_inline(traces),)+
+                }
+            }
+
+            /// The micro-batching key, qualified by kind.
+            pub(crate) fn batch_key(&self) -> Option<(u64, u64)> {
+                match self {
+                    $(Request::$variant(r) => {
+                        r.batch_key().map(|k| (<$ty as RequestKind>::CODE, k))
+                    })+
+                }
+            }
+
+            /// The shard-routing policy.
+            pub(crate) fn route(&self) -> Route {
+                match self {
+                    $(Request::$variant(r) => r.route(),)+
+                }
+            }
+
+            /// One sample request per kind, in table order.
+            #[cfg(test)]
+            pub(crate) fn samples(salt: usize) -> Vec<Request> {
+                vec![$(Request::$variant(<$ty as RequestKind>::sample(salt)),)+]
+            }
+        }
+    };
+}
+
+// The kind table: adding a request kind is one module implementing
+// `RequestKind` plus one row here.
+request_kinds! {
     /// Lint a program (`gp-checker`).
     Lint(lint::LintRequest),
-    /// Simplify an expression under a concept environment (`gp-rewrite`,
-    /// directed engine — the fast path).
+    /// Simplify under a concept environment (`gp-rewrite`, directed engine).
     Simplify(simplify::SimplifyRequest),
-    /// Superoptimize an expression by equality saturation and cost-based
-    /// extraction (`gp-rewrite` e-graph mode).
+    /// Superoptimize by equality saturation (`gp-rewrite` e-graph).
     Optimize(optimize::OptimizeRequest),
     /// Check an instantiated theory (`gp-proofs`).
     Prove(prove::ProveRequest),
     /// Select a distributed algorithm (`gp-taxonomy`).
     Select(select::SelectRequest),
-    /// Export the telemetry registry with derived percentiles
-    /// (introspection; answered at admission, never queued or cached).
+    /// Export the telemetry registry (answered at admission).
     Stats(introspect::StatsRequest),
-    /// Fetch an assembled trace tree by id (introspection; answered at
-    /// admission from the shard trace stores).
+    /// Fetch an assembled trace tree by id (answered at admission).
     Trace(introspect::TraceQuery),
 }
 
@@ -61,42 +272,7 @@ pub enum Response {
 impl Request {
     /// The wire name of this request's kind (also its telemetry label).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Lint(_) => "lint",
-            Request::Simplify(_) => "simplify",
-            Request::Optimize(_) => "optimize",
-            Request::Prove(_) => "prove",
-            Request::Select(_) => "select",
-            Request::Stats(_) => "stats",
-            Request::Trace(_) => "trace",
-        }
-    }
-
-    /// The `req` object in canonical field order.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Lint(r) => r.to_json(),
-            Request::Simplify(r) => r.to_json(),
-            Request::Optimize(r) => r.to_json(),
-            Request::Prove(r) => r.to_json(),
-            Request::Select(r) => r.to_json(),
-            Request::Stats(r) => r.to_json(),
-            Request::Trace(r) => r.to_json(),
-        }
-    }
-
-    /// Decode from `kind` + `req` object.
-    pub fn from_kind_json(kind: &str, req: &Json) -> Result<Request, String> {
-        Ok(match kind {
-            "lint" => Request::Lint(lint::LintRequest::from_json(req)?),
-            "simplify" => Request::Simplify(simplify::SimplifyRequest::from_json(req)?),
-            "optimize" => Request::Optimize(optimize::OptimizeRequest::from_json(req)?),
-            "prove" => Request::Prove(prove::ProveRequest::from_json(req)?),
-            "select" => Request::Select(select::SelectRequest::from_json(req)?),
-            "stats" => Request::Stats(introspect::StatsRequest::from_json(req)?),
-            "trace" => Request::Trace(introspect::TraceQuery::from_json(req)?),
-            other => return Err(format!("unknown request kind {other:?}")),
-        })
+        self.row().name
     }
 
     /// Canonical form: kind + canonical payload rendering. Equal for
@@ -110,22 +286,36 @@ impl Request {
         body.write(&mut out);
         out
     }
+}
 
-    /// Dispatch to the backing handler (a batch of one for `Simplify`;
-    /// the serving core batches when it can).
-    pub fn handle(&self) -> Result<Json, String> {
-        match self {
-            Request::Lint(r) => lint::handle(r),
-            Request::Simplify(r) => simplify::handle(r),
-            Request::Optimize(r) => optimize::handle(r),
-            Request::Prove(r) => prove::handle(r),
-            Request::Select(r) => select::handle(r),
-            Request::Stats(r) => Ok(Json::Raw(introspect::stats_payload(&r.prefix))),
-            // Trace lookups need a serving shard's store; the serving
-            // core answers them at admission, so reaching this handler
-            // means the request was dispatched outside a service.
-            Request::Trace(_) => Err("trace lookup requires a running service".into()),
+/// A two-way table between an enum's values and their wire names, and
+/// the one lookup pair every such table uses.
+pub(crate) struct WireNames<T: 'static> {
+    /// What the names name, for the "unknown ..." error.
+    what: &'static str,
+    rows: &'static [(T, &'static str)],
+}
+
+impl<T: Copy + PartialEq> WireNames<T> {
+    pub(crate) const fn new(what: &'static str, rows: &'static [(T, &'static str)]) -> Self {
+        WireNames { what, rows }
+    }
+
+    /// The wire name of `value`.
+    pub(crate) fn name(&self, value: T) -> &'static str {
+        match self.rows.iter().find(|(v, _)| *v == value) {
+            Some((_, name)) => name,
+            None => unreachable!("every {} has a wire name", self.what),
         }
+    }
+
+    /// The value named `name`, or `unknown <what> "<name>"`.
+    pub(crate) fn parse(&self, name: &str) -> Result<T, String> {
+        self.rows
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|(v, _)| *v)
+            .ok_or_else(|| format!("unknown {} {name:?}", self.what))
     }
 }
 
@@ -250,114 +440,103 @@ pub fn decode_response(frame: &str) -> Result<(u64, Response), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplify::EnvSpec;
-    use gp_rewrite::{BinOp, Expr, Type};
+    use std::collections::HashSet;
 
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Lint(lint::LintRequest {
-                name: "p".into(),
-                program: "container xs vector\n".into(),
-            }),
-            Request::Simplify(simplify::SimplifyRequest {
-                expr: Expr::bin(BinOp::Add, Expr::var("x", Type::Int), Expr::int(0)),
-                env: EnvSpec::Standard,
-            }),
-            Request::Optimize(optimize::OptimizeRequest {
-                expr: Expr::bin(BinOp::Add, Expr::var("x", Type::Int), Expr::int(0)),
-                env: EnvSpec::Standard,
-                cost: optimize::CostSpec::Annotation,
-                max_nodes: Some(4096),
-                max_iters: Some(8),
-            }),
-            Request::Prove(prove::ProveRequest {
-                theory: "monoid".into(),
-                instance: "i".into(),
-                model: vec![("op".into(), "add".into())],
-            }),
-            Request::Select(
-                select::SelectRequest::from_json(
-                    &Json::parse(
-                        r#"{"problem":"broadcast","topology":"tree","timing":"asynchronous"}"#,
-                    )
-                    .unwrap(),
-                )
-                .unwrap(),
-            ),
-            Request::Stats(introspect::StatsRequest {
-                prefix: "service.".into(),
-            }),
-            Request::Trace(introspect::TraceQuery { id: 42 }),
-        ]
+    /// `req` framed with id 99 and trace 5, every object's fields
+    /// reversed: none of it may change the canonical form.
+    fn reshuffled(req: &Request) -> String {
+        fn reverse(j: Json) -> Json {
+            match j {
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .into_iter()
+                        .rev()
+                        .map(|(k, v)| (k, reverse(v)))
+                        .collect(),
+                ),
+                other => other,
+            }
+        }
+        reverse(Json::parse(&encode_request_traced(99, req, Some(5))).unwrap()).render()
     }
 
     #[test]
-    fn request_frames_round_trip_for_every_kind() {
-        for (i, req) in sample_requests().into_iter().enumerate() {
-            let frame = encode_request(i as u64 + 7, &req);
-            let (id, back) = decode_request(&frame).unwrap();
-            assert_eq!(id, i as u64 + 7);
-            assert_eq!(back, req, "round-trip for kind {}", req.kind());
-            assert_eq!(back.canonical(), req.canonical());
+    fn the_kind_table_is_unique_round_trips_and_names_every_instrument() {
+        let samples = Request::samples(0);
+        assert_eq!(samples.len(), KINDS.len(), "one sample per row");
+        let (mut names, mut codes) = (HashSet::new(), HashSet::new());
+        for (row, req) in KINDS.iter().zip(&samples) {
+            assert!(names.insert(row.name), "duplicate name {}", row.name);
+            assert!(codes.insert(row.code), "duplicate code {}", row.code);
+            assert!(std::ptr::eq(req.row(), row));
+            assert_eq!(req.kind(), row.name);
+
+            let frame = encode_request(7, req);
+            // Match the *field* form: the `trace` kind has `"kind":"trace"`.
+            assert!(!frame.contains("\"trace\":"), "untraced stays untraced");
+            let decoded = decode_request_traced(&frame).unwrap();
+            assert_eq!(decoded, (7, req.clone(), None), "tracing is opt-in");
+            let shuffled = reshuffled(req);
+            let (id, back, trace) = decode_request_traced(&shuffled).unwrap();
+            assert_eq!((id, trace), (99, Some(5)));
+            assert_eq!(&back, req, "field order is not meaning");
+            assert_eq!(back.canonical(), req.canonical(), "kind {}", row.name);
+            assert_eq!(decode_request(&shuffled).unwrap(), (99, back));
+            assert!(req.canonical().starts_with(&format!("{}:", row.name)));
+
+            let ins = row.instruments();
+            assert_eq!(ins.handler.name(), format!("service.{}", row.name));
+            assert_eq!(ins.engine.name(), format!("engine.{}", row.name));
+            let counter = gp_telemetry::counter(&format!("service.req.{}", row.name));
+            let latency = gp_telemetry::histogram(&format!("service.latency.{}.ns", row.name));
+            assert!(std::ptr::eq(ins.requests, counter));
+            assert!(std::ptr::eq(ins.latency, latency));
         }
     }
 
-    #[test]
-    fn trace_field_is_optional_invisible_to_canonical_and_ignored_by_old_decoders() {
-        for req in sample_requests() {
-            let plain = encode_request(5, &req);
-            let traced = encode_request_traced(5, &req, Some(777));
-            // Match the *field* form `"trace":` — the `trace` request
-            // kind legitimately puts the word in `"kind":"trace"`.
-            assert!(!plain.contains("\"trace\":"), "untraced stays untraced");
-            assert!(traced.contains("\"trace\":777"));
-            // The traced-aware decoder sees the id; the legacy decoder
-            // (and thus everything downstream of it) sees the identical
-            // request.
-            let (_, r1, t1) = decode_request_traced(&traced).unwrap();
-            assert_eq!(t1, Some(777));
-            let (_, r2) = decode_request(&traced).unwrap();
-            assert_eq!(r1, req);
-            assert_eq!(r2, req);
-            let (_, _, t0) = decode_request_traced(&plain).unwrap();
-            assert_eq!(t0, None, "tracing is strictly opt-in");
-            assert_eq!(
-                r1.canonical(),
-                req.canonical(),
-                "trace id never keys the cache"
-            );
+    /// Every row of `table` round-trips name → value → name, names and
+    /// values are unique, and an unknown name yields `unknown`.
+    fn check_names<T: Copy + PartialEq + std::fmt::Debug>(
+        table: &WireNames<T>,
+        len: usize,
+        unknown: &str,
+    ) {
+        assert_eq!(table.rows.len(), len, "one row per {}", table.what);
+        for (i, &(value, name)) in table.rows.iter().enumerate() {
+            assert_eq!(table.parse(name), Ok(value));
+            assert_eq!(table.name(value), name);
+            assert!(table.rows[..i]
+                .iter()
+                .all(|&(v, n)| v != value && n != name));
         }
+        assert_eq!(table.parse("x"), Err(unknown.to_string()));
     }
 
     #[test]
-    fn canonical_form_ignores_client_field_order_and_id() {
-        let a = decode_request(
-            r#"{"id":1,"kind":"lint","req":{"name":"p","program":"container xs vector\n"}}"#,
-        )
-        .unwrap()
-        .1;
-        let b = decode_request(
-            r#"{"kind":"lint","id":99,"req":{"program":"container xs vector\n","name":"p"}}"#,
-        )
-        .unwrap()
-        .1;
-        assert_eq!(a.canonical(), b.canonical());
+    fn every_wire_name_table_round_trips_and_keeps_its_error_text() {
+        use crate::optimize::COST_MODELS;
+        use crate::select::{FAULTS, PROBLEMS, PROCESS_MGMTS, SHARINGS, TIMINGS, TOPOLOGIES};
+        use crate::simplify::{BINOPS, CONCEPTS, TYPES, UNOPS};
+        check_names(&PROBLEMS, 6, r#"unknown problem "x""#);
+        check_names(&TOPOLOGIES, 8, r#"unknown topology "x""#);
+        check_names(&TIMINGS, 3, r#"unknown timing "x""#);
+        check_names(&FAULTS, 4, r#"unknown fault class "x""#);
+        check_names(&SHARINGS, 2, r#"unknown sharing "x""#);
+        check_names(&PROCESS_MGMTS, 2, r#"unknown process management "x""#);
+        check_names(&TYPES, 8, r#"unknown type "x""#);
+        check_names(&BINOPS, 8, r#"unknown binary operator "x""#);
+        check_names(&UNOPS, 3, r#"unknown unary operator "x""#);
+        check_names(&CONCEPTS, 5, r#"unknown concept "x""#);
+        check_names(&COST_MODELS, 2, r#"unknown cost model "x""#);
+        assert!(BINOPS.rows.iter().all(|&(op, name)| op.symbol() == name));
     }
 
     #[test]
     fn response_frames_round_trip_and_ok_payload_is_spliced_verbatim() {
-        let payload = Request::Select(
-            select::SelectRequest::from_json(
-                &Json::parse(
-                    r#"{"problem":"broadcast","topology":"tree","timing":"asynchronous"}"#,
-                )
-                .unwrap(),
-            )
-            .unwrap(),
-        )
-        .handle()
-        .unwrap()
-        .render();
+        let payload = Request::Select(select::SelectRequest::sample(0))
+            .handle()
+            .unwrap()
+            .render();
         let resp = Response::Ok {
             payload: payload.clone(),
         };
@@ -420,7 +599,7 @@ mod tests {
 
     #[test]
     fn ids_above_2_pow_53_round_trip_exactly() {
-        let req = sample_requests().remove(0);
+        let req = Request::samples(0).remove(0);
         for id in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
             let frame = encode_request_traced(id, &req, Some(id - 1));
             assert!(frame.contains(&format!("\"id\":{id}")), "{frame}");

@@ -7,6 +7,7 @@
 //! asymptotic message complexity, plus every applicable alternative so
 //! the client can second-guess the tie-break.
 
+use crate::request::{RequestKind, WireNames};
 use gp_core::json::Json;
 use gp_taxonomy::records::applicable;
 use gp_taxonomy::{
@@ -14,175 +15,149 @@ use gp_taxonomy::{
 };
 
 /// Select the best distributed algorithm for a deployment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SelectRequest {
     /// The deployment requirements.
     pub requirement: Requirement,
 }
 
-// `Requirement` derives no `PartialEq`; equality is canonical-JSON
-// equality, which is also what the response cache keys on.
-impl PartialEq for SelectRequest {
-    fn eq(&self, other: &Self) -> bool {
-        self.to_json().render() == other.to_json().render()
-    }
-}
+// --- dimension name tables (kebab-case) ---------------------------------
 
-// --- dimension name tables (kebab-case, both directions) ----------------
+pub(crate) const PROBLEMS: WireNames<Problem> = WireNames::new(
+    "problem",
+    &[
+        (Problem::LeaderElection, "leader-election"),
+        (Problem::Broadcast, "broadcast"),
+        (Problem::SpanningTree, "spanning-tree"),
+        (Problem::Consensus, "consensus"),
+        (Problem::MutualExclusion, "mutual-exclusion"),
+        (Problem::FailureDetection, "failure-detection"),
+    ],
+);
 
-fn problem_name(p: Problem) -> &'static str {
-    match p {
-        Problem::LeaderElection => "leader-election",
-        Problem::Broadcast => "broadcast",
-        Problem::SpanningTree => "spanning-tree",
-        Problem::Consensus => "consensus",
-        Problem::MutualExclusion => "mutual-exclusion",
-        Problem::FailureDetection => "failure-detection",
-    }
-}
+pub(crate) const TOPOLOGIES: WireNames<Topology> = WireNames::new(
+    "topology",
+    &[
+        (Topology::Arbitrary, "arbitrary"),
+        (Topology::Ring, "ring"),
+        (Topology::UniRing, "uni-ring"),
+        (Topology::BiRing, "bi-ring"),
+        (Topology::Complete, "complete"),
+        (Topology::Tree, "tree"),
+        (Topology::Star, "star"),
+        (Topology::Grid, "grid"),
+    ],
+);
 
-fn problem_from(s: &str) -> Result<Problem, String> {
-    Ok(match s {
-        "leader-election" => Problem::LeaderElection,
-        "broadcast" => Problem::Broadcast,
-        "spanning-tree" => Problem::SpanningTree,
-        "consensus" => Problem::Consensus,
-        "mutual-exclusion" => Problem::MutualExclusion,
-        "failure-detection" => Problem::FailureDetection,
-        other => return Err(format!("unknown problem {other:?}")),
-    })
-}
+pub(crate) const TIMINGS: WireNames<Timing> = WireNames::new(
+    "timing",
+    &[
+        (Timing::Asynchronous, "asynchronous"),
+        (Timing::PartiallySynchronous, "partially-synchronous"),
+        (Timing::Synchronous, "synchronous"),
+    ],
+);
 
-fn topology_name(t: Topology) -> &'static str {
-    match t {
-        Topology::Arbitrary => "arbitrary",
-        Topology::Ring => "ring",
-        Topology::UniRing => "uni-ring",
-        Topology::BiRing => "bi-ring",
-        Topology::Complete => "complete",
-        Topology::Tree => "tree",
-        Topology::Star => "star",
-        Topology::Grid => "grid",
-    }
-}
+pub(crate) const FAULTS: WireNames<Fault> = WireNames::new(
+    "fault class",
+    &[
+        (Fault::None, "none"),
+        (Fault::Crash, "crash"),
+        (Fault::Omission, "omission"),
+        (Fault::Byzantine, "byzantine"),
+    ],
+);
 
-fn topology_from(s: &str) -> Result<Topology, String> {
-    Ok(match s {
-        "arbitrary" => Topology::Arbitrary,
-        "ring" => Topology::Ring,
-        "uni-ring" => Topology::UniRing,
-        "bi-ring" => Topology::BiRing,
-        "complete" => Topology::Complete,
-        "tree" => Topology::Tree,
-        "star" => Topology::Star,
-        "grid" => Topology::Grid,
-        other => return Err(format!("unknown topology {other:?}")),
-    })
-}
+pub(crate) const SHARINGS: WireNames<Sharing> = WireNames::new(
+    "sharing",
+    &[
+        (Sharing::MessagePassing, "message-passing"),
+        (Sharing::SharedMemory, "shared-memory"),
+    ],
+);
 
-fn timing_name(t: Timing) -> &'static str {
-    match t {
-        Timing::Asynchronous => "asynchronous",
-        Timing::PartiallySynchronous => "partially-synchronous",
-        Timing::Synchronous => "synchronous",
-    }
-}
-
-fn timing_from(s: &str) -> Result<Timing, String> {
-    Ok(match s {
-        "asynchronous" => Timing::Asynchronous,
-        "partially-synchronous" => Timing::PartiallySynchronous,
-        "synchronous" => Timing::Synchronous,
-        other => return Err(format!("unknown timing {other:?}")),
-    })
-}
-
-fn fault_name(f: Fault) -> &'static str {
-    match f {
-        Fault::None => "none",
-        Fault::Crash => "crash",
-        Fault::Omission => "omission",
-        Fault::Byzantine => "byzantine",
-    }
-}
-
-fn fault_from(s: &str) -> Result<Fault, String> {
-    Ok(match s {
-        "none" => Fault::None,
-        "crash" => Fault::Crash,
-        "omission" => Fault::Omission,
-        "byzantine" => Fault::Byzantine,
-        other => return Err(format!("unknown fault class {other:?}")),
-    })
-}
-
-fn sharing_name(s: Sharing) -> &'static str {
-    match s {
-        Sharing::MessagePassing => "message-passing",
-        Sharing::SharedMemory => "shared-memory",
-    }
-}
-
-fn sharing_from(s: &str) -> Result<Sharing, String> {
-    Ok(match s {
-        "message-passing" => Sharing::MessagePassing,
-        "shared-memory" => Sharing::SharedMemory,
-        other => return Err(format!("unknown sharing {other:?}")),
-    })
-}
-
-fn process_mgmt_name(p: ProcessMgmt) -> &'static str {
-    match p {
-        ProcessMgmt::Static => "static",
-        ProcessMgmt::Dynamic => "dynamic",
-    }
-}
-
-fn process_mgmt_from(s: &str) -> Result<ProcessMgmt, String> {
-    Ok(match s {
-        "static" => ProcessMgmt::Static,
-        "dynamic" => ProcessMgmt::Dynamic,
-        other => return Err(format!("unknown process management {other:?}")),
-    })
-}
+pub(crate) const PROCESS_MGMTS: WireNames<ProcessMgmt> = WireNames::new(
+    "process management",
+    &[
+        (ProcessMgmt::Static, "static"),
+        (ProcessMgmt::Dynamic, "dynamic"),
+    ],
+);
 
 impl SelectRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
-        let r = &self.requirement;
-        Json::obj()
-            .field("problem", problem_name(r.problem))
-            .field("topology", topology_name(r.topology))
-            .field("timing", timing_name(r.network_timing))
-            .field("fault", fault_name(r.fault_needed))
-            .field("sharing", sharing_name(r.sharing))
-            .field("process-mgmt", process_mgmt_name(r.process_mgmt))
-    }
-
-    /// Decode from the `req` object of a request envelope. `problem`,
-    /// `topology`, and `timing` are required; the remaining dimensions
-    /// default as in [`Requirement::basic`].
+    /// Decode from the `req` object of a request envelope; the same as
+    /// [`RequestKind::from_json`], callable without the trait in scope.
     pub fn from_json(j: &Json) -> Result<Self, String> {
+        <Self as RequestKind>::from_json(j)
+    }
+}
+
+impl RequestKind for SelectRequest {
+    const NAME: &'static str = "select";
+    const CODE: u64 = 4;
+
+    /// `problem`, `topology`, and `timing` are required; the remaining
+    /// dimensions default as in [`Requirement::basic`].
+    fn from_json(j: &Json) -> Result<Self, String> {
         let required = |key: &str| {
             j.get(key)
                 .and_then(Json::as_str)
                 .ok_or(format!("select: missing string field '{key}'"))
         };
         let mut req = Requirement::basic(
-            problem_from(required("problem")?)?,
-            topology_from(required("topology")?)?,
-            timing_from(required("timing")?)?,
+            PROBLEMS.parse(required("problem")?)?,
+            TOPOLOGIES.parse(required("topology")?)?,
+            TIMINGS.parse(required("timing")?)?,
         );
         if let Some(s) = j.get("fault").and_then(Json::as_str) {
-            req.fault_needed = fault_from(s)?;
+            req.fault_needed = FAULTS.parse(s)?;
         }
         if let Some(s) = j.get("sharing").and_then(Json::as_str) {
-            req.sharing = sharing_from(s)?;
+            req.sharing = SHARINGS.parse(s)?;
         }
         if let Some(s) = j.get("process-mgmt").and_then(Json::as_str) {
-            req.process_mgmt = process_mgmt_from(s)?;
+            req.process_mgmt = PROCESS_MGMTS.parse(s)?;
         }
         Ok(SelectRequest { requirement: req })
+    }
+
+    fn to_json(&self) -> Json {
+        let r = &self.requirement;
+        Json::obj()
+            .field("problem", PROBLEMS.name(r.problem))
+            .field("topology", TOPOLOGIES.name(r.topology))
+            .field("timing", TIMINGS.name(r.network_timing))
+            .field("fault", FAULTS.name(r.fault_needed))
+            .field("sharing", SHARINGS.name(r.sharing))
+            .field("process-mgmt", PROCESS_MGMTS.name(r.process_mgmt))
+    }
+
+    /// Filter the catalog and pick the best applicable algorithm.
+    fn handle(&self) -> Result<Json, String> {
+        let algorithms = catalog();
+        let applicable_names: Vec<Json> = algorithms
+            .iter()
+            .filter(|a| applicable(a, &self.requirement))
+            .map(|a| Json::from(a.name))
+            .collect();
+        let selected = match select_best(&algorithms, &self.requirement) {
+            Some(alg) => algorithm_json(alg),
+            None => Json::Null,
+        };
+        Ok(Json::obj()
+            .field("selected", selected)
+            .field("applicable", applicable_names))
+    }
+
+    #[cfg(test)]
+    fn sample(_salt: usize) -> Self {
+        SelectRequest {
+            requirement: Requirement::basic(
+                Problem::Broadcast,
+                Topology::Tree,
+                Timing::Asynchronous,
+            ),
+        }
     }
 }
 
@@ -193,23 +168,6 @@ fn algorithm_json(alg: &gp_taxonomy::DistAlgorithm) -> Json {
         .field("messages", alg.messages.to_string())
         .field("time", alg.time.to_string())
         .field("local_computation", alg.local_computation.to_string())
-}
-
-/// Filter the catalog and pick the best applicable algorithm.
-pub fn handle(req: &SelectRequest) -> Result<Json, String> {
-    let algorithms = catalog();
-    let applicable_names: Vec<Json> = algorithms
-        .iter()
-        .filter(|a| applicable(a, &req.requirement))
-        .map(|a| Json::from(a.name))
-        .collect();
-    let selected = match select_best(&algorithms, &req.requirement) {
-        Some(alg) => algorithm_json(alg),
-        None => Json::Null,
-    };
-    Ok(Json::obj()
-        .field("selected", selected)
-        .field("applicable", applicable_names))
 }
 
 #[cfg(test)]
@@ -225,7 +183,7 @@ mod tests {
                 Timing::Asynchronous,
             ),
         };
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         let selected = payload.get("selected").unwrap();
         assert_ne!(
             selected,
@@ -245,7 +203,7 @@ mod tests {
             Timing::Asynchronous,
         );
         requirement.fault_needed = Fault::Byzantine;
-        let payload = handle(&SelectRequest { requirement }).unwrap();
+        let payload = SelectRequest { requirement }.handle().unwrap();
         assert_eq!(payload.get("selected"), Some(&Json::Null));
         assert_eq!(
             payload
@@ -257,59 +215,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_names_round_trip_for_every_dimension_value() {
-        for p in [
-            Problem::LeaderElection,
-            Problem::Broadcast,
-            Problem::SpanningTree,
-            Problem::Consensus,
-            Problem::MutualExclusion,
-            Problem::FailureDetection,
-        ] {
-            assert_eq!(problem_from(problem_name(p)).unwrap(), p);
-        }
-        for t in [
-            Topology::Arbitrary,
-            Topology::Ring,
-            Topology::UniRing,
-            Topology::BiRing,
-            Topology::Complete,
-            Topology::Tree,
-            Topology::Star,
-            Topology::Grid,
-        ] {
-            assert_eq!(topology_from(topology_name(t)).unwrap(), t);
-        }
-        for t in [
-            Timing::Asynchronous,
-            Timing::PartiallySynchronous,
-            Timing::Synchronous,
-        ] {
-            assert_eq!(timing_from(timing_name(t)).unwrap(), t);
-        }
-        for f in [Fault::None, Fault::Crash, Fault::Omission, Fault::Byzantine] {
-            assert_eq!(fault_from(fault_name(f)).unwrap(), f);
-        }
-        for s in [Sharing::MessagePassing, Sharing::SharedMemory] {
-            assert_eq!(sharing_from(sharing_name(s)).unwrap(), s);
-        }
-        for p in [ProcessMgmt::Static, ProcessMgmt::Dynamic] {
-            assert_eq!(process_mgmt_from(process_mgmt_name(p)).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn request_json_round_trips_with_defaults() {
+    fn missing_dimensions_default_as_in_requirement_basic() {
         let j = Json::parse(
             r#"{"problem":"spanning-tree","topology":"arbitrary","timing":"asynchronous"}"#,
         )
         .unwrap();
-        let req = SelectRequest::from_json(&j).unwrap();
-        let back = SelectRequest::from_json(&req.to_json()).unwrap();
-        assert_eq!(back, req);
-        assert_eq!(
-            req.to_json().get("fault").and_then(Json::as_str),
-            Some("none")
+        let basic = Requirement::basic(
+            Problem::SpanningTree,
+            Topology::Arbitrary,
+            Timing::Asynchronous,
         );
+        assert_eq!(SelectRequest::from_json(&j).unwrap().requirement, basic);
     }
 }

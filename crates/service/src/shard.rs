@@ -16,7 +16,11 @@
 //!   maps to exactly one shard (the environment is part of the
 //!   canonical form).
 //! - Every other kind routes by the hash of its **canonical form** (the
-//!   cache key), spreading load uniformly.
+//!   cache key), spreading load uniformly — except a `trace` query, which
+//!   goes to the shard whose store holds the trace.
+//!
+//! Each kind states its policy as a [`Route`]; the router has no
+//! per-kind code.
 //!
 //! Either way the map from canonical form to shard is deterministic, so
 //! the per-shard caches partition the key space with zero cross-shard
@@ -25,7 +29,7 @@
 //! shard caches holds each key at most once.
 
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{Request, Response};
+use crate::request::{Request, Response, Route};
 use crate::server::{Service, ServiceConfig, ServiceStats, Ticket};
 use gp_core::hash::hash_str;
 use gp_telemetry::trace::{TraceHandle, TraceStore};
@@ -156,39 +160,32 @@ struct RouterInner {
 }
 
 impl RouterInner {
-    /// The routing key: environment fingerprint for `Simplify` (batch
-    /// density), canonical-form hash otherwise. Both are functions of
-    /// the canonical form, so the cache partition is deterministic. A
-    /// canonical form rendered here is left in `canonical` for the shard
-    /// to key its cache with, so a request is rendered once.
-    fn routing_key(request: &Request, canonical: &mut Option<String>) -> u64 {
-        match request {
-            Request::Simplify(r) => r.env.fingerprint(),
-            // Optimize deliberately hash-routes on its canonical form
-            // (not the env fingerprint): e-graph runs don't micro-batch,
-            // so spreading them across shards beats cache-partition
-            // affinity with simplify traffic.
-            other => hash_str(canonical.get_or_insert_with(|| other.canonical())),
-        }
-    }
-
     /// Route among live shards only.
     fn route(&self, key: u64) -> usize {
         let alive = self.alive.load(Ordering::Acquire);
         self.ring.route_where(key, |s| alive & (1 << s) != 0)
     }
 
-    /// The shard that should answer `request`. A `trace` query routes to
-    /// the shard whose store holds the trace (any shard may have executed
-    /// it); everything else — including a trace id no store holds, which
-    /// the routed shard reports as not-found — hash-routes.
+    /// The shard that should answer `request`, by its kind's [`Route`].
+    /// Every key is a function of the canonical form, so the cache
+    /// partition is deterministic. A canonical form rendered here is left
+    /// in `canonical` for the shard to key its cache with, so a request
+    /// is rendered once.
     fn shard_for(&self, request: &Request, canonical: &mut Option<String>) -> usize {
-        if let Request::Trace(q) = request {
-            if let Some(shard) = self.trace_stores.iter().position(|s| s.get(q.id).is_some()) {
-                return shard;
+        let key = match request.route() {
+            Route::Key(key) => Some(key),
+            Route::Trace(id) => {
+                if let Some(shard) = self.trace_stores.iter().position(|s| s.contains(id)) {
+                    return shard;
+                }
+                // No store holds it: the routed shard reports not-found.
+                None
             }
-        }
-        self.route(Self::routing_key(request, canonical))
+            Route::Canonical => None,
+        };
+        self.route(
+            key.unwrap_or_else(|| hash_str(canonical.get_or_insert_with(|| request.canonical()))),
+        )
     }
 }
 
@@ -220,7 +217,7 @@ impl FailoverTarget for RouterInner {
 }
 
 impl SubmitRequest for RouterInner {
-    fn submit_canonical(
+    fn submit(
         &self,
         request: Request,
         mut canonical: Option<String>,
@@ -228,19 +225,13 @@ impl SubmitRequest for RouterInner {
         reply: ReplyFn,
     ) {
         let shard = self.shard_for(&request, &mut canonical);
-        match trace {
-            Some(h) => {
-                // The `router` span brackets the routing decision and the
-                // hand-off into the shard's admission path; the shard's
-                // spans parent under it.
-                let span = h.span(&ROUTER_SPAN);
-                let child = h.child_of(&span);
-                drop(h);
-                self.submitters[shard].submit_canonical(request, canonical, Some(child), reply);
-                span.finish();
-            }
-            None => self.submitters[shard].submit_canonical(request, canonical, None, reply),
-        }
+        // The `router` span brackets the routing decision and the
+        // hand-off into the shard's admission path; the shard's spans
+        // parent under it.
+        let span = trace.as_ref().map(|h| h.span(&ROUTER_SPAN));
+        let child = trace.zip(span.as_ref()).map(|(h, span)| h.child_of(span));
+        self.submitters[shard].submit(request, canonical, child, reply);
+        drop(span);
     }
 }
 
@@ -300,21 +291,7 @@ impl ShardRouter {
     /// Submit carrying a trace handle: the router opens a `router` span
     /// and the chosen shard's spans nest under it.
     pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
-        let mut canonical = None;
-        let shard = self.inner.shard_for(&request, &mut canonical);
-        let traced = trace.map(|h| {
-            let span = h.span(&ROUTER_SPAN);
-            let child = h.child_of(&span);
-            (child, span)
-        });
-        match traced {
-            Some((child, span)) => {
-                let ticket = self.services[shard].submit_canonical(request, canonical, Some(child));
-                span.finish();
-                ticket
-            }
-            None => self.services[shard].submit_canonical(request, canonical, None),
-        }
+        Ticket::submit(&*self.inner, request, trace)
     }
 
     /// Route, submit, and block for the answer.
@@ -398,19 +375,17 @@ impl Drop for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplify::{EnvSpec, SimplifyRequest};
+    use crate::prove::ProveRequest;
+    use crate::request::RequestKind;
+    use crate::simplify::SimplifyRequest;
     use gp_core::json::Json;
-    use gp_rewrite::{BinOp, Expr, Type};
 
     fn simplify_req(i: usize) -> Request {
-        Request::Simplify(SimplifyRequest {
-            expr: Expr::bin(
-                BinOp::Mul,
-                Expr::var(format!("x{i}"), Type::Int),
-                Expr::int(1),
-            ),
-            env: EnvSpec::Standard,
-        })
+        Request::Simplify(SimplifyRequest::sample(i))
+    }
+
+    fn prove_req(i: usize) -> Request {
+        Request::Prove(ProveRequest::sample(i))
     }
 
     #[test]
@@ -499,15 +474,7 @@ mod tests {
         });
         // A mixed stream: each distinct request repeats; the repeat must
         // hit the same shard's cache.
-        let reqs: Vec<Request> = (0..6)
-            .map(|i| {
-                Request::Prove(crate::prove::ProveRequest {
-                    theory: "monoid".into(),
-                    instance: format!("i{i}"),
-                    model: vec![("op".into(), format!("op{i}"))],
-                })
-            })
-            .collect();
+        let reqs: Vec<Request> = (0..6).map(prove_req).collect();
         let mut first = Vec::new();
         for r in &reqs {
             match router.call(r.clone()) {
@@ -531,14 +498,6 @@ mod tests {
         for s in &stats {
             assert_eq!(s.in_flight(), 0, "each shard drained: {s:?}");
         }
-    }
-
-    fn prove_req(i: usize) -> Request {
-        Request::Prove(crate::prove::ProveRequest {
-            theory: "monoid".into(),
-            instance: format!("i{i}"),
-            model: vec![("op".into(), format!("op{i}"))],
-        })
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! workloads, and the same bound every JSON consumer of the bench
 //! artifacts already lives with.
 
+use crate::request::{RequestKind, WireNames};
 use gp_core::json::Json;
 use gp_core::numeric::Rational;
 use gp_rewrite::env::AlgConcept;
@@ -57,84 +58,54 @@ pub struct EnvDecl {
 
 // --- name tables -------------------------------------------------------
 
-fn type_name(t: Type) -> &'static str {
-    match t {
-        Type::Int => "int",
-        Type::UInt => "uint",
-        Type::Float => "float",
-        Type::Bool => "bool",
-        Type::Str => "str",
-        Type::Rational => "rational",
-        Type::Matrix => "matrix",
-        Type::BigFloat => "bigfloat",
-    }
-}
+pub(crate) const TYPES: WireNames<Type> = WireNames::new(
+    "type",
+    &[
+        (Type::Int, "int"),
+        (Type::UInt, "uint"),
+        (Type::Float, "float"),
+        (Type::Bool, "bool"),
+        (Type::Str, "str"),
+        (Type::Rational, "rational"),
+        (Type::Matrix, "matrix"),
+        (Type::BigFloat, "bigfloat"),
+    ],
+);
 
-fn type_from(s: &str) -> Result<Type, String> {
-    Ok(match s {
-        "int" => Type::Int,
-        "uint" => Type::UInt,
-        "float" => Type::Float,
-        "bool" => Type::Bool,
-        "str" => Type::Str,
-        "rational" => Type::Rational,
-        "matrix" => Type::Matrix,
-        "bigfloat" => Type::BigFloat,
-        other => return Err(format!("unknown type {other:?}")),
-    })
-}
+/// Binary operators by their [`BinOp::symbol`].
+pub(crate) const BINOPS: WireNames<BinOp> = WireNames::new(
+    "binary operator",
+    &[
+        (BinOp::Add, "+"),
+        (BinOp::Sub, "-"),
+        (BinOp::Mul, "*"),
+        (BinOp::Div, "/"),
+        (BinOp::And, "&&"),
+        (BinOp::Or, "||"),
+        (BinOp::BitAnd, "&"),
+        (BinOp::Concat, "++"),
+    ],
+);
 
-fn binop_from(s: &str) -> Result<BinOp, String> {
-    Ok(match s {
-        "+" => BinOp::Add,
-        "-" => BinOp::Sub,
-        "*" => BinOp::Mul,
-        "/" => BinOp::Div,
-        "&&" => BinOp::And,
-        "||" => BinOp::Or,
-        "&" => BinOp::BitAnd,
-        "++" => BinOp::Concat,
-        other => return Err(format!("unknown binary operator {other:?}")),
-    })
-}
+pub(crate) const UNOPS: WireNames<UnOp> = WireNames::new(
+    "unary operator",
+    &[
+        (UnOp::Neg, "neg"),
+        (UnOp::Recip, "recip"),
+        (UnOp::Not, "not"),
+    ],
+);
 
-fn unop_name(u: UnOp) -> &'static str {
-    match u {
-        UnOp::Neg => "neg",
-        UnOp::Recip => "recip",
-        UnOp::Not => "not",
-    }
-}
-
-fn unop_from(s: &str) -> Result<UnOp, String> {
-    Ok(match s {
-        "neg" => UnOp::Neg,
-        "recip" => UnOp::Recip,
-        "not" => UnOp::Not,
-        other => return Err(format!("unknown unary operator {other:?}")),
-    })
-}
-
-fn concept_name(c: AlgConcept) -> &'static str {
-    match c {
-        AlgConcept::Semigroup => "semigroup",
-        AlgConcept::Monoid => "monoid",
-        AlgConcept::Group => "group",
-        AlgConcept::Commutative => "commutative",
-        AlgConcept::Idempotent => "idempotent",
-    }
-}
-
-fn concept_from(s: &str) -> Result<AlgConcept, String> {
-    Ok(match s {
-        "semigroup" => AlgConcept::Semigroup,
-        "monoid" => AlgConcept::Monoid,
-        "group" => AlgConcept::Group,
-        "commutative" => AlgConcept::Commutative,
-        "idempotent" => AlgConcept::Idempotent,
-        other => return Err(format!("unknown concept {other:?}")),
-    })
-}
+pub(crate) const CONCEPTS: WireNames<AlgConcept> = WireNames::new(
+    "concept",
+    &[
+        (AlgConcept::Semigroup, "semigroup"),
+        (AlgConcept::Monoid, "monoid"),
+        (AlgConcept::Group, "group"),
+        (AlgConcept::Commutative, "commutative"),
+        (AlgConcept::Idempotent, "idempotent"),
+    ],
+);
 
 // --- value / expression codec ------------------------------------------
 
@@ -196,16 +167,16 @@ pub fn expr_to_json(e: &Expr) -> Json {
         Expr::Lit(v) => Json::obj().field("lit", value_to_json(v)),
         Expr::Var(name, ty) => Json::obj().field(
             "var",
-            Json::Arr(vec![Json::Str(name.clone()), Json::from(type_name(*ty))]),
+            Json::Arr(vec![Json::Str(name.clone()), Json::from(TYPES.name(*ty))]),
         ),
         Expr::Unary(op, x) => Json::obj().field(
             "un",
-            Json::Arr(vec![Json::from(unop_name(*op)), expr_to_json(x)]),
+            Json::Arr(vec![Json::from(UNOPS.name(*op)), expr_to_json(x)]),
         ),
         Expr::Binary(op, l, r) => Json::obj().field(
             "bin",
             Json::Arr(vec![
-                Json::from(op.symbol()),
+                Json::from(BINOPS.name(*op)),
                 expr_to_json(l),
                 expr_to_json(r),
             ]),
@@ -214,7 +185,7 @@ pub fn expr_to_json(e: &Expr) -> Json {
             "call",
             Json::Arr(vec![
                 Json::Str(name.clone()),
-                Json::from(type_name(*ty)),
+                Json::from(TYPES.name(*ty)),
                 Json::Arr(args.iter().map(expr_to_json).collect()),
             ]),
         ),
@@ -228,20 +199,20 @@ pub fn expr_from_json(j: &Json) -> Result<Expr, String> {
     }
     if let Some(parts) = j.get("var").and_then(Json::as_arr) {
         if let [Json::Str(name), Json::Str(ty)] = parts {
-            return Ok(Expr::Var(name.clone(), type_from(ty)?));
+            return Ok(Expr::Var(name.clone(), TYPES.parse(ty)?));
         }
         return Err("var expects [name, type]".into());
     }
     if let Some(parts) = j.get("un").and_then(Json::as_arr) {
         if let [Json::Str(op), x] = parts {
-            return Ok(Expr::Unary(unop_from(op)?, Box::new(expr_from_json(x)?)));
+            return Ok(Expr::Unary(UNOPS.parse(op)?, Box::new(expr_from_json(x)?)));
         }
         return Err("un expects [op, expr]".into());
     }
     if let Some(parts) = j.get("bin").and_then(Json::as_arr) {
         if let [Json::Str(op), l, r] = parts {
             return Ok(Expr::Binary(
-                binop_from(op)?,
+                BINOPS.parse(op)?,
                 Box::new(expr_from_json(l)?),
                 Box::new(expr_from_json(r)?),
             ));
@@ -254,7 +225,7 @@ pub fn expr_from_json(j: &Json) -> Result<Expr, String> {
                 .iter()
                 .map(expr_from_json)
                 .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Expr::Call(name.clone(), type_from(ty)?, args));
+            return Ok(Expr::Call(name.clone(), TYPES.parse(ty)?, args));
         }
         return Err("call expects [name, type, [args]]".into());
     }
@@ -266,14 +237,14 @@ pub fn expr_from_json(j: &Json) -> Result<Expr, String> {
 impl EnvDecl {
     fn to_json(&self) -> Json {
         let mut j = Json::obj()
-            .field("ty", type_name(self.ty))
-            .field("op", self.op.symbol())
+            .field("ty", TYPES.name(self.ty))
+            .field("op", BINOPS.name(self.op))
             .field(
                 "concepts",
                 Json::Arr(
                     self.concepts
                         .iter()
-                        .map(|c| Json::from(concept_name(*c)))
+                        .map(|c| Json::from(CONCEPTS.name(*c)))
                         .collect(),
                 ),
             );
@@ -284,18 +255,18 @@ impl EnvDecl {
             j = j.field("annihilator", value_to_json(v));
         }
         if let Some(u) = self.inverse {
-            j = j.field("inverse", unop_name(u));
+            j = j.field("inverse", UNOPS.name(u));
         }
         j
     }
 
     fn from_json(j: &Json) -> Result<Self, String> {
-        let ty = type_from(
+        let ty = TYPES.parse(
             j.get("ty")
                 .and_then(Json::as_str)
                 .ok_or("declaration missing 'ty'")?,
         )?;
-        let op = binop_from(
+        let op = BINOPS.parse(
             j.get("op")
                 .and_then(Json::as_str)
                 .ok_or("declaration missing 'op'")?,
@@ -305,13 +276,13 @@ impl EnvDecl {
             .and_then(Json::as_arr)
             .ok_or("declaration missing 'concepts' array")?
             .iter()
-            .map(|c| concept_from(c.as_str().ok_or("concept must be a string")?))
+            .map(|c| CONCEPTS.parse(c.as_str().ok_or("concept must be a string")?))
             .collect::<Result<Vec<_>, String>>()?;
         let identity = j.get("identity").map(value_from_json).transpose()?;
         let annihilator = j.get("annihilator").map(value_from_json).transpose()?;
         let inverse = j
             .get("inverse")
-            .map(|u| unop_from(u.as_str().ok_or("inverse must be a string")?))
+            .map(|u| UNOPS.parse(u.as_str().ok_or("inverse must be a string")?))
             .transpose()?;
         Ok(EnvDecl {
             ty,
@@ -386,17 +357,12 @@ impl EnvSpec {
     }
 }
 
-impl SimplifyRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("expr", expr_to_json(&self.expr))
-            .field("env", self.env.to_json())
-    }
+impl RequestKind for SimplifyRequest {
+    const NAME: &'static str = "simplify";
+    const CODE: u64 = 2;
 
-    /// Decode from the `req` object of a request envelope. A missing
-    /// `env` defaults to the standard environment.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
+    /// A missing `env` defaults to the standard environment.
+    fn from_json(j: &Json) -> Result<Self, String> {
         let expr = expr_from_json(j.get("expr").ok_or("simplify: missing 'expr'")?)?;
         let env = match j.get("env") {
             None => EnvSpec::Standard,
@@ -404,11 +370,39 @@ impl SimplifyRequest {
         };
         Ok(SimplifyRequest { expr, env })
     }
-}
 
-/// Simplify one request (a batch of one).
-pub fn handle(req: &SimplifyRequest) -> Result<Json, String> {
-    handle_batch(std::slice::from_ref(req)).pop().unwrap()
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .field("expr", expr_to_json(&self.expr))
+            .field("env", self.env.to_json())
+    }
+
+    fn handle(&self) -> Result<Json, String> {
+        handle_batch(&[self]).pop().unwrap()
+    }
+
+    fn handle_batch(batch: &[&Self]) -> Vec<Result<Json, String>> {
+        handle_batch(batch)
+    }
+
+    /// The environment fingerprint: requests sharing it share one
+    /// `Simplifier` build, and a router sends them to one shard so the
+    /// batcher sees dense same-environment runs.
+    fn batch_key(&self) -> Option<u64> {
+        Some(self.env.fingerprint())
+    }
+
+    #[cfg(test)]
+    fn sample(salt: usize) -> Self {
+        SimplifyRequest {
+            expr: Expr::bin(
+                BinOp::Mul,
+                Expr::var(format!("x{salt}"), Type::Int),
+                Expr::int(1),
+            ),
+            env: EnvSpec::Standard,
+        }
+    }
 }
 
 /// Batch size at which simplification fans out to the `gp-parallel`
@@ -426,7 +420,7 @@ const PARALLEL_BATCH_THRESHOLD: usize = 8;
 /// reset per entry, keeping each result and its stats byte-identical to a
 /// solo call — the response cache depends on that). Large batches fan out
 /// to the `gp-parallel` pool, one independent session per entry.
-pub fn handle_batch(reqs: &[SimplifyRequest]) -> Vec<Result<Json, String>> {
+pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
     let Some(first) = reqs.first() else {
         return Vec::new();
     };
@@ -508,7 +502,7 @@ mod tests {
             expr: x_times_one_plus_y_minus_y(),
             env: EnvSpec::Standard,
         };
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         assert_eq!(payload.get("display").and_then(Json::as_str), Some("x"));
     }
 
@@ -536,7 +530,7 @@ mod tests {
         let decoded =
             SimplifyRequest::from_json(&Json::parse(&req.to_json().render()).unwrap()).unwrap();
         assert_eq!(decoded, req);
-        let payload = handle(&req).unwrap();
+        let payload = req.handle().unwrap();
         assert_eq!(payload.get("display").and_then(Json::as_str), Some("m"));
     }
 
@@ -570,9 +564,9 @@ mod tests {
                 env: EnvSpec::Standard,
             })
             .collect();
-        let batched = handle_batch(&reqs);
+        let batched = handle_batch(&reqs.iter().collect::<Vec<_>>());
         for (req, b) in reqs.iter().zip(&batched) {
-            let solo = handle(req).unwrap();
+            let solo = req.handle().unwrap();
             assert_eq!(b.as_ref().unwrap().render(), solo.render());
         }
     }
@@ -595,10 +589,10 @@ mod tests {
                 env: EnvSpec::Standard,
             })
             .collect();
-        let batched = handle_batch(&reqs);
+        let batched = handle_batch(&reqs.iter().collect::<Vec<_>>());
         assert_eq!(batched.len(), reqs.len());
         for (req, b) in reqs.iter().zip(&batched) {
-            let solo = handle(req).unwrap();
+            let solo = req.handle().unwrap();
             assert_eq!(b.as_ref().unwrap().render(), solo.render());
         }
     }

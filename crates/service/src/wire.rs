@@ -144,6 +144,7 @@ impl TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RequestKind;
 
     #[test]
     fn reexported_codec_round_trips() {
@@ -185,10 +186,7 @@ mod tests {
         });
 
         let mut client = TcpClient::connect_with_timeout(addr, Duration::from_millis(200)).unwrap();
-        let req = Request::Lint(LintRequest {
-            name: "p".into(),
-            program: "container xs vector\n".into(),
-        });
+        let req = Request::Lint(LintRequest::sample(0));
         let started = Instant::now();
         let err = client.call(&req).expect_err("must not hang");
         assert!(

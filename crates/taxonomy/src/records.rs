@@ -201,7 +201,7 @@ pub fn catalog() -> Vec<DistAlgorithm> {
 }
 
 /// A deployment's requirements — what the system designer knows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Requirement {
     /// Problem to solve.
     pub problem: Problem,

@@ -39,6 +39,11 @@ impl SpanName {
         }
     }
 
+    /// The span's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
     fn metrics(&self) -> (&'static Histogram, &'static Counter) {
         *self.metrics.get_or_init(|| {
             (

@@ -329,6 +329,16 @@ impl TraceStore {
             .cloned()
     }
 
+    /// Whether the completed trace `id` is (still) stored; unlike
+    /// [`get`](Self::get), copies no spans.
+    pub fn contains(&self, id: u64) -> bool {
+        self.inner
+            .lock()
+            .expect("trace store lock")
+            .traces
+            .contains_key(&id)
+    }
+
     /// Completed traces currently stored.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("trace store lock").traces.len()
@@ -475,6 +485,25 @@ mod tests {
         assert!(store.get(1).is_none());
         assert!(store.get(2).is_some());
         assert!(store.get(3).is_some());
+    }
+
+    #[test]
+    fn contains_agrees_with_get_across_publish_and_eviction() {
+        let store = TraceStore::new(2);
+        assert!(!store.contains(0), "empty store");
+        for id in 0..3u64 {
+            let ctx = TraceContext::new(id);
+            ctx.set_sink(&store);
+            let span = ctx.span(&S, None);
+            drop(ctx);
+            assert!(!store.contains(id), "a live span holds the trace open");
+            drop(span);
+            assert!(store.contains(id), "published on the last clone");
+        }
+        for id in 0..4u64 {
+            assert_eq!(store.contains(id), store.get(id).is_some(), "id {id}");
+        }
+        assert!(!store.contains(0), "oldest evicted");
     }
 
     #[test]
