@@ -1,14 +1,15 @@
 //! E18: the interprocedural checker — SCC-parallel summary fixpoint with
 //! the incremental semantic cache.
 //!
-//! Four claims, each measured on synthetic call graphs (deep chains,
+//! Five claims, each measured on synthetic call graphs (deep chains,
 //! wide fan-outs, recursive SCC groups — up to 10^5 functions in full
 //! mode):
 //!
 //! * **Incremental wins.** After a one-function edit, re-analysis
 //!   against the warmed [`gp_checker::SummaryCache`] touches only the
-//!   edited function and its transitive callers (summaries are keyed by
-//!   transitive content hash) — everything else is a cache hit.
+//!   edited function and the callers whose callees' summaries changed
+//!   (summaries are keyed by content and callee summary values) —
+//!   everything else is a cache hit.
 //! * **Parallel is invisible.** SCC batches at equal condensation
 //!   height run on the gp-parallel pool; diagnostics are asserted
 //!   bit-equal to the sequential run. Speedup is reported honestly
@@ -20,6 +21,12 @@
 //!   sharing a helper function hit the same summaries — the semantic
 //!   layer above the byte-level response cache — without changing a
 //!   byte of the responses.
+//! * **Lint in O(edit).** On the serving benchmark's `lint-edits` shape
+//!   (200 functions, one leaf edited per request), a warm request takes
+//!   every unchanged function block from the parser's block table and
+//!   reuses the cached instance graph; its parse and analysis times are
+//!   reported against a cold request on the same program, and its
+//!   diagnostics are checked against the cold oracle.
 //!
 //! Emits `results/BENCH_checker_ip.json`; `--smoke` shrinks sizes for CI.
 
@@ -186,6 +193,43 @@ fn recursive(groups: usize) -> Program {
     Program::with_functions("recursive", main, fns)
 }
 
+/// The shape of the serving benchmark's `lint-edits` program: 20
+/// callers of 9 leaves each (four leaf bodies in rotation) and a `main`
+/// calling every caller. `edit = Some((leaf, tok))` appends two
+/// statements naming `e{tok}` to that leaf.
+fn lint_edits_source(edit: Option<(usize, usize)>) -> String {
+    const LEAVES: [&str; 4] = [
+        "    iter it = begin A\n    push_back B\n    deref it\n    advance it\n",
+        "    iter it = begin A\n    push_back A\n    deref it\n    advance it\n",
+        "    call sort A\n    call find A -> it\n    push_back B\n    clear B\n",
+        "    container t vector\n    push_back t\n    iter i = begin t\n    \
+         while i != end {\n        deref i\n        advance i\n    }\n",
+    ];
+    let mut src = String::new();
+    let mut main = String::from("container V vector\ncontainer W list\n");
+    for m in 0..20 {
+        let mut mid = format!("fn mid_{m:02}(A, B) {{\n    push_back B\n");
+        for l in 0..9 {
+            let name = format!("leaf_{m:02}_{l}");
+            mid.push_str(&format!("    invoke {name}(A, B)\n"));
+            let extra = match edit {
+                Some((leaf, tok)) if leaf == m * 9 + l => {
+                    format!("    container e{tok} vector\n    push_back e{tok}\n")
+                }
+                _ => String::new(),
+            };
+            src.push_str(&format!(
+                "fn {name}(A, B) {{\n{}{extra}}}\n",
+                LEAVES[(m + l) % 4]
+            ));
+        }
+        mid.push_str("}\n");
+        src.push_str(&mid);
+        main.push_str(&format!("invoke mid_{m:02}(V, W)\n"));
+    }
+    src + &main
+}
+
 fn counter(name: &str) -> u64 {
     gp_telemetry::counter(name).get()
 }
@@ -262,7 +306,7 @@ fn main() {
     banner(
         "E18b",
         "Incremental re-analysis after a one-function edit",
-        "summaries keyed by transitive content hash",
+        "summaries keyed by content and callee summary values",
     );
     let t = Table::new(&[
         ("run", 22),
@@ -306,8 +350,9 @@ fn main() {
         format!("{:.1}x", cold_ms / warm_ms),
     ]);
 
-    // Edit one leaf: only that leaf and main (whose key transitively
-    // includes every callee's) should recompute. The host's run-to-run
+    // Edit one leaf: only that leaf should recompute, and `main` (whose
+    // key reads every callee's summary value) only if the edit changed
+    // the leaf's summary; this one grows a local. The host's run-to-run
     // noise swamps a single sub-second measurement, so run three trials
     // — a *different* leaf each time, so every trial really is a
     // one-edit re-analysis against a warm cache — and keep the fastest.
@@ -487,6 +532,117 @@ fn main() {
         .field("service_cross_request_hits", cross_hits as f64)
         .field("service_cross_request_hit", cross_hits > 0)
         .field("service_identical", identical);
+
+    // --- E18f: lint in O(edit) -----------------------------------------
+    banner(
+        "E18f",
+        "Per-request lint: cold against a warm one-leaf edit",
+        "parsed-block table + reused instance graph",
+    );
+    let par_cfg = CheckConfig {
+        parallel: true,
+        ..CheckConfig::default()
+    };
+    // One request: parse through the process-wide block table, analyze
+    // against `cache`; returns the diagnostics and the two times in
+    // microseconds.
+    let lint = |cache: &SummaryCache, src: &str| {
+        let t0 = Instant::now();
+        let p = gp_checker::parse::parse("edits", src).expect("parses");
+        let t1 = Instant::now();
+        let d = analyze_program_with_cache(&p, &par_cfg, cache).expect("converges");
+        let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
+        (d, us(t1 - t0), us(t0.elapsed()) - us(t1 - t0))
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let base = lint_edits_source(None);
+    let (mut cold_parse, mut cold_analyze) = (Vec::new(), Vec::new());
+    for run in 0..if smoke { 30 } else { 300 } {
+        // Nothing cached: every function is renamed afresh, so each block
+        // is a first sighting and parses, and the summary cache is new.
+        let fresh = base
+            .replace("leaf_", &format!("leaf{run}_"))
+            .replace("mid_", &format!("mid{run}_"));
+        let (_, p, a) = lint(&SummaryCache::new(1 << 18), &fresh);
+        cold_parse.push(p);
+        cold_analyze.push(a);
+    }
+    let cache = SummaryCache::new(1 << 18);
+    // The base is seen twice (its blocks are admitted on the second
+    // sighting) and its summaries and graph are cached.
+    lint(&cache, &base);
+    lint(&cache, &base);
+    let reps = if smoke { 300 } else { 3000 };
+    let srcs: Vec<String> = (0..reps)
+        .map(|i| lint_edits_source(Some(((i * 7919) % 180, i))))
+        .collect();
+    let names = [
+        "checker.block.hit",
+        "checker.block.miss",
+        "checker.graph.hit",
+        "checker.graph.miss",
+    ];
+    let before: Vec<u64> = names.iter().map(|n| counter(n)).collect();
+    let (mut warm_parse, mut warm_analyze) = (Vec::new(), Vec::new());
+    let mut identical = true;
+    for (i, src) in srcs.iter().enumerate() {
+        let (d, p, a) = lint(&cache, src);
+        warm_parse.push(p);
+        warm_analyze.push(a);
+        if i % 50 == 0 {
+            let cold = gp_bench::oracle::parse_seed("edits", src).expect("parses");
+            identical &= d == analyze_program(&cold, &par_cfg).expect("converges");
+        }
+    }
+    let d: Vec<u64> = names
+        .iter()
+        .zip(&before)
+        .map(|(n, b)| counter(n) - b)
+        .collect();
+    assert!(identical, "a warm lint diverged from the cold oracle");
+    let (cp, ca) = (median(cold_parse), median(cold_analyze));
+    let (wp, wa) = (median(warm_parse), median(warm_analyze));
+    let speedup = (cp + ca) / (wp + wa);
+    let block_hit_ratio = d[0] as f64 / (d[0] + d[1]).max(1) as f64;
+    let t = Table::new(&[
+        ("request", 22),
+        ("parse µs", 10),
+        ("analyze µs", 11),
+        ("total µs", 10),
+    ]);
+    t.row(&[
+        "cold".into(),
+        format!("{cp:.1}"),
+        format!("{ca:.1}"),
+        format!("{:.1}", cp + ca),
+    ]);
+    t.row(&[
+        "warm one-leaf edit".into(),
+        format!("{wp:.1}"),
+        format!("{wa:.1}"),
+        format!("{:.1}", wp + wa),
+    ]);
+    println!(
+        "\n  {reps} edits: {speedup:.1}x faster than cold; block hits {:.1}%, graph hits {} of {}",
+        100.0 * block_hit_ratio,
+        d[2],
+        d[2] + d[3]
+    );
+    report = report
+        .field("lint_cold_parse_us", cp)
+        .field("lint_cold_analyze_us", ca)
+        .field("lint_warm_parse_us", wp)
+        .field("lint_warm_analyze_us", wa)
+        .field("lint_speedup", speedup)
+        .field("lint_block_hit_ratio", block_hit_ratio)
+        .field("lint_graph_hits", d[2] as f64)
+        .field("lint_graph_misses", d[3] as f64)
+        .field("lint_identical", identical)
+        .field("lint_warm_parse_target_100us", wp <= 100.0)
+        .field("lint_speedup_target_2_5x", speedup >= 2.5);
 
     let path = write_results("BENCH_checker_ip.json", &report);
     println!("\n  wrote {}", path.display());

@@ -6,6 +6,10 @@
 //!   once per function definition (its owned name), once per statement
 //!   block, plus a small constant for the parser's own tables. The seed
 //!   parser allocated per token and per line, several thousand times.
+//! * Parsing it again after one leaf was edited, once its blocks have
+//!   been seen twice, allocates only for what is parsed afresh (`main`
+//!   and the edited function); every other definition comes shared from
+//!   the parser's block table.
 //! * Resolving an instrument that is already registered allocates
 //!   nothing.
 
@@ -163,6 +167,47 @@ fn parsing_allocates_per_name_and_block_not_per_token() {
         "{allocs} allocations; budget {budget} = {names} names + {} definitions + \
          {blocks} blocks + 64",
         program.functions.len()
+    );
+}
+
+#[test]
+fn a_warm_parse_allocates_for_the_fresh_text_only() {
+    // Names of its own: the cold-parse test above must see its program
+    // for the first time, and the block table is process-wide.
+    let base = lint_edits_program()
+        .replace("leaf_", "wleaf_")
+        .replace("mid_", "wmid_");
+    // A block is admitted on its second sighting. Three parses admit
+    // every block even if another test's blocks overwrite some of the
+    // sightings recorded by the first.
+    for _ in 0..3 {
+        gp_checker::parse::parse("edits", &base).expect("parses");
+    }
+    let header = "fn wleaf_07_3(A, B) {\n";
+    let at = base.find(header).expect("leaf present") + header.len();
+    let mut edited = base.clone();
+    edited.insert_str(at, "    container e1 vector\n    push_back e1\n");
+    let (program, allocs) = count(|| gp_checker::parse::parse("edits", &edited));
+    let program = program.expect("parses");
+    assert_eq!(program.functions.len(), 200);
+    // What was parsed afresh: `main` and the edited function.
+    let fresh = Program::with_functions(
+        "fresh",
+        program.stmts.clone(),
+        program
+            .functions
+            .iter()
+            .filter(|f| f.name == "wleaf_07_3")
+            .cloned()
+            .collect::<Vec<_>>(),
+    );
+    let (names, blocks) = names_and_blocks(&fresh);
+    let budget = names + fresh.functions.len() + blocks + 32;
+    assert!(
+        allocs as usize <= budget,
+        "{allocs} allocations; budget {budget} = {names} names + {} definition + \
+         {blocks} blocks + 32",
+        fresh.functions.len()
     );
 }
 

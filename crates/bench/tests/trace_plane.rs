@@ -199,12 +199,11 @@ fn cache_hits_trace_as_a_lone_cache_span() {
             .map(|ctx| gp_telemetry::trace::TraceHandle { ctx, parent: None }),
     );
     assert!(matches!(ticket.wait(), Response::Ok { .. }));
-    let spans = svc
+    let names: Vec<&str> = svc
         .trace_store()
-        .get(616_161)
+        .with_spans(616_161, |spans| spans.iter().map(|s| s.name).collect())
         .expect("cache-hit trace published");
-    assert_eq!(spans.len(), 1);
-    assert_eq!(spans[0].name, "cache");
+    assert_eq!(names, ["cache"]);
     svc.shutdown();
     gp_telemetry::trace::set_sampling(prev);
 }

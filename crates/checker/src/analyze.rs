@@ -170,6 +170,15 @@ pub struct Reporter {
 }
 
 impl Reporter {
+    /// A sink with room for `n` findings.
+    pub fn with_capacity(n: usize) -> Reporter {
+        Reporter {
+            diags: Vec::with_capacity(n),
+            index: FnvMap::with_capacity_and_hasher(n, Default::default()),
+            keys: RandomState::new(),
+        }
+    }
+
     /// Record one finding (see the type docs for the dedup rule).
     pub fn report(
         &mut self,

@@ -22,10 +22,12 @@
 
 use crate::analyze::{DiagnosticCode, Severity};
 use crate::interp::CheckError;
-use crate::ir::{ContainerKind, FunctionDef, Name, Program, Stmt};
+use crate::ir::{ContainerKind, FunctionDef, Functions, Name, NameList, Program, Stmt};
 use crate::summary::{CallCtx, Event, ParamBinding};
-use gp_core::hash::{FnvMap, FnvSet};
+use gp_core::hash::{Fnv, FnvMap, FnvSet};
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hasher;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Mirrors the seed's `while` fixpoint bound.
 pub(crate) const MAX_LOOP_PASSES: usize = 6;
@@ -60,6 +62,8 @@ pub struct InstanceGraph {
     pub edges: Vec<Vec<usize>>,
     /// Instance id by `(fn_idx, ctx)`, as discovery assigned them.
     ids: FnvMap<(usize, CallCtx), usize>,
+    /// Function index by name.
+    fn_ids: FnvMap<Box<str>, usize>,
 }
 
 /// How an `invoke` site resolves against the current scope.
@@ -81,8 +85,8 @@ pub(crate) enum Resolution {
 /// consult the caller's current (reduced or symbolic) state; container
 /// names take precedence when a name is declared in both namespaces.
 pub(crate) fn resolve_invoke(
-    functions: &[FunctionDef],
-    fn_ids: &FnvMap<&str, usize>,
+    functions: &Functions,
+    fn_ids: &FnvMap<Box<str>, usize>,
     function: &str,
     args: &[Name],
     kind_of: impl Fn(&str) -> Option<ContainerKind>,
@@ -201,10 +205,9 @@ impl RedState {
     }
 }
 
-/// Does any statement (recursively) bind a name in the reduced domain?
-/// The reduced state only changes on declarations, captures, and
-/// assigns; blocks free of those can be executed in place.
-fn contains_invoke(stmts: &[Stmt]) -> bool {
+/// Does any statement (recursively) call a function? A body without an
+/// `invoke` is a leaf: discovery never executes it.
+pub(crate) fn contains_invoke(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| match s {
         Stmt::Invoke { .. } => true,
         Stmt::While { body, .. } => contains_invoke(body),
@@ -216,6 +219,9 @@ fn contains_invoke(stmts: &[Stmt]) -> bool {
     })
 }
 
+/// Does any statement (recursively) bind a name in the reduced domain?
+/// The reduced state only changes on declarations, captures, and
+/// assigns; blocks free of those can be executed in place.
 fn binds_names(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| match s {
         Stmt::DeclContainer { .. } | Stmt::DeclIter { .. } | Stmt::Assign { .. } => true,
@@ -343,10 +349,31 @@ fn exec_red(
 /// bounds the BFS depth (call-graph depth of the deepest *new* context);
 /// exceeding it is a [`CheckError::ContextDepth`], not a hang.
 pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, CheckError> {
+    let calls = call_flags(program);
+    discover_with(program, |i| calls[i], max_depth)
+}
+
+/// Per body (`main` last): does it contain an `invoke`?
+pub(crate) fn call_flags(program: &Program) -> Vec<bool> {
     let functions = &program.functions;
-    let mut fn_ids: FnvMap<&str, usize> = FnvMap::default();
+    (0..functions.len())
+        .map(|i| functions.facts(i).calls)
+        .chain([contains_invoke(&program.stmts)])
+        .collect()
+}
+
+/// [`discover`], told by `calls(fn_idx)` whether a body contains an
+/// `invoke` (`main` is `fn_idx == functions.len()`).
+fn discover_with(
+    program: &Program,
+    calls: impl Fn(usize) -> bool,
+    max_depth: usize,
+) -> Result<InstanceGraph, CheckError> {
+    let functions = &program.functions;
+    let mut fn_ids: FnvMap<Box<str>, usize> =
+        FnvMap::with_capacity_and_hasher(functions.len(), Default::default());
     for (i, f) in functions.iter().enumerate() {
-        if fn_ids.insert(&f.name, i).is_some() {
+        if fn_ids.insert(f.name.as_str().into(), i).is_some() {
             return Err(CheckError::Config(format!(
                 "duplicate function definition `{}`",
                 f.name
@@ -372,17 +399,12 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
     depth.push(0usize);
     let mut work: VecDeque<usize> = VecDeque::from([0]);
     let empty: Vec<Name> = Vec::new();
-    // A body with no `invoke` can never add edges; skip its reduced
-    // execution outright (leaf functions dominate wide graphs).
-    let mut leaf: Vec<bool> = functions
-        .iter()
-        .map(|f| !contains_invoke(&f.body))
-        .collect();
-    leaf.push(!contains_invoke(&program.stmts));
     let mut seen_set: FnvSet<usize> = FnvSet::default();
     while let Some(id) = work.pop_front() {
         let fn_idx = instances[id].fn_idx;
-        if leaf[fn_idx] {
+        // A body with no `invoke` can never add edges; skip its reduced
+        // execution outright (leaf functions dominate wide graphs).
+        if !calls(fn_idx) {
             continue; // edges[id] stays empty
         }
         let (params, body): (&[Name], &[Stmt]) = if fn_idx == main_idx {
@@ -444,6 +466,7 @@ pub fn discover(program: &Program, max_depth: usize) -> Result<InstanceGraph, Ch
         instances,
         edges,
         ids,
+        fn_ids,
     })
 }
 
@@ -451,6 +474,11 @@ impl InstanceGraph {
     /// Instance id for `(fn_idx, ctx)` (symbolic analyzer lookups).
     pub fn instance_ids(&self) -> &FnvMap<(usize, CallCtx), usize> {
         &self.ids
+    }
+
+    /// Function index by name (`invoke` resolution).
+    pub(crate) fn function_ids(&self) -> &FnvMap<Box<str>, usize> {
+        &self.fn_ids
     }
 }
 
@@ -550,6 +578,298 @@ pub fn height_batches(heights: &[usize]) -> Vec<Vec<usize>> {
     batches
 }
 
+/// Everything the analysis derives from a program's call structure:
+/// the instance graph, its SCCs bottom-up, the height batches, where
+/// each instance sits among the SCCs and each body's
+/// [`resolution_digests`] — what a summary key needs besides the bodies'
+/// content and the callees' summaries.
+pub(crate) struct Schedule {
+    pub graph: InstanceGraph,
+    pub sccs: Vec<Vec<usize>>,
+    pub batches: Vec<Vec<usize>>,
+    /// Per instance: its SCC and its index in that SCC.
+    place: Vec<(usize, usize)>,
+    /// Per body (`main` last).
+    resolve: Vec<(u64, u64)>,
+}
+
+impl Schedule {
+    /// The SCC of instance `id` and its index there. Only callees are
+    /// asked about, so a lone `main` needs no table.
+    pub fn place(&self, id: usize) -> (usize, usize) {
+        self.place[id]
+    }
+
+    /// How the `invoke` sites of body `fn_idx` resolve
+    /// ([`resolution_digests`]; `(0, 0)` in a flat program).
+    pub fn resolve(&self, fn_idx: usize) -> (u64, u64) {
+        self.resolve.get(fn_idx).copied().unwrap_or((0, 0))
+    }
+
+    fn build(
+        program: &Program,
+        calls: impl Fn(usize) -> bool,
+        max_depth: usize,
+    ) -> Result<Schedule, CheckError> {
+        let graph = discover_with(program, calls, max_depth)?;
+        let sccs = tarjan_sccs(&graph.edges);
+        let batches = height_batches(&scc_heights(&sccs, &graph.edges));
+        // A lone `main` calls nothing; its table stays unallocated.
+        let mut place = Vec::new();
+        if graph.instances.len() > 1 {
+            place.resize(graph.instances.len(), (0, 0));
+            for (c, scc) in sccs.iter().enumerate() {
+                for (i, &id) in scc.iter().enumerate() {
+                    place[id] = (c, i);
+                }
+            }
+        }
+        let functions = &program.functions;
+        // A flat program's `main` can only invoke unknown functions; its
+        // list stays unallocated.
+        let resolve = if functions.is_empty() {
+            Vec::new()
+        } else {
+            let bodies = functions.iter().map(|f| &f.body[..]);
+            bodies
+                .chain([&program.stmts[..]])
+                .map(|body| resolution_digests(functions, &graph.fn_ids, body))
+                .collect()
+        };
+        Ok(Schedule {
+            graph,
+            sccs,
+            batches,
+            place,
+            resolve,
+        })
+    }
+}
+
+/// What a body's `invoke` sites find by name, in order: whether the
+/// callee exists, and its parameter count. A summary depends on it (an
+/// unknown callee and a wrong arity are different diagnostics, and
+/// neither makes an edge), so summary keys include it: the content hash
+/// and the keyed check digest of it.
+fn resolution_digests(
+    functions: &Functions,
+    fn_ids: &FnvMap<Box<str>, usize>,
+    body: &[Stmt],
+) -> (u64, u64) {
+    fn walk(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
+        for s in stmts {
+            match s {
+                Stmt::Invoke { function, .. } => f(function),
+                Stmt::While { body, .. } => walk(body, f),
+                Stmt::If {
+                    then_branch,
+                    else_branch,
+                } => {
+                    walk(then_branch, f);
+                    walk(else_branch, f);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut h = Fnv::new();
+    let mut k = crate::summary::keyed();
+    walk(body, &mut |name| {
+        let arity = fn_ids
+            .get(name)
+            .map_or(u64::MAX, |&j| functions[j].params.len() as u64);
+        h.write_u64(arity);
+        k.write_u64(arity);
+    });
+    (h.finish(), k.finish())
+}
+
+/// What a [`Schedule`] depends on, kept by value so a hit can be checked:
+/// function names in order, parameter lists, which bodies contain an
+/// `invoke`, those bodies, `main`'s body and the depth limit. Discovery
+/// never executes a leaf body, so leaf bodies are not part of it.
+struct Shape {
+    hash: u64,
+    defs: Vec<ShapeDef>,
+    main: Vec<Stmt>,
+    max_depth: usize,
+}
+
+/// One definition's part of a [`Shape`]: its name, parameters and, only
+/// if it calls, its body.
+struct ShapeDef {
+    name: String,
+    params: NameList,
+    body: Option<Vec<Stmt>>,
+}
+
+impl Shape {
+    fn new(hash: u64, program: &Program, calls: &[bool], max_depth: usize) -> Shape {
+        Shape {
+            hash,
+            defs: program
+                .functions
+                .iter()
+                .zip(calls)
+                .map(|(f, &calls)| ShapeDef {
+                    name: f.name.clone(),
+                    params: f.params.clone(),
+                    body: calls.then(|| f.body.clone()),
+                })
+                .collect(),
+            main: program.stmts.clone(),
+            max_depth,
+        }
+    }
+
+    /// Does `program` have this shape?
+    fn matches(&self, program: &Program, calls: &[bool], max_depth: usize) -> bool {
+        let functions = &program.functions;
+        self.max_depth == max_depth
+            && self.defs.len() == functions.len()
+            && self.main == program.stmts
+            && self
+                .defs
+                .iter()
+                .zip(functions)
+                .zip(calls)
+                .all(|((d, f), &calls)| {
+                    d.name == f.name
+                        && d.params == f.params
+                        && d.body.is_some() == calls
+                        && d.body.as_ref().is_none_or(|b| *b == f.body)
+                })
+    }
+}
+
+/// One definition's part of a [`Shape`], hashed: its name, parameters,
+/// whether it calls, and (only if it does) its body's content hash.
+pub(crate) fn fn_shape(f: &FunctionDef, calls: bool, content: u64) -> u64 {
+    let mut h = Fnv::new();
+    h.write_str(&f.name);
+    h.write_u64(f.params.len() as u64);
+    for p in f.params.iter() {
+        h.write_str(p);
+    }
+    h.write_u8(u8::from(calls));
+    if calls {
+        h.write_u64(content);
+    }
+    h.finish()
+}
+
+/// The hash [`ScheduleCache`] files a program's shape under: each
+/// definition's [`fn_shape`], `main`'s content hash and the depth limit.
+fn shape_hash(program: &Program, main_content: u64, max_depth: usize) -> u64 {
+    let functions = &program.functions;
+    let mut h = Fnv::new();
+    h.write_u64(max_depth as u64);
+    h.write_u64(functions.len() as u64);
+    for i in 0..functions.len() {
+        h.write_u64(functions.facts(i).shape);
+    }
+    h.write_u64(main_content);
+    h.finish()
+}
+
+struct ScheduleMetrics {
+    hit: &'static gp_telemetry::Counter,
+    miss: &'static gp_telemetry::Counter,
+    collision: &'static gp_telemetry::Counter,
+}
+
+fn schedule_metrics() -> &'static ScheduleMetrics {
+    static METRICS: OnceLock<ScheduleMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| ScheduleMetrics {
+        hit: gp_telemetry::counter("checker.graph.hit"),
+        miss: gp_telemetry::counter("checker.graph.miss"),
+        collision: gp_telemetry::counter("checker.graph.collision"),
+    })
+}
+
+/// The last few [`Schedule`]s, each with the [`Shape`] it was built
+/// for. An edit that stays inside a leaf keeps the shape, so the next
+/// request reuses the graph and recomputes only the summary keys.
+#[derive(Default)]
+pub(crate) struct ScheduleCache {
+    entries: Mutex<VecDeque<(Shape, Arc<Schedule>)>>,
+}
+
+impl ScheduleCache {
+    /// Schedules kept.
+    const CAP: usize = 4;
+
+    /// The schedule for `program`, reused when an entry filed under
+    /// `hash` has its shape, built (and kept) otherwise. `calls` and
+    /// `hash` are [`shape_hash`]'s inputs and output.
+    pub(crate) fn get_or_build(
+        &self,
+        hash: u64,
+        program: &Program,
+        calls: &[bool],
+        max_depth: usize,
+    ) -> Result<Arc<Schedule>, CheckError> {
+        let m = schedule_metrics();
+        {
+            let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+            for (shape, schedule) in entries.iter().filter(|(s, _)| s.hash == hash) {
+                if !shape.matches(program, calls, max_depth) {
+                    m.collision.incr();
+                    continue;
+                }
+                m.hit.incr();
+                return Ok(Arc::clone(schedule));
+            }
+        }
+        m.miss.incr();
+        let schedule = Arc::new(Schedule::build(program, |i| calls[i], max_depth)?);
+        let shape = Shape::new(hash, program, calls, max_depth);
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.push_front((shape, Arc::clone(&schedule)));
+        entries.truncate(Self::CAP);
+        Ok(schedule)
+    }
+}
+
+/// A schedule taken from a [`ScheduleCache`] or built for one request.
+pub(crate) enum Sched {
+    Cached(Arc<Schedule>),
+    Built(Schedule),
+}
+
+impl std::ops::Deref for Sched {
+    type Target = Schedule;
+
+    fn deref(&self) -> &Schedule {
+        match self {
+            Sched::Cached(s) => s,
+            Sched::Built(s) => s,
+        }
+    }
+}
+
+/// The schedule for `program`: from `cache` when given and the program
+/// has functions (a flat program's graph is `main` alone, cheaper to
+/// build than to look up), built otherwise. `calls` is per body,
+/// `main` last.
+pub(crate) fn schedule(
+    cache: Option<&ScheduleCache>,
+    program: &Program,
+    calls: &[bool],
+    main_content: u64,
+    max_depth: usize,
+) -> Result<Sched, CheckError> {
+    match cache {
+        Some(cache) if !program.functions.is_empty() => {
+            let hash = shape_hash(program, main_content, max_depth);
+            cache
+                .get_or_build(hash, program, calls, max_depth)
+                .map(Sched::Cached)
+        }
+        _ => Schedule::build(program, |i| calls[i], max_depth).map(Sched::Built),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,11 +935,55 @@ mod tests {
                     };
                     func(&format!("f{i}"), &["c"], body)
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         assert!(discover(&p, 64).is_ok());
         let err = discover(&p, 3).unwrap_err();
         assert!(matches!(err, CheckError::ContextDepth { limit: 3 }));
+    }
+
+    #[test]
+    fn schedules_filed_under_one_hash_never_answer_for_each_other() {
+        let p1 = Program::with_functions(
+            "one",
+            vec![container("v", K::Vector), invoke("g", &["v"])],
+            vec![func("g", &["c"], vec![push_back("c")])],
+        );
+        let p2 = Program::with_functions(
+            "two",
+            vec![
+                container("v", K::Vector),
+                container("l", K::List),
+                invoke("g", &["v"]),
+                invoke("g", &["l"]),
+            ],
+            vec![func("g", &["c"], vec![push_back("c")])],
+        );
+        let cache = ScheduleCache::default();
+        let collisions = || gp_telemetry::counter("checker.graph.collision").get();
+        let get = |p: &Program| {
+            // Every program filed under one hash: only the shape check
+            // tells them apart.
+            cache
+                .get_or_build(7, p, &call_flags(p), 64)
+                .expect("builds")
+        };
+        let s1 = get(&p1);
+        let c0 = collisions();
+        let s2 = get(&p2);
+        assert!(collisions() > c0, "p1's entry was checked and rejected");
+        assert!(!Arc::ptr_eq(&s1, &s2));
+        assert_eq!(s1.graph.instances.len(), 2);
+        assert_eq!(s2.graph.instances.len(), 3);
+        assert!(Arc::ptr_eq(&get(&p1), &s1), "p1 still hits its own entry");
+        // A leaf-body edit keeps the shape: the graph is reused.
+        let mut p3 = p1.clone();
+        p3.functions[0].body.push(clear("c"));
+        assert!(Arc::ptr_eq(&get(&p3), &s1));
+        // An edit that adds a call does not.
+        let mut p4 = p1.clone();
+        p4.functions[0].body.push(invoke("g", &["c"]));
+        assert!(!Arc::ptr_eq(&get(&p4), &s1));
     }
 
     #[test]

@@ -15,21 +15,22 @@
 
 use crate::analyze::{Diagnostic, DiagnosticCode, Reporter, Severity};
 use crate::callgraph::{
-    self, external_container, height_batches, scc_heights, tarjan_sccs, InstanceGraph, Resolution,
-    MAX_LOOP_PASSES,
+    self, external_container, InstanceGraph, Resolution, Schedule, MAX_LOOP_PASSES,
 };
 use crate::ir::{
-    first_duplicate, AlgorithmName, Cond, ContainerKind, FunctionDef, Name, PosExpr, Program, Stmt,
+    first_duplicate, AlgorithmName, Cond, ContainerKind, Functions, Name, PosExpr, Program, Stmt,
 };
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::summary::{
-    content_hash, content_hash_stmts, global_cache, iter_check_events, sort_check_events, CallCtx,
-    ContainerEffect, Event, IterEffect, ParamBinding, ParamEffect, Summary, SummaryCache,
+    content_check, content_hash_stmts, global_cache, iter_check_events, keyed, sort_check_events,
+    CallCtx, ContainerEffect, Event, IterEffect, ParamBinding, ParamEffect, Summary, SummaryCache,
+    SummaryKey,
 };
 use crate::sym::{at_end_after_advance, at_end_of_begin, kind_invalidates_all, Lat3, Sym};
 use gp_core::hash::{Fnv, FnvMap};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Configuration for the interprocedural analysis.
@@ -319,9 +320,8 @@ fn init_state(params: &[Name], ctx: &CallCtx) -> SymState {
 
 /// Shared per-run context for instance analysis.
 struct IpCtx<'a> {
-    functions: &'a [FunctionDef],
+    functions: &'a Functions,
     main_stmts: &'a [Stmt],
-    fn_ids: FnvMap<&'a str, usize>,
     graph: &'a InstanceGraph,
 }
 
@@ -683,7 +683,7 @@ impl<'a, 'b> InstanceAnalyzer<'a, 'b> {
             Stmt::Invoke { function, args } => {
                 let res = callgraph::resolve_invoke(
                     self.ip.functions,
-                    &self.ip.fn_ids,
+                    self.ip.graph.function_ids(),
                     function,
                     args,
                     |n| state.containers.get(n).map(|c| c.kind),
@@ -962,42 +962,30 @@ fn compute_summary(
     let mut az = InstanceAnalyzer::new(ip, params, &inst.ctx, lookup);
     let mut state = init_state(params, &inst.ctx);
     az.exec_block(body, &mut state);
-    Summary {
-        own_events: az.own,
-        deferred: az.deferred,
-        effects: extract_effects(&state, params, &inst.ctx),
-    }
+    Summary::new(
+        az.own,
+        az.deferred,
+        extract_effects(&state, params, &inst.ctx),
+    )
 }
 
-type SccResult = Result<Vec<(usize, Arc<Summary>, bool)>, CheckError>;
+type SccResult = Result<Vec<(usize, Arc<Summary>)>, CheckError>;
 
-/// Analyze one SCC: full-hit cache probe, else worklist fixpoint with
-/// widening after [`WIDEN_DELAY`] passes. Returns `(instance, summary,
-/// came_from_cache)` triples in member order.
+/// Analyze one SCC whose summaries the cache does not hold: a worklist
+/// fixpoint with widening after [`WIDEN_DELAY`] passes. Returns
+/// `(instance, summary)` pairs in member order.
 fn analyze_scc(
     ip: &IpCtx,
     scc: &[usize],
     finals: &[Option<Arc<Summary>>],
-    keys: &[u64],
     cfg: &CheckConfig,
-    cache: Option<&SummaryCache>,
 ) -> SccResult {
-    if let Some(cache) = cache {
-        let probes: Vec<Option<Arc<Summary>>> = scc.iter().map(|&id| cache.get(keys[id])).collect();
-        if probes.iter().all(Option::is_some) {
-            return Ok(scc
-                .iter()
-                .zip(probes)
-                .map(|(&id, s)| (id, s.expect("probed"), true))
-                .collect());
-        }
-    }
     let recursive = scc.len() > 1 || ip.graph.edges[scc[0]].contains(&scc[0]);
     if !recursive {
         let id = scc[0];
         let lookup = |cid: usize| finals[cid].clone();
         let s = Arc::new(compute_summary(ip, id, &lookup));
-        return Ok(vec![(id, s, false)]);
+        return Ok(vec![(id, s)]);
     }
     let mut local: HashMap<usize, Arc<Summary>> = scc
         .iter()
@@ -1028,16 +1016,126 @@ fn analyze_scc(
             }
         }
         if !changed {
-            return Ok(scc
-                .iter()
-                .map(|&id| (id, local[&id].clone(), false))
-                .collect());
+            return Ok(scc.iter().map(|&id| (id, local[&id].clone())).collect());
         }
     }
     Err(CheckError::FixpointDiverged {
         function: ip.fn_name(ip.graph.instances[scc[0]].fn_idx).to_string(),
         passes: cfg.max_fixpoint_passes,
     })
+}
+
+/// Per body (`main` last): its (content hash, check digest). A
+/// definition's are computed once and kept with it.
+fn body_digests(program: &Program) -> Vec<(u64, u64)> {
+    let functions = &program.functions;
+    (0..functions.len())
+        .map(|i| {
+            let f = functions.facts(i);
+            (f.content, f.check)
+        })
+        .chain([(
+            content_hash_stmts(&program.stmts),
+            content_check(&[], &program.stmts),
+        )])
+        .collect()
+}
+
+/// Feed a calling context to the keyed hasher: each binding packs into
+/// 16 bits exactly, four to a word.
+fn mix_ctx(k: &mut impl Hasher, ctx: &CallCtx) {
+    k.write_usize(ctx.0.len());
+    for chunk in ctx.0.chunks(4) {
+        let mut w = 0u64;
+        for b in chunk {
+            let code: u16 = match *b {
+                ParamBinding::Container { kind } => 0x100 | kind as u16,
+                ParamBinding::Iter { into: None } => 0x200,
+                ParamBinding::Iter { into: Some(j) } => 0x300 | u16::from(j),
+            };
+            w = w << 16 | u64::from(code);
+        }
+        k.write_u64(w);
+    }
+}
+
+/// Fill the summary keys of SCC `c`'s members. The key hash is the SCC
+/// fingerprint — per member, in SCC order: its body, context and call
+/// resolutions, then each callee it reaches in call-site discovery order,
+/// as the value digest of the callee's summary (all from lower heights)
+/// or, for a callee inside the SCC, as its index there — mixed back with
+/// each member's own body and context. The check digest reads the same
+/// material through the keyed hasher (for a lone member, the
+/// fingerprint's material is already all of it). Callees are fed in call
+/// order because a summary applies its callees' effects in that order:
+/// two programs that swap two callees' bodies under fixed names differ
+/// only there. Keying callers by their callees' summary *values* rather
+/// than keys means an edit that leaves a callee's summary unchanged
+/// leaves its callers' keys unchanged too.
+fn scc_keys(
+    sched: &Schedule,
+    c: usize,
+    digests: &[(u64, u64)],
+    finals: &[Option<Arc<Summary>>],
+    keys: &mut [SummaryKey],
+) {
+    let graph = &sched.graph;
+    let scc = &sched.sccs[c];
+    let mut h = Fnv::new();
+    let mut k = keyed();
+    for &id in scc {
+        let inst = &graph.instances[id];
+        let (resolve, resolve_check) = sched.resolve(inst.fn_idx);
+        h.write_u64(digests[inst.fn_idx].0);
+        h.write_u64(inst.ctx.hash64());
+        h.write_u64(resolve);
+        k.write_u64(digests[inst.fn_idx].1);
+        mix_ctx(&mut k, &inst.ctx);
+        k.write_u64(resolve_check);
+        let edges = &graph.edges[id];
+        h.write_u64(edges.len() as u64);
+        k.write_usize(edges.len());
+        for &w in edges {
+            match sched.place(w) {
+                (wc, i) if wc == c => {
+                    h.write_u8(1);
+                    h.write_u64(i as u64);
+                    k.write_u8(1);
+                    k.write_usize(i);
+                }
+                _ => {
+                    let (hash, check) = finals[w]
+                        .as_ref()
+                        .expect("callees are summarized first")
+                        .digest();
+                    h.write_u8(0);
+                    h.write_u64(hash);
+                    k.write_u8(0);
+                    k.write_u64(hash);
+                    k.write_u64(check);
+                }
+            }
+        }
+    }
+    let scc_key = h.finish();
+    for (i, &id) in scc.iter().enumerate() {
+        let inst = &graph.instances[id];
+        let mut hm = Fnv::new();
+        hm.write_u64(scc_key);
+        hm.write_u64(digests[inst.fn_idx].0);
+        hm.write_u64(inst.ctx.hash64());
+        let check = if scc.len() == 1 {
+            k.finish()
+        } else {
+            let mut km = k.clone();
+            km.write_usize(i);
+            km.finish()
+        };
+        keys[id] = SummaryKey {
+            hash: hm.finish(),
+            check,
+        };
+    }
 }
 
 fn analyze_ip(
@@ -1047,11 +1145,18 @@ fn analyze_ip(
 ) -> Result<Vec<Diagnostic>, CheckError> {
     ip_metrics().runs.incr();
     cfg.validate()?;
-    let graph = callgraph::discover(program, cfg.max_context_depth)?;
     let functions = &program.functions;
-    let mut fn_ids: FnvMap<&str, usize> = FnvMap::default();
-    for (i, f) in functions.iter().enumerate() {
-        fn_ids.insert(&f.name, i);
+    let calls = callgraph::call_flags(program);
+    let digests = body_digests(program);
+    let sched = callgraph::schedule(
+        cache.map(|c| &c.schedules),
+        program,
+        &calls,
+        digests[functions.len()].0,
+        cfg.max_context_depth,
+    )?;
+    let graph = &sched.graph;
+    for f in functions {
         if let Some(p) = first_duplicate(&f.params) {
             return Err(CheckError::Config(format!(
                 "duplicate parameter `{p}` in function `{}`",
@@ -1062,77 +1167,54 @@ fn analyze_ip(
     let ip = IpCtx {
         functions,
         main_stmts: &program.stmts,
-        fn_ids,
-        graph: &graph,
+        graph,
     };
-    let sccs = tarjan_sccs(&graph.edges);
-    let heights = scc_heights(&sccs, &graph.edges);
-    let batches = height_batches(&heights);
+    let sccs = &sched.sccs;
     ip_metrics().scc_count.add(sccs.len() as u64);
     let n = graph.instances.len();
     let mut finals: Vec<Option<Arc<Summary>>> = vec![None; n];
-    let mut keys: Vec<u64> = vec![0; n];
-    // Content hash per function index (`main` lives at functions.len()).
-    let content: Vec<u64> = functions
-        .iter()
-        .map(content_hash)
-        .chain([content_hash_stmts(&program.stmts)])
-        .collect();
-    for batch in &batches {
-        // Transitive member keys: the SCC fingerprint (member bodies +
-        // contexts + external callee keys, all from lower heights) mixed
-        // back with each member's own body/context.
-        for &c in batch {
-            let scc = &sccs[c];
-            let mut h = Fnv::new();
-            for &id in scc {
-                h.write_u64(content[graph.instances[id].fn_idx]);
-                h.write_u64(graph.instances[id].ctx.hash64());
+    let mut keys: Vec<SummaryKey> =
+        vec![SummaryKey::default(); if cache.is_some() { n } else { 0 }];
+    let mut misses: Vec<usize> = Vec::new();
+    for batch in &sched.batches {
+        // Probe every SCC of the batch first: only the misses are
+        // analyzed, and only several misses go to the pool.
+        misses.clear();
+        match cache {
+            Some(cache) => {
+                for &c in batch {
+                    scc_keys(&sched, c, &digests, &finals, &mut keys);
+                }
+                cache.probe(batch, sccs, &keys, &mut finals, &mut misses);
             }
-            let mut ext: Vec<u64> = scc
-                .iter()
-                .flat_map(|&id| graph.edges[id].iter())
-                .filter(|w| !scc.contains(*w))
-                .map(|&w| keys[w])
-                .collect();
-            ext.sort_unstable();
-            ext.dedup();
-            for k in ext {
-                h.write_u64(k);
-            }
-            let scc_key = h.finish();
-            for &id in scc {
-                let mut hm = Fnv::new();
-                hm.write_u64(scc_key);
-                hm.write_u64(content[graph.instances[id].fn_idx]);
-                hm.write_u64(graph.instances[id].ctx.hash64());
-                keys[id] = hm.finish();
-            }
+            None => misses.extend_from_slice(batch),
         }
-        let results: Vec<SccResult> = if cfg.parallel && batch.len() > 1 {
-            ip_metrics().par_batches.incr();
-            let ip_ref = &ip;
-            let finals_ref: &[Option<Arc<Summary>>] = &finals;
-            let keys_ref: &[u64] = &keys;
-            let sccs_ref = &sccs;
-            gp_parallel::par::par_map(batch, gp_parallel::pool::global().workers(), |&c| {
-                analyze_scc(ip_ref, &sccs_ref[c], finals_ref, keys_ref, cfg, cache)
-            })
-        } else {
-            batch
-                .iter()
-                .map(|&c| analyze_scc(&ip, &sccs[c], &finals, &keys, cfg, cache))
-                .collect()
-        };
         // Merge in ascending SCC order — deterministic regardless of
         // parallel completion order; the first error (if any) is the one
         // the sequential schedule would hit.
-        for r in results {
-            for (id, s, from_cache) in r? {
-                if let (Some(cache), false) = (cache, from_cache) {
+        let merge = |r: Vec<(usize, Arc<Summary>)>, finals: &mut [Option<Arc<Summary>>]| {
+            for (id, s) in r {
+                if let Some(cache) = cache {
                     cache.insert(keys[id], s.clone());
                 }
                 finals[id] = Some(s);
+            }
+        };
+        if cfg.parallel && misses.len() > 1 {
+            ip_metrics().par_batches.incr();
+            let ip_ref = &ip;
+            let finals_ref: &[Option<Arc<Summary>>] = &finals;
+            let results =
+                gp_parallel::par::par_map(&misses, gp_parallel::pool::global().workers(), |&c| {
+                    analyze_scc(ip_ref, &sccs[c], finals_ref, cfg)
+                });
+            for r in results {
+                merge(r?, &mut finals);
+            }
+        } else {
+            for &c in &misses {
+                let r = analyze_scc(&ip, &sccs[c], &finals, cfg)?;
+                merge(r, &mut finals);
             }
         }
     }
@@ -1140,7 +1222,8 @@ fn analyze_ip(
     // the deduplicating reporter. `main` (instance 0) emits
     // unprefixed, so flat programs reproduce the seed analyzer (the
     // `gp_bench::oracle` flat-program oracle) byte-for-byte.
-    let mut rep = Reporter::default();
+    let events = finals.iter().flatten().map(|s| s.own_events.len()).sum();
+    let mut rep = Reporter::with_capacity(events);
     for (id, inst) in graph.instances.iter().enumerate() {
         let summary = finals[id].as_ref().expect("all instances analyzed");
         let fname = (inst.fn_idx != functions.len()).then(|| ip.fn_name(inst.fn_idx));
@@ -1202,7 +1285,7 @@ pub fn analyze_program_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{DiagnosticCode, Severity};
+    use crate::analyze::{DiagnosticCode, Severity, MSG_SORTED_LINEAR};
     use crate::parse::parse;
 
     fn check(src: &str) -> Vec<Diagnostic> {
@@ -1474,6 +1557,79 @@ mod tests {
                 .any(|d| d.code == DiagnosticCode::ShadowedParam && d.severity == Severity::Error),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn cached_summaries_see_how_invokes_resolve() {
+        // Neither a missing callee nor a wrong arity makes an edge, so
+        // only the resolution part of the key tells these mains apart.
+        let cfg = CheckConfig::default();
+        let cache = SummaryCache::new(64);
+        for src in [
+            "container V vector\ninvoke g(V)\n",
+            "fn g(A, B) {\n  push_back A\n}\ncontainer V vector\ninvoke g(V)\n",
+            "fn g(A) {\n  push_back A\n}\ncontainer V vector\ninvoke g(V)\n",
+            "container V vector\ninvoke g(V)\n",
+        ] {
+            let p = parse("t", src).expect("parse");
+            assert_eq!(
+                analyze_program_with_cache(&p, &cfg, &cache),
+                analyze_program(&p, &cfg),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_summaries_see_which_callee_each_call_reaches() {
+        // Swapping two callees' bodies under fixed names changes nothing
+        // in the caller but the order its callees' effects apply in:
+        // sort-then-push leaves V unsorted, push-then-sort leaves it
+        // sorted, and only then is the linear search flagged.
+        let cfg = CheckConfig::default();
+        let cache = SummaryCache::new(64);
+        let program = |f: &str, g: &str| {
+            format!(
+                "fn f(A) {{\n  {f}\n}}\nfn g(A) {{\n  {g}\n}}\n\
+                 fn mid(A) {{\n  invoke f(A)\n  invoke g(A)\n}}\n\
+                 container V vector\ninvoke mid(V)\ncall find V -> i\n"
+            )
+        };
+        let mut flagged = Vec::new();
+        for src in [
+            program("call sort A", "push_back A"),
+            program("push_back A", "call sort A"),
+        ] {
+            let p = parse("t", &src).expect("parse");
+            let cold = analyze_program(&p, &cfg).unwrap();
+            assert_eq!(analyze_program_with_cache(&p, &cfg, &cache).unwrap(), cold);
+            flagged.push(cold.iter().any(|d| d.message == MSG_SORTED_LINEAR));
+        }
+        assert_eq!(flagged, [false, true]);
+    }
+
+    #[test]
+    fn an_edit_that_keeps_a_callee_summary_keeps_its_callers_cached() {
+        let cfg = CheckConfig::default();
+        let cache = SummaryCache::new(64);
+        let src = "fn leaf(A) {\n  push_back A\n}\n\
+                   fn mid(A) {\n  invoke leaf(A)\n}\n\
+                   container V vector\ninvoke mid(V)\n";
+        analyze_program_with_cache(&parse("t", src).unwrap(), &cfg, &cache).unwrap();
+        assert_eq!(cache.len(), 3, "leaf, mid and main");
+        // A new local in the leaf changes its content, not its summary:
+        // only the leaf is keyed afresh, and mid and main hit.
+        let edited = src.replace("  push_back A\n", "  push_back A\n  container t list\n");
+        let p = parse("t", &edited).unwrap();
+        let warm = analyze_program_with_cache(&p, &cfg, &cache).unwrap();
+        assert_eq!(warm, analyze_program(&p, &cfg).unwrap());
+        assert_eq!(cache.len(), 4, "one new summary: the edited leaf's");
+        // An edit that does change the leaf's summary re-keys its callers.
+        let changed = src.replace("  push_back A\n", "  clear A\n");
+        let p = parse("t", &changed).unwrap();
+        let warm = analyze_program_with_cache(&p, &cfg, &cache).unwrap();
+        assert_eq!(warm, analyze_program(&p, &cfg).unwrap());
+        assert_eq!(cache.len(), 7);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is a statement list with structured control flow (`while` over an
 //! iterator-vs-end condition, nondeterministic `if`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An identifier: container, iterator, function or parameter name.
 ///
@@ -228,6 +228,207 @@ pub struct FunctionDef {
     pub body: Vec<Stmt>,
 }
 
+/// What the analysis derives from one definition's text alone.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Facts {
+    /// [`crate::summary::content_hash`] of the definition.
+    pub content: u64,
+    /// [`crate::summary::content_check`] of the definition.
+    pub check: u64,
+    /// Whether the body contains an `invoke` (a leaf does not).
+    pub calls: bool,
+    /// [`crate::callgraph::fn_shape`] of the definition.
+    pub shape: u64,
+}
+
+/// A function definition with its [`Facts`], computed on first use and
+/// kept while the definition is unchanged. The parser's block table
+/// hands one `Arc<Definition>` to every program that holds the block's
+/// text, so a block's facts are computed once, not once per request.
+#[derive(Clone, Debug)]
+pub(crate) struct Definition {
+    def: FunctionDef,
+    facts: OnceLock<Facts>,
+}
+
+impl Definition {
+    /// `def`, its facts not yet computed.
+    pub(crate) fn new(def: FunctionDef) -> Definition {
+        Definition {
+            def,
+            facts: OnceLock::new(),
+        }
+    }
+
+    /// The definition.
+    pub(crate) fn def(&self) -> &FunctionDef {
+        &self.def
+    }
+
+    pub(crate) fn facts(&self) -> Facts {
+        *self.facts.get_or_init(|| {
+            let def = &self.def;
+            let content = crate::summary::content_hash(def);
+            let calls = crate::callgraph::contains_invoke(&def.body);
+            Facts {
+                content,
+                check: crate::summary::content_check(&def.params, &def.body),
+                calls,
+                shape: crate::callgraph::fn_shape(def, calls, content),
+            }
+        })
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Slot {
+    Owned(Definition),
+    Shared(Arc<Definition>),
+}
+
+impl Slot {
+    fn get(&self) -> &Definition {
+        match self {
+            Slot::Owned(d) => d,
+            Slot::Shared(d) => d,
+        }
+    }
+}
+
+/// A program's function definitions, in source order. Each is either
+/// owned by the program or shared with other programs; both read as a
+/// [`FunctionDef`], and equality compares values. Mutable access to a
+/// definition drops its cached facts, and to a shared one copies it out
+/// first, so an edit never reaches another program.
+#[derive(Clone, Default)]
+pub struct Functions(Vec<Slot>);
+
+impl Functions {
+    /// No definitions, with room for `n`.
+    pub fn with_capacity(n: usize) -> Functions {
+        Functions(Vec::with_capacity(n))
+    }
+
+    /// Number of definitions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are none.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The definitions in order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// Append an owned definition.
+    pub fn push(&mut self, f: FunctionDef) {
+        self.0.push(Slot::Owned(Definition::new(f)));
+    }
+
+    /// Append a shared definition.
+    pub(crate) fn push_shared(&mut self, f: Arc<Definition>) {
+        self.0.push(Slot::Shared(f));
+    }
+
+    /// The facts of definition `i`.
+    pub(crate) fn facts(&self, i: usize) -> Facts {
+        self.0[i].get().facts()
+    }
+
+    /// Share the last definition (an owned one becomes shared) and
+    /// return it.
+    pub(crate) fn share_last(&mut self) -> Option<Arc<Definition>> {
+        let shared = match self.0.pop()? {
+            Slot::Owned(d) => Arc::new(d),
+            Slot::Shared(s) => s,
+        };
+        self.0.push(Slot::Shared(Arc::clone(&shared)));
+        Some(shared)
+    }
+}
+
+impl std::ops::Index<usize> for Functions {
+    type Output = FunctionDef;
+
+    fn index(&self, i: usize) -> &FunctionDef {
+        &self.0[i].get().def
+    }
+}
+
+impl std::ops::IndexMut<usize> for Functions {
+    fn index_mut(&mut self, i: usize) -> &mut FunctionDef {
+        let slot = &mut self.0[i];
+        if let Slot::Shared(s) = slot {
+            *slot = Slot::Owned(Definition::new(s.def.clone()));
+        }
+        match slot {
+            Slot::Owned(d) => {
+                d.facts = OnceLock::new();
+                &mut d.def
+            }
+            Slot::Shared(_) => unreachable!("copied out above"),
+        }
+    }
+}
+
+/// Iterator over the definitions of [`Functions`].
+pub struct Iter<'a>(std::slice::Iter<'a, Slot>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a FunctionDef;
+
+    fn next(&mut self) -> Option<&'a FunctionDef> {
+        self.0.next().map(|s| &s.get().def)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Functions {
+    type Item = &'a FunctionDef;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl From<Vec<FunctionDef>> for Functions {
+    fn from(v: Vec<FunctionDef>) -> Functions {
+        v.into_iter().collect()
+    }
+}
+
+impl FromIterator<FunctionDef> for Functions {
+    fn from_iter<I: IntoIterator<Item = FunctionDef>>(it: I) -> Functions {
+        Functions(
+            it.into_iter()
+                .map(|f| Slot::Owned(Definition::new(f)))
+                .collect(),
+        )
+    }
+}
+
+impl PartialEq for Functions {
+    fn eq(&self, other: &Functions) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Functions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A checkable program: a named statement list (the implicit `main`) plus
 /// any function definitions. Flat programs — every program the seed
 /// checker accepted — are simply programs with no functions.
@@ -238,7 +439,7 @@ pub struct Program {
     /// Top-level statements (the implicit `main`).
     pub stmts: Vec<Stmt>,
     /// Function definitions, invocable from `main` and from each other.
-    pub functions: Vec<FunctionDef>,
+    pub functions: Functions,
 }
 
 impl Program {
@@ -247,7 +448,7 @@ impl Program {
         Program {
             name: name.into(),
             stmts,
-            functions: Vec::new(),
+            functions: Functions::default(),
         }
     }
 
@@ -255,12 +456,12 @@ impl Program {
     pub fn with_functions(
         name: impl Into<String>,
         stmts: Vec<Stmt>,
-        functions: Vec<FunctionDef>,
+        functions: impl Into<Functions>,
     ) -> Self {
         Program {
             name: name.into(),
             stmts,
-            functions,
+            functions: functions.into(),
         }
     }
 }

@@ -38,9 +38,14 @@
 //! discovers every `(function, calling context)` instance and condenses
 //! them into SCCs; [`interp`] computes a [`summary::Summary`] per
 //! instance bottom-up — SCCs at equal condensation height in parallel —
-//! and the [`summary::SummaryCache`] keyed by *transitive content hash*
-//! ([`gp_core::hash`]) makes re-analysis after an edit touch only the
-//! edited function and its transitive callers, across service requests.
+//! and the [`summary::SummaryCache`], keyed by content and by the callees'
+//! summary values ([`gp_core::hash`]), makes re-analysis after an edit
+//! touch only the edited function and the callers whose callees'
+//! summaries changed, across service requests. [`parse::parse`] shares
+//! the function blocks it has seen before through a process-wide table,
+//! and the cache reuses the instance graph of an unchanged call
+//! structure, so a one-function edit costs about the edit, not the
+//! program.
 //! A program without functions is simply its implicit `main` instance;
 //! the seed's intraprocedural analyzer survives outside the library, in
 //! `gp_bench::oracle`, as the flat-program oracle.

@@ -3,22 +3,29 @@
 //!
 //! A summary is computed once per `(function, calling context)` instance
 //! and reused at every call site — including across service requests,
-//! through the [`SummaryCache`] keyed by *transitive content hash*: the
-//! [`gp_core::hash::Fnv`] digest of the function's own body and context combined with the
-//! keys of everything it (transitively) calls. Editing one function
-//! changes the keys of exactly that function and its transitive callers;
-//! every other summary is a cache hit. Keys deliberately do **not**
-//! include function *names* (see DESIGN.md): renaming a function, or
-//! re-submitting the same body under another program, still hits.
+//! through the [`SummaryCache`]. Its key is the [`gp_core::hash::Fnv`]
+//! digest of what the summary is a pure function of: the function's own
+//! body and context, how the body's `invoke`s resolve (which callees
+//! exist, with what arity), and the value digests of its callees'
+//! summaries. Keyed by callee *values*, an edit that leaves a summary
+//! unchanged (a new local, say) stops there: its callers keep their keys
+//! and hit. Each key carries a second digest of the same material from a
+//! per-process keyed hasher, and a hit must match both. Keys
+//! deliberately do **not** include function *names* (see DESIGN.md):
+//! renaming a function, or re-submitting the same body under another
+//! program, still hits.
 
 use crate::analyze::{DiagnosticCode, Severity, MSG_PAST_END, MSG_SINGULAR, MSG_SORTED_LINEAR};
-use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, PosExpr, Stmt};
+use crate::callgraph::ScheduleCache;
+use crate::ir::{AlgorithmName, Cond, ContainerKind, FunctionDef, Name, PosExpr, Stmt};
 use crate::state::{AtEnd, Sortedness, Validity};
 use crate::sym::{Lat3, Sym};
 use gp_core::hash::{Fnv, FnvHasher, FnvMap};
 use std::borrow::Cow;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a callee parameter is bound to, as far as the summary needs to
@@ -208,17 +215,94 @@ pub struct Summary {
     pub deferred: Vec<Event>,
     /// One effect per parameter.
     pub effects: Vec<ParamEffect>,
+    digest: ValueDigest,
+}
+
+/// A summary's value digests ([`FnvHasher`] and keyed), each computed
+/// on first use and kept with the shared summary (0 stands for "not yet":
+/// a digest that is 0 is just recomputed). Not part of the value:
+/// equality and hashing ignore it, and a clone (which may then be
+/// changed) starts without one. Two plain words keep it at 16 bytes,
+/// which every summary the process-wide cache holds pays.
+#[derive(Debug, Default)]
+struct ValueDigest {
+    hash: AtomicU64,
+    check: AtomicU64,
+}
+
+impl ValueDigest {
+    /// The digest in `slot`, computing and keeping it on first use. The
+    /// value is a function of the summary alone, so racing threads store
+    /// the same word.
+    fn memo(slot: &AtomicU64, compute: impl FnOnce() -> u64) -> u64 {
+        match slot.load(Ordering::Relaxed) {
+            0 => {
+                let d = compute();
+                slot.store(d, Ordering::Relaxed);
+                d
+            }
+            d => d,
+        }
+    }
+}
+
+impl Clone for ValueDigest {
+    fn clone(&self) -> ValueDigest {
+        ValueDigest::default()
+    }
+}
+
+impl PartialEq for ValueDigest {
+    fn eq(&self, _: &ValueDigest) -> bool {
+        true
+    }
+}
+
+impl Eq for ValueDigest {}
+
+impl Hash for ValueDigest {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl Summary {
+    /// A summary of these events and effects.
+    pub fn new(own_events: Vec<Event>, deferred: Vec<Event>, effects: Vec<ParamEffect>) -> Summary {
+        Summary {
+            own_events,
+            deferred,
+            effects,
+            digest: ValueDigest::default(),
+        }
+    }
+
+    /// The value's [`FnvHasher`] digest, computed once per summary.
+    fn value_hash(&self) -> u64 {
+        ValueDigest::memo(&self.digest.hash, || {
+            let mut h = FnvHasher::default();
+            self.hash(&mut h);
+            h.finish()
+        })
+    }
+
+    /// The value's [`FnvHasher`] digest and its keyed check digest,
+    /// each computed once per summary. A caller's summary key reads its
+    /// callees' value digests, not their keys.
+    pub(crate) fn digest(&self) -> (u64, u64) {
+        let check = ValueDigest::memo(&self.digest.check, || {
+            let mut k = keyed();
+            self.hash(&mut k);
+            k.finish()
+        });
+        (self.value_hash(), check)
+    }
+
     /// The optimistic starting summary for SCC fixpoints: identity
     /// effects, no events.
     pub fn identity(ctx: &CallCtx) -> Summary {
-        Summary {
-            own_events: Vec::new(),
-            deferred: Vec::new(),
-            effects: ctx
-                .0
+        Summary::new(
+            Vec::new(),
+            Vec::new(),
+            ctx.0
                 .iter()
                 .enumerate()
                 .map(|(i, b)| match b {
@@ -228,7 +312,7 @@ impl Summary {
                     ParamBinding::Iter { .. } => ParamEffect::Iter(IterEffect::identity()),
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Widening join: pointwise effect join, event-list union (left
@@ -250,11 +334,11 @@ impl Summary {
             }
             out
         };
-        Summary {
-            own_events: union(&self.own_events, &newer.own_events),
-            deferred: union(&self.deferred, &newer.deferred),
+        Summary::new(
+            union(&self.own_events, &newer.own_events),
+            union(&self.deferred, &newer.deferred),
             effects,
-        }
+        )
     }
 }
 
@@ -396,7 +480,52 @@ fn requires_sorted_message(alg: AlgorithmName, sorted: Sortedness) -> &'static s
     }
 }
 
-fn hash_stmt(h: &mut Fnv, s: &Stmt) {
+/// A sink for key material. Content keys ([`Fnv`]) and check digests
+/// (the per-process keyed hasher, [`keyed`]) read the same words.
+trait Mix {
+    fn write_u8(&mut self, b: u8);
+    fn write_u64(&mut self, w: u64);
+    fn write_str(&mut self, s: &str);
+}
+
+impl Mix for Fnv {
+    fn write_u8(&mut self, b: u8) {
+        Fnv::write_u8(self, b);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        Fnv::write_u64(self, w);
+    }
+
+    fn write_str(&mut self, s: &str) {
+        Fnv::write_str(self, s);
+    }
+}
+
+impl Mix for DefaultHasher {
+    fn write_u8(&mut self, b: u8) {
+        Hasher::write_u8(self, b);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        Hasher::write_u64(self, w);
+    }
+
+    fn write_str(&mut self, s: &str) {
+        Hasher::write_u64(self, s.len() as u64);
+        Hasher::write(self, s.as_bytes());
+    }
+}
+
+/// A fresh hasher keyed for this process: the second digest every
+/// summary-cache hit must match. Its key is unknown outside the process,
+/// so no input can be built to collide in it and in [`Fnv`] at once.
+pub(crate) fn keyed() -> DefaultHasher {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    KEY.get_or_init(RandomState::new).build_hasher()
+}
+
+fn hash_stmt(h: &mut impl Mix, s: &Stmt) {
     match s {
         Stmt::DeclContainer { name, kind } => {
             h.write_u8(1);
@@ -493,11 +622,19 @@ fn hash_stmt(h: &mut Fnv, s: &Stmt) {
     }
 }
 
-fn hash_block(h: &mut Fnv, stmts: &[Stmt]) {
+fn hash_block(h: &mut impl Mix, stmts: &[Stmt]) {
     h.write_u64(stmts.len() as u64);
     for s in stmts {
         hash_stmt(h, s);
     }
+}
+
+fn hash_def(h: &mut impl Mix, params: &[Name], body: &[Stmt]) {
+    h.write_u64(params.len() as u64);
+    for p in params {
+        h.write_str(p);
+    }
+    hash_block(h, body);
 }
 
 /// Content hash of a function body: parameters and statements, **not**
@@ -506,11 +643,15 @@ fn hash_block(h: &mut Fnv, stmts: &[Stmt]) {
 /// what ties a caller's key to its call graph shape.
 pub fn content_hash(f: &FunctionDef) -> u64 {
     let mut h = Fnv::new();
-    h.write_u64(f.params.len() as u64);
-    for p in f.params.iter() {
-        h.write_str(p);
-    }
-    hash_block(&mut h, &f.body);
+    hash_def(&mut h, &f.params, &f.body);
+    h.finish()
+}
+
+/// The check digest of the same material as [`content_hash`], from the
+/// per-process keyed hasher (`main` passes no parameters).
+pub fn content_check(params: &[Name], body: &[Stmt]) -> u64 {
+    let mut h = keyed();
+    hash_def(&mut h, params, body);
     h.finish()
 }
 
@@ -521,12 +662,24 @@ pub fn content_hash_stmts(stmts: &[Stmt]) -> u64 {
     h.finish()
 }
 
+/// A summary-cache key: the [`Fnv`] digest of the key material, and a
+/// second digest of the same material from the per-process keyed hasher.
+/// The hash picks the entry; a hit must match the check as well.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SummaryKey {
+    /// [`Fnv`] digest (what the table is indexed by).
+    pub hash: u64,
+    /// Keyed digest of the same material, compared on every hit.
+    pub check: u64,
+}
+
 /// Pre-resolved telemetry handles for the summary cache (hot path:
 /// every instance of every request goes through get/insert).
 struct CacheMetrics {
     hit: &'static gp_telemetry::Counter,
     miss: &'static gp_telemetry::Counter,
     evict: &'static gp_telemetry::Counter,
+    collision: &'static gp_telemetry::Counter,
 }
 
 fn cache_metrics() -> &'static CacheMetrics {
@@ -535,11 +688,13 @@ fn cache_metrics() -> &'static CacheMetrics {
         hit: gp_telemetry::counter("checker.summary.hit"),
         miss: gp_telemetry::counter("checker.summary.miss"),
         evict: gp_telemetry::counter("checker.summary.evict"),
+        collision: gp_telemetry::counter("checker.summary.collision"),
     })
 }
 
 struct CacheInner {
-    map: FnvMap<u64, Arc<Summary>>,
+    /// Key hash → (check digest, summary).
+    map: FnvMap<u64, (u64, Arc<Summary>)>,
     order: VecDeque<u64>,
     /// One shared copy per distinct summary value, by value hash. Many
     /// keys map to equal summaries (an edit elsewhere re-keys a caller
@@ -548,14 +703,47 @@ struct CacheInner {
     values: FnvMap<u64, Arc<Summary>>,
 }
 
+/// Lookup outcomes, published to the telemetry counters once per call.
+#[derive(Default)]
+struct Counts {
+    hit: u64,
+    miss: u64,
+    collision: u64,
+}
+
+impl Counts {
+    fn publish(&self) {
+        let m = cache_metrics();
+        m.hit.add(self.hit);
+        m.miss.add(self.miss);
+        m.collision.add(self.collision);
+    }
+}
+
 impl CacheInner {
+    /// The entry filed under `key.hash`, if its check digest matches: a
+    /// mismatch is a collision, and a miss.
+    fn lookup(&self, key: SummaryKey, counts: &mut Counts) -> Option<Arc<Summary>> {
+        let found = match self.map.get(&key.hash) {
+            Some((check, s)) if *check == key.check => Some(Arc::clone(s)),
+            Some(_) => {
+                counts.collision += 1;
+                None
+            }
+            None => None,
+        };
+        match found {
+            Some(_) => counts.hit += 1,
+            None => counts.miss += 1,
+        }
+        found
+    }
+
     /// The shared copy of `summary`'s value, registering it if new (a
     /// value-hash collision just replaces the slot: sharing is an
     /// optimization, lookups never depend on it).
     fn share(&mut self, summary: Arc<Summary>) -> Arc<Summary> {
-        let mut h = FnvHasher::default();
-        summary.hash(&mut h);
-        let h = h.finish();
+        let h = summary.value_hash();
         match self.values.get(&h) {
             Some(v) if **v == *summary => Arc::clone(v),
             _ => {
@@ -571,14 +759,19 @@ impl CacheInner {
     }
 }
 
-/// A bounded summary store keyed by transitive content hash. FIFO
+/// A bounded summary store keyed by [`SummaryKey`]. FIFO
 /// eviction (deterministic, no access-order dependence), safe to share
 /// across threads and requests: a key's value is a pure function of the
 /// key, so concurrent inserts of the same key are idempotent. Equal
 /// summaries under different keys share one allocation.
+///
+/// It also keeps the last few call-structure schedules (instance graph,
+/// SCCs, height batches), so a request whose edit leaves the call
+/// structure alone reuses its predecessor's graph.
 pub struct SummaryCache {
     inner: Mutex<CacheInner>,
     cap: usize,
+    pub(crate) schedules: ScheduleCache,
 }
 
 impl SummaryCache {
@@ -591,28 +784,58 @@ impl SummaryCache {
                 values: FnvMap::default(),
             }),
             cap: cap.max(1),
+            schedules: ScheduleCache::default(),
         }
     }
 
-    /// Look up a summary; counts `checker.summary.{hit,miss}`.
-    pub fn get(&self, key: u64) -> Option<Arc<Summary>> {
+    /// Look up a summary; counts `checker.summary.{hit,miss}`. An entry
+    /// under the same hash whose check digest differs is a miss, counted
+    /// under `checker.summary.collision` too.
+    pub fn get(&self, key: SummaryKey) -> Option<Arc<Summary>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let found = inner.map.get(&key).cloned();
-        if found.is_some() {
-            cache_metrics().hit.incr();
-        } else {
-            cache_metrics().miss.incr();
-        }
+        let mut counts = Counts::default();
+        let found = inner.lookup(key, &mut counts);
+        counts.publish();
         found
     }
 
+    /// Look up every member of each SCC of `batch` under one lock. An
+    /// SCC whose members all hit gets their summaries in `finals`; any
+    /// other SCC goes to `misses`. Counts as [`SummaryCache::get`] does.
+    pub(crate) fn probe(
+        &self,
+        batch: &[usize],
+        sccs: &[Vec<usize>],
+        keys: &[SummaryKey],
+        finals: &mut [Option<Arc<Summary>>],
+        misses: &mut Vec<usize>,
+    ) {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut counts = Counts::default();
+        for &c in batch {
+            let scc = &sccs[c];
+            for &id in scc {
+                finals[id] = inner.lookup(keys[id], &mut counts);
+            }
+            if scc.iter().any(|&id| finals[id].is_none()) {
+                for &id in scc {
+                    finals[id] = None;
+                }
+                misses.push(c);
+            }
+        }
+        drop(inner);
+        counts.publish();
+    }
+
     /// Insert a summary, evicting oldest-inserted entries beyond
-    /// capacity; counts `checker.summary.evict`.
-    pub fn insert(&self, key: u64, summary: Arc<Summary>) {
+    /// capacity; counts `checker.summary.evict`. An entry under the same
+    /// hash is replaced.
+    pub fn insert(&self, key: SummaryKey, summary: Arc<Summary>) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let summary = inner.share(summary);
-        if inner.map.insert(key, summary).is_none() {
-            inner.order.push_back(key);
+        if inner.map.insert(key.hash, (key.check, summary)).is_none() {
+            inner.order.push_back(key.hash);
             while inner.order.len() > self.cap {
                 if let Some(old) = inner.order.pop_front() {
                     inner.map.remove(&old);
@@ -639,7 +862,8 @@ impl SummaryCache {
 
 /// The process-wide cache behind the service `lint` path: summaries
 /// survive across requests, so re-linting a program with one edited
-/// function re-analyzes only that function and its transitive callers.
+/// function re-analyzes only that function and, where its summary
+/// changed, its callers.
 pub fn global_cache() -> &'static SummaryCache {
     static CACHE: OnceLock<SummaryCache> = OnceLock::new();
     CACHE.get_or_init(|| SummaryCache::new(1 << 18))
@@ -718,23 +942,66 @@ mod tests {
         assert_ne!(aliased.hash64(), external.hash64());
     }
 
+    fn key(hash: u64) -> SummaryKey {
+        SummaryKey { hash, check: !hash }
+    }
+
     #[test]
     fn cache_fifo_eviction_and_counters() {
         let cache = SummaryCache::new(2);
         let s = Arc::new(Summary::default());
-        cache.insert(1, s.clone());
-        cache.insert(2, s.clone());
-        assert!(cache.get(1).is_some());
-        cache.insert(3, s.clone());
+        cache.insert(key(1), s.clone());
+        cache.insert(key(2), s.clone());
+        assert!(cache.get(key(1)).is_some());
+        cache.insert(key(3), s.clone());
         // FIFO: key 1 (oldest inserted) evicted, not key 2.
-        assert!(cache.get(1).is_none());
-        assert!(cache.get(2).is_some());
-        assert!(cache.get(3).is_some());
+        assert!(cache.get(key(1)).is_none());
+        assert!(cache.get(key(2)).is_some());
+        assert!(cache.get(key(3)).is_some());
         assert_eq!(cache.len(), 2);
         // Re-inserting an existing key must not duplicate the order
         // entry (which would over-evict later).
-        cache.insert(3, s);
+        cache.insert(key(3), s);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn entries_sharing_a_hash_never_answer_for_each_other() {
+        let cache = SummaryCache::new(8);
+        let mut a = Summary::default();
+        a.effects.push(ParamEffect::Iter(IterEffect::identity()));
+        let a = Arc::new(a);
+        let b = Arc::new(Summary::default());
+        let (ka, kb) = (
+            SummaryKey { hash: 7, check: 1 },
+            SummaryKey { hash: 7, check: 2 },
+        );
+        let collisions = || gp_telemetry::counter("checker.summary.collision").get();
+        cache.insert(ka, Arc::clone(&a));
+        let c0 = collisions();
+        assert!(
+            cache.get(kb).is_none(),
+            "b's key must not return a's summary"
+        );
+        assert!(collisions() > c0);
+        cache.insert(kb, Arc::clone(&b));
+        assert!(
+            cache.get(ka).is_none(),
+            "a's key must not return b's summary"
+        );
+        assert_eq!(cache.get(kb).as_deref(), Some(&*b));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn check_digests_follow_the_content() {
+        let a = func("a", &["c"], vec![push_back("c")]);
+        let b = func("b", &["c"], vec![push_back("c")]);
+        let c = func("a", &["c"], vec![clear("c")]);
+        let check = |f: &FunctionDef| content_check(&f.params, &f.body);
+        assert_eq!(check(&a), check(&b));
+        assert_ne!(check(&a), check(&c));
+        assert_ne!(check(&a), content_hash(&a), "a second, independent digest");
     }
 
     #[test]

@@ -92,8 +92,9 @@ impl RequestKind for TraceQuery {
     }
 
     fn answer_inline(&self, traces: &TraceStore) -> Option<Result<Json, String>> {
-        Some(match traces.get(self.id) {
-            Some(spans) => Ok(Json::Raw(render_tree(TraceId(self.id), &spans))),
+        let tree = traces.with_spans(self.id, |spans| render_tree(TraceId(self.id), spans));
+        Some(match tree {
+            Some(tree) => Ok(Json::Raw(tree)),
             None => Err(format!(
                 "trace {} not found (unsampled, still in flight, or evicted)",
                 self.id

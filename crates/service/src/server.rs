@@ -115,7 +115,8 @@ struct Job {
     /// Micro-batching key, qualified by kind.
     batch_key: Option<(u64, u64)>,
     reply: ReplyFn,
-    enqueued: Instant,
+    /// When `submit` admitted the request: latency samples start here.
+    admitted: Instant,
     /// Trace state riding with a sampled request (None = untraced).
     trace: Option<JobTrace>,
 }
@@ -201,12 +202,13 @@ impl ServiceInner {
         reply(Response::Overloaded);
     }
 
-    fn complete_one(&self, kind: &KindRow, enqueued: Instant) {
+    /// Count a completion and record its latency since `admitted`.
+    fn complete_one(&self, kind: &KindRow, admitted: Instant) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         service_metrics().completed.incr();
         kind.instruments()
             .latency
-            .record(enqueued.elapsed().as_nanos() as u64);
+            .record(admitted.elapsed().as_nanos() as u64);
     }
 
     /// Answer one job from a handler result: render, cache, count, reply.
@@ -221,7 +223,7 @@ impl ServiceInner {
             }
             Err(message) => Response::Error { message },
         };
-        self.complete_one(job.request.row(), job.enqueued);
+        self.complete_one(job.request.row(), job.admitted);
         // Drop the job's trace handle before replying: if these are the
         // last live clones the trace publishes here, strictly before the
         // response can reach a client — so a `trace` query issued after
@@ -332,6 +334,9 @@ impl SubmitRequest for ServiceInner {
         mut trace: Option<TraceHandle>,
         reply: ReplyFn,
     ) {
+        // Every latency sample runs from here: admission to reply, on
+        // the inline, cache-hit and queued paths alike.
+        let admitted = Instant::now();
         let kind = request.row();
         self.accepted.fetch_add(1, Ordering::Relaxed);
         service_metrics().accepted.incr();
@@ -341,7 +346,7 @@ impl SubmitRequest for ServiceInner {
         // introspection is inspecting a server that is misbehaving.
         if let Some(result) = request.answer_inline(&self.trace_store) {
             drop(trace);
-            self.complete_one(kind, Instant::now());
+            self.complete_one(kind, admitted);
             reply(match result {
                 Ok(json) => Response::Ok {
                     payload: json.render(),
@@ -369,7 +374,7 @@ impl SubmitRequest for ServiceInner {
                     t.ctx.set_sink(&self.trace_store);
                     t.span(&CACHE_SPAN).finish();
                 }
-                self.complete_one(kind, Instant::now());
+                self.complete_one(kind, admitted);
                 reply(Response::Ok { payload });
                 return;
             }
@@ -392,7 +397,7 @@ impl SubmitRequest for ServiceInner {
             canonical,
             hash,
             reply,
-            enqueued: Instant::now(),
+            admitted,
             trace: job_trace,
         };
         match self.queue.try_push(job) {

@@ -319,18 +319,19 @@ impl TraceStore {
         crate::counter("trace.published").incr();
     }
 
-    /// The completed trace `id`, if it is (still) stored.
-    pub fn get(&self, id: u64) -> Option<Vec<SpanRecord>> {
+    /// Run `f` over the spans of the completed trace `id`, if it is
+    /// (still) stored, under the store's lock: a reader renders the
+    /// spans in place instead of copying them out.
+    pub fn with_spans<R>(&self, id: u64, f: impl FnOnce(&[SpanRecord]) -> R) -> Option<R> {
         self.inner
             .lock()
             .expect("trace store lock")
             .traces
             .get(&id)
-            .cloned()
+            .map(|spans| f(spans))
     }
 
-    /// Whether the completed trace `id` is (still) stored; unlike
-    /// [`get`](Self::get), copies no spans.
+    /// Whether the completed trace `id` is (still) stored.
     pub fn contains(&self, id: u64) -> bool {
         self.inner
             .lock()
@@ -450,7 +451,9 @@ mod tests {
         t.join().unwrap();
         root.finish();
         drop(ctx);
-        let spans = store.get(7).expect("published on last drop");
+        let spans = store
+            .with_spans(7, <[SpanRecord]>::to_vec)
+            .expect("published on last drop");
         assert_eq!(spans.len(), 3);
         let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
         assert_eq!(by_name("reactor").parent, None);
@@ -467,9 +470,9 @@ mod tests {
         ctx.set_sink(&store);
         let span = ctx.span(&S, None);
         drop(ctx);
-        assert!(store.get(1).is_none(), "a live span holds the trace open");
+        assert!(!store.contains(1), "a live span holds the trace open");
         drop(span);
-        assert!(store.get(1).is_some(), "last clone published");
+        assert!(store.contains(1), "last clone published");
     }
 
     #[test]
@@ -481,14 +484,14 @@ mod tests {
             ctx.span(&S, None).finish();
         }
         assert_eq!(store.len(), 2);
-        assert!(store.get(0).is_none());
-        assert!(store.get(1).is_none());
-        assert!(store.get(2).is_some());
-        assert!(store.get(3).is_some());
+        assert!(!store.contains(0));
+        assert!(!store.contains(1));
+        assert!(store.contains(2));
+        assert!(store.contains(3));
     }
 
     #[test]
-    fn contains_agrees_with_get_across_publish_and_eviction() {
+    fn contains_agrees_with_with_spans_across_publish_and_eviction() {
         let store = TraceStore::new(2);
         assert!(!store.contains(0), "empty store");
         for id in 0..3u64 {
@@ -501,7 +504,8 @@ mod tests {
             assert!(store.contains(id), "published on the last clone");
         }
         for id in 0..4u64 {
-            assert_eq!(store.contains(id), store.get(id).is_some(), "id {id}");
+            let held = store.with_spans(id, |spans| spans.len()).is_some();
+            assert_eq!(store.contains(id), held, "id {id}");
         }
         assert!(!store.contains(0), "oldest evicted");
     }
@@ -515,8 +519,8 @@ mod tests {
         ctx.set_sink(&b);
         ctx.span(&S, None).finish();
         drop(ctx);
-        assert!(a.get(9).is_some());
-        assert!(b.get(9).is_none());
+        assert!(a.contains(9));
+        assert!(!b.contains(9));
     }
 
     #[test]
@@ -545,8 +549,9 @@ mod tests {
         let store = TraceStore::new(2);
         ctx.set_sink(&store);
         drop(ctx);
-        let spans = store.get(42).unwrap();
-        let json = render_tree(TraceId(42), &spans);
+        let json = store
+            .with_spans(42, |spans| render_tree(TraceId(42), spans))
+            .unwrap();
         assert!(json.starts_with("{\"trace_id\":42,\"spans\":["));
         // reactor is the only root; queue and router nest under it;
         // engine nests under queue.
@@ -572,7 +577,7 @@ mod tests {
         let store = TraceStore::new(2);
         ctx.set_sink(&store);
         drop((h, h2, ctx));
-        let spans = store.get(5).unwrap();
+        let spans = store.with_spans(5, <[SpanRecord]>::to_vec).unwrap();
         let outer_rec = spans.iter().find(|s| s.name == "outer").unwrap();
         let inner_rec = spans.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(outer_rec.parent, None);
