@@ -1146,6 +1146,10 @@ fn analyze_ip(
     ip_metrics().runs.incr();
     cfg.validate()?;
     let functions = &program.functions;
+    // A flat program's `main` has no caller to reuse its summary, and a
+    // repeat of the whole program is a response-cache hit: caching it
+    // would only fill the cache.
+    let cache = cache.filter(|_| !functions.is_empty());
     let calls = callgraph::call_flags(program);
     let digests = body_digests(program);
     let sched = callgraph::schedule(
@@ -1557,6 +1561,22 @@ mod tests {
                 .any(|d| d.code == DiagnosticCode::ShadowedParam && d.severity == Severity::Error),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn flat_programs_stay_out_of_the_summary_cache() {
+        let cfg = CheckConfig::default();
+        let cache = SummaryCache::new(64);
+        for k in 0..16 {
+            let src = format!(
+                "container V{k} vector\npush_back V{k}\ncall sort V{k}\ncall find V{k} -> i\n"
+            );
+            let p = parse("t", &src).expect("parse");
+            let cold = analyze_program(&p, &cfg).unwrap();
+            assert!(!cold.is_empty(), "{src}");
+            assert_eq!(analyze_program_with_cache(&p, &cfg, &cache).unwrap(), cold);
+        }
+        assert!(cache.is_empty(), "{} flat summaries cached", cache.len());
     }
 
     #[test]

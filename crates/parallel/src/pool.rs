@@ -16,7 +16,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use gp_telemetry::Counter;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -41,8 +41,8 @@ struct PoolMetrics {
     steal_retry: &'static Counter,
     /// Times a worker parked on the sleep condvar.
     park: &'static Counter,
-    /// Parked waits ended by a submit-side notification (as opposed to
-    /// the parking timeout).
+    /// Parked waits that ended. Parking has no timeout, so each is a
+    /// submit-side or shutdown notification (or a spurious wakeup).
     unpark: &'static Counter,
     /// Jobs submitted to the current worker's own deque.
     submit_local: &'static Counter,
@@ -205,8 +205,12 @@ impl ThreadPool {
             self.shared.injector.push(job.take().expect("job present"));
             self.shared.metrics.submit_injector.incr();
         }
-        // Wake a parked worker, if any. The 1 ms parking timeout below
-        // makes a lost race here a latency blip, not a hang.
+        // Wake a parked worker, if any. A parking worker raises `sleepers`
+        // under `sleep_mutex` before it looks for work, and the push above
+        // is ordered before this read: either it sees the job or we see it
+        // and notify once it waits. No wakeup is lost, so parking needs no
+        // timeout.
+        fence(Ordering::SeqCst);
         if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.shared.sleep_mutex.lock().expect("sleep lock");
             self.shared.work_cond.notify_one();
@@ -366,20 +370,15 @@ fn worker_loop(shared: &Arc<Shared>, local: &Worker<Job>, index: usize) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        // Park until new work is submitted. The re-check under the lock
-        // plus the timeout close the submit/park race window.
+        // Park until new work is submitted. Raising `sleepers` before the
+        // re-check under the lock closes the submit/park race (see
+        // `submit`), so the wait needs no timeout.
         let guard = shared.sleep_mutex.lock().expect("sleep lock");
         shared.sleepers.fetch_add(1, Ordering::SeqCst);
         if !shared.shutdown.load(Ordering::SeqCst) && !has_visible_work(shared, local) {
             shared.metrics.park.incr();
-            let (_guard, timeout) = shared
-                .work_cond
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("sleep lock");
-            if !timeout.timed_out() {
-                // Woken by a submit-side notify, not the parking timeout.
-                shared.metrics.unpark.incr();
-            }
+            let _guard = shared.work_cond.wait(guard).expect("sleep lock");
+            shared.metrics.unpark.incr();
         }
         shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -610,5 +609,27 @@ mod tests {
         let b = global() as *const ThreadPool;
         assert_eq!(a, b);
         assert!(global().workers() >= 1);
+    }
+
+    #[test]
+    fn a_job_submitted_to_an_idle_pool_always_runs() {
+        // Parking has no timeout, so a lost wakeup would strand the job
+        // until the next submit. Each round lets the workers go idle (and
+        // race into the park) before handing them exactly one job.
+        let pool = ThreadPool::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for round in 0..10_000u32 {
+            pool.wait_idle();
+            if round % 64 == 0 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let tx = tx.clone();
+            pool.execute(move || tx.send(round).expect("receiver alive"));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(1)),
+                Ok(round),
+                "round {round}: a job submitted to an idle pool did not run"
+            );
+        }
     }
 }

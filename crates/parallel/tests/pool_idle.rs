@@ -1,27 +1,27 @@
 //! Idle-behavior regression test for the work-stealing executor, driven
 //! entirely through the telemetry counters (`pool.park` / `pool.unpark`).
 //!
-//! The seed pool's workers spun on their channel when idle; the PR 1
-//! executor parks them on a condvar with a 1 ms timeout. This test pins
-//! both halves of that contract:
+//! The seed pool's workers spun on their channel when idle; the executor
+//! parks them on a condvar until a submit notifies them (there is no
+//! parking timeout). This test pins both halves of that contract:
 //!
-//! 1. an idle pool *parks* — the park counter keeps advancing while no
-//!    work is queued (each timed-out condvar wait is one park), and
-//! 2. a submit *wakes* a parked worker via notification rather than the
-//!    timeout — the unpark counter (counted only for non-timed-out waits)
-//!    advances when work arrives while workers are asleep.
+//! 1. an idle pool *parks* and then *stays parked* — the park counter
+//!    advances once per worker going idle, and not again while no work is
+//!    queued (a timed wait would re-park every few milliseconds), and
+//! 2. a submit *wakes* a parked worker — the unpark counter (one per
+//!    ended wait) advances when work arrives while workers are asleep.
 //!
-//! The counters are process-global and shared by every pool, so all
-//! assertions are monotonic deltas (other tests can only push them up),
-//! and the notification check retries: a worker mid-poll when `execute`
-//! fires its notify loses the wakeup and times out instead, which is
-//! legal — it just doesn't count as an unpark.
+//! The counters are process-global and shared by every pool, so this
+//! binary holds this one test, and the notification check retries: a
+//! worker mid-poll when `execute` fires its notify finds the job itself,
+//! which is legal — it just doesn't count as an unpark.
 
 use gp_parallel::pool::ThreadPool;
 use std::time::Duration;
 
 #[test]
 fn idle_workers_park_and_submits_unpark_them() {
+    let start = gp_telemetry::snapshot();
     let pool = ThreadPool::new(4);
 
     // Warm the pool with a burst so every worker has run at least once.
@@ -33,20 +33,27 @@ fn idle_workers_park_and_submits_unpark_them() {
     pool.wait_idle();
 
     // Phase 1: with the queue drained, workers must park rather than
-    // spin. 50 ms of idle time at a 1 ms park timeout gives each of the
-    // 4 workers dozens of park cycles; require a handful.
-    let before = gp_telemetry::snapshot();
+    // spin, and then stay parked: 50 ms of idle time at the old 1 ms
+    // parking timeout would have re-parked each of the 4 workers dozens
+    // of times. Each worker parks at most once in the window (when it
+    // had not yet parked at its start).
     std::thread::sleep(Duration::from_millis(50));
-    let parks = gp_telemetry::snapshot().delta(&before).counter("pool.park");
+    let idle = gp_telemetry::snapshot();
+    std::thread::sleep(Duration::from_millis(50));
+    let parked = idle.delta(&start).counter("pool.park");
+    let reparked = gp_telemetry::snapshot().delta(&idle).counter("pool.park");
     assert!(
-        parks >= 4,
-        "idle workers should park on the sleep condvar (saw {parks} parks in 50ms)"
+        parked >= 1,
+        "idle workers should park on the sleep condvar (saw {parked} parks)"
+    );
+    assert!(
+        reparked <= 4,
+        "parked workers should sleep until work arrives (saw {reparked} parks in 50ms)"
     );
 
     // Phase 2: a submit while workers are parked must wake one by
-    // notification (unpark counts only waits that did NOT time out).
-    // Retried because the notify can race a worker that is between its
-    // last poll and the condvar wait.
+    // notification. Retried because a worker that is between its last
+    // poll and the condvar wait takes the job without parking.
     let before = gp_telemetry::snapshot();
     let mut unparks = 0;
     for _ in 0..50 {
@@ -67,6 +74,6 @@ fn idle_workers_park_and_submits_unpark_them() {
     }
     assert!(
         unparks > 0,
-        "a submit into a parked pool should end a wait by notification, not timeout"
+        "a submit into a parked pool should end a wait by notification"
     );
 }

@@ -251,16 +251,6 @@ impl Simplifier {
             })
             .collect()
     }
-
-    /// Simplify independent expressions in parallel on the gp-parallel
-    /// global pool (each entry gets its own store + memo, so results and
-    /// statistics are identical to solo calls). Worth it when the batch
-    /// is large or the entries are; for small batches the shared-store
-    /// sequential [`Simplifier::simplify_batch`] wins.
-    pub fn simplify_batch_parallel(&self, exprs: &[Expr]) -> Vec<(Expr, SimplifyStats)> {
-        let threads = gp_parallel::pool::global().workers();
-        gp_parallel::par::par_map(exprs, threads, |e| self.simplify(e))
-    }
 }
 
 /// A rewriting session: term store + normal-form memo over one
@@ -718,20 +708,6 @@ mod tests {
             let (out_s, stats_s) = s.simplify(e);
             assert_eq!(&out_s, out_b);
             assert_eq!(&stats_s, stats_b);
-        }
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let exprs: Vec<Expr> = (0..64).map(|_| random_int_expr(&mut rng, 5)).collect();
-        let s = Simplifier::standard();
-        let seq: Vec<_> = exprs.iter().map(|e| s.simplify(e)).collect();
-        let par = s.simplify_batch_parallel(&exprs);
-        assert_eq!(seq.len(), par.len());
-        for ((a, sa), (b, sb)) in seq.iter().zip(&par) {
-            assert_eq!(a, b);
-            assert_eq!(sa, sb);
         }
     }
 

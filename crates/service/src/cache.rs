@@ -93,7 +93,7 @@ impl ResponseCache {
 
     /// Look up by hash, verifying `canonical` against the stored request.
     pub fn get(&self, hash: u64, canonical: &str) -> Option<String> {
-        let mut shard = self.shard(hash).lock().unwrap();
+        let mut shard = crate::lock(self.shard(hash));
         shard.clock += 1;
         let clock = shard.clock;
         match shard.entries.get_mut(&hash) {
@@ -121,7 +121,7 @@ impl ResponseCache {
     pub fn put(&self, hash: u64, canonical: impl Into<String>, payload: &str) {
         let mut canonical = canonical.into();
         canonical.shrink_to_fit();
-        let mut shard = self.shard(hash).lock().unwrap();
+        let mut shard = crate::lock(self.shard(hash));
         shard.clock += 1;
         let clock = shard.clock;
         if let Some(e) = shard.entries.get_mut(&hash) {
@@ -143,7 +143,7 @@ impl ResponseCache {
                 drop(shard);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 self.tele_evict.incr();
-                shard = self.shard(hash).lock().unwrap();
+                shard = crate::lock(self.shard(hash));
             }
         }
         shard.entries.insert(
@@ -160,7 +160,7 @@ impl ResponseCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().entries.len())
+            .map(|s| crate::lock(s).entries.len())
             .sum()
     }
 

@@ -193,7 +193,7 @@ impl ControlProc {
         if fresh != 0 {
             // Failover applied: snapshot the flight recorder so the drill
             // (and any operator) can see the event chain that led here.
-            self.status.lock().unwrap().flight_dump = Some(flight::dump_json());
+            crate::lock(&self.status).flight_dump = Some(flight::dump_json());
         }
     }
 
@@ -213,7 +213,7 @@ impl ControlProc {
                 self.counted_epoch = Some(self.epoch);
                 control_metrics().elections.incr();
                 flight::record(FlightKind::Election, self.epoch, leader as u64);
-                self.status.lock().unwrap().elections_won += 1;
+                crate::lock(&self.status).elections_won += 1;
             }
             let unflooded = self.dead_mask & !self.flooded_mask;
             if leader == self.id && unflooded != 0 {
@@ -229,7 +229,7 @@ impl ControlProc {
                 self.apply_dead(self.dead_mask);
             }
         }
-        let mut st = self.status.lock().unwrap();
+        let mut st = crate::lock(&self.status);
         st.epoch = self.epoch;
         st.leader = self.settled_leader();
         st.dead_mask = self.dead_mask;
@@ -369,7 +369,7 @@ impl ControlPlane {
 
     /// A snapshot of one node's status.
     pub fn status(&self, node: usize) -> NodeStatus {
-        self.status[node].lock().unwrap().clone()
+        crate::lock(&self.status[node]).clone()
     }
 
     /// Block until every node in `live` reports `dead` in its dead mask

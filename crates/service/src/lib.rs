@@ -75,6 +75,7 @@
 //! front end, even while draining.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod control;
@@ -103,3 +104,10 @@ pub use request::{
 pub use server::{Service, ServiceConfig, ServiceStats, Ticket};
 pub use shard::{FailoverTarget, HashRing, ShardRouter, ShardRouterConfig};
 pub use wire::{FrameDecoder, TcpClient};
+
+/// Lock `m`, recovering the data of a lock poisoned by a panicking holder:
+/// this crate holds its locks only over field stores and std container
+/// calls, none of which panics partway, so the data is always valid.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

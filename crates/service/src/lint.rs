@@ -15,8 +15,8 @@
 //! re-analyze only what changed. This is a semantic layer above the
 //! service's byte-level response cache: that one only hits on identical
 //! request bodies, this one hits per function body inside *different*
-//! requests. SCCs at equal call-graph height run on the gp-parallel
-//! global pool.
+//! requests. The analysis runs on the shard worker that popped the
+//! request; it fans out to no other thread.
 
 use crate::request::RequestKind;
 use gp_checker::analyze::Severity;
@@ -68,11 +68,7 @@ impl RequestKind for LintRequest {
     fn handle(&self) -> Result<Json, String> {
         let program = gp_checker::parse::parse(&self.name, &self.program)
             .map_err(|e| format!("parse: {e}"))?;
-        let cfg = CheckConfig {
-            parallel: true,
-            ..CheckConfig::default()
-        };
-        let diags = gp_checker::analyze_program_cached(&program, &cfg)
+        let diags = gp_checker::analyze_program_cached(&program, &CheckConfig::default())
             .map_err(|e| format!("check: {e}"))?;
         // Rows take each diagnostic's strings by move; their keys are
         // borrowed literals.

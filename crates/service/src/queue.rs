@@ -43,7 +43,7 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking admit. `Err(item)` hands the item back when the queue
     /// is full or closed — the caller sheds it.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = crate::lock(&self.state);
         if s.closed || s.items.len() >= self.cap {
             return Err(item);
         }
@@ -56,7 +56,7 @@ impl<T> BoundedQueue<T> {
     /// Blocking take. `None` only after `close()` once every admitted
     /// item has been drained.
     pub fn pop(&self) -> Option<T> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = crate::lock(&self.state);
         loop {
             if let Some(item) = s.items.pop_front() {
                 return Some(item);
@@ -64,14 +64,14 @@ impl<T> BoundedQueue<T> {
             if s.closed {
                 return None;
             }
-            s = self.nonempty.wait(s).unwrap();
+            s = self.nonempty.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Non-blocking take of the first queued item matching `pred` — the
     /// batch-mate scan. Skipped items keep their order.
     pub fn try_take_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = crate::lock(&self.state);
         let idx = s.items.iter().position(pred)?;
         s.items.remove(idx)
     }
@@ -79,13 +79,13 @@ impl<T> BoundedQueue<T> {
     /// Stop admitting; wake every parked consumer so it can drain and
     /// exit.
     pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        crate::lock(&self.state).closed = true;
         self.nonempty.notify_all();
     }
 
     /// Current depth (racy by nature; for gauges and tests).
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
+        crate::lock(&self.state).items.len()
     }
 
     /// True when empty at the instant of the check.

@@ -22,9 +22,10 @@
 //!   outbound buffer tops [`ReactorConfig::outbuf_cap`] the reactor drops
 //!   *read* interest (a client that stops draining stops being served)
 //!   and re-registers it once the buffer drains below the cap.
-//! - **Cross-thread wakeup**: workers finish on pool threads; completions
-//!   land in a queue and a byte on a nonblocking self-pipe breaks
-//!   `epoll_wait` so the reactor flushes them.
+//! - **Cross-thread wakeup**: requests run on shard worker threads;
+//!   completions land in a queue and a byte on a nonblocking self-pipe
+//!   breaks `epoll_wait` so the reactor flushes them. A queued request
+//!   makes one hand-off each way: reactor → shard worker → reactor.
 //!
 //! Telemetry: `service.conn.open` gauge, `service.conn.shed` counter,
 //! `service.reactor.{wakeups,spurious}` counters, and a
@@ -382,12 +383,12 @@ mod linux_impl {
 
     impl CompletionQueue {
         fn push(&self, c: Completion) {
-            self.items.lock().unwrap().push(c);
+            crate::lock(&self.items).push(c);
             self.pipe.wake();
         }
 
         fn drain(&self) -> Vec<Completion> {
-            std::mem::take(&mut *self.items.lock().unwrap())
+            std::mem::take(&mut *crate::lock(&self.items))
         }
     }
 
@@ -669,7 +670,9 @@ mod linux_impl {
         fn read_ready(&mut self, token: u32) -> bool {
             let mut buf = [0u8; 16 << 10];
             loop {
-                let conn = self.slots[token as usize].conn.as_mut().unwrap();
+                let Some(conn) = self.slots[token as usize].conn.as_mut() else {
+                    return false;
+                };
                 if !conn.want_read {
                     // Backpressured (or already EOF'd): leave the bytes in
                     // the kernel buffer; level-triggered epoll will
@@ -683,7 +686,6 @@ mod linux_impl {
                         return self.maybe_finish(token);
                     }
                     Ok(n) => {
-                        let conn = self.slots[token as usize].conn.as_mut().unwrap();
                         conn.decoder.feed(&buf[..n]);
                         if !self.decode_and_submit(token) {
                             return false;
@@ -705,7 +707,9 @@ mod linux_impl {
         /// Returns false when a protocol error closed the connection.
         fn decode_and_submit(&mut self, token: u32) -> bool {
             loop {
-                let conn = self.slots[token as usize].conn.as_mut().unwrap();
+                let Some(conn) = self.slots[token as usize].conn.as_mut() else {
+                    return false;
+                };
                 let frame = match conn.decoder.next_frame() {
                     Ok(Some(f)) => f,
                     Ok(None) => return true,
@@ -788,7 +792,9 @@ mod linux_impl {
             touched.sort_unstable();
             touched.dedup();
             for token in touched {
-                let conn = self.slots[token as usize].conn.as_mut().unwrap();
+                let Some(conn) = self.slots[token as usize].conn.as_mut() else {
+                    continue;
+                };
                 // Emit in request order: only the contiguous prefix.
                 while let Some(frame) = conn.pending.remove(&conn.next_deliver) {
                     conn.next_deliver += 1;

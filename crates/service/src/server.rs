@@ -1,4 +1,4 @@
-//! The serving core: admission control, worker pool, micro-batching,
+//! The serving core: admission control, worker threads, micro-batching,
 //! response cache, TCP front end, and graceful shutdown.
 //!
 //! A request's life: `submit` stamps it, counts it as **accepted**, and
@@ -7,8 +7,9 @@
 //! load-shedding design choice documented in DESIGN.md), or queues it.
 //! Workers pop jobs, pull queued `Simplify` requests with the same
 //! environment fingerprint into a micro-batch (one `Simplifier` build
-//! amortized over the batch), execute on the `gp-parallel` global pool,
-//! and reply through the job's channel.
+//! amortized over the batch), execute the batch on their own thread, and
+//! reply through the job's callback. The workers are the service's only
+//! source of concurrency: no handler hands work to another thread.
 //!
 //! The conservation law `accepted == completed + shed + in_flight` holds
 //! at every instant, and `in_flight == 0` after [`Service::shutdown`]
@@ -240,7 +241,7 @@ impl ServiceInner {
         }
         // For every traced job: close its `queue` span (measuring queued
         // wait) and open `worker` → `engine.<kind>` spans here, on the
-        // pool thread — the explicit parent ids are what keep the tree
+        // shard worker — the explicit parent ids are what keep the tree
         // intact across the hop from the submitting thread. Batched jobs
         // each get their own span pair over the shared handler run.
         let mut stage_spans: Vec<(Span, Span)> = Vec::new();
@@ -267,8 +268,8 @@ impl ServiceInner {
         }
     }
 
-    /// Worker loop: pop, gather batch-mates, run on the global pool.
-    fn worker_loop(self: Arc<Self>) {
+    /// Worker loop: pop, gather batch-mates, run the batch here.
+    fn worker_loop(&self) {
         while let Some(job) = self.queue.pop() {
             service_metrics().queue_depth.sub(1);
             let mut batch = vec![job];
@@ -292,16 +293,10 @@ impl ServiceInner {
                     batch.len() as u64,
                 );
             }
-            // Execute on the gp-parallel global pool; the worker blocks
-            // until its batch is done, so worker count bounds service
-            // concurrency and shutdown-join implies no in-flight work.
-            let (done_tx, done_rx) = mpsc::channel();
-            let inner = Arc::clone(&self);
-            gp_parallel::pool::global().execute(move || {
-                inner.execute_batch(batch);
-                let _ = done_tx.send(());
-            });
-            let _ = done_rx.recv();
+            // The worker runs its own batch, so worker count bounds
+            // service concurrency and shutdown-join implies no in-flight
+            // work.
+            self.execute_batch(batch);
         }
     }
 
@@ -450,9 +445,13 @@ impl Service {
             config,
         });
         let workers = (0..inner.config.workers.max(1))
-            .map(|_| {
+            .map(|i| {
                 let inner = Arc::clone(&inner);
-                thread::spawn(move || inner.worker_loop())
+                #[allow(clippy::expect_used, reason = "start-up only, as thread::spawn")]
+                thread::Builder::new()
+                    .name(format!("gp-worker-{i}"))
+                    .spawn(move || inner.worker_loop())
+                    .expect("spawn a shard worker")
             })
             .collect();
         Service {

@@ -378,7 +378,8 @@ impl RequestKind for SimplifyRequest {
     }
 
     fn handle(&self) -> Result<Json, String> {
-        handle_batch(&[self]).pop().unwrap()
+        let (out, stats) = Simplifier::with_env(self.env.build()).simplify(&self.expr);
+        Ok(render_result(&out, &stats))
     }
 
     fn handle_batch(batch: &[&Self]) -> Vec<Result<Json, String>> {
@@ -405,21 +406,15 @@ impl RequestKind for SimplifyRequest {
     }
 }
 
-/// Batch size at which simplification fans out to the `gp-parallel`
-/// pool. Below it, the shared-interner sequential path wins (common
-/// subterms across the batch intern once, and no spawn overhead).
-const PARALLEL_BATCH_THRESHOLD: usize = 8;
-
 /// Simplify a batch of requests sharing an environment fingerprint: the
 /// `Simplifier` (environment + rule set + resolved fire counters + rule
 /// dispatch index) is built **once** and reused for every expression —
 /// the amortization the serving core's micro-batching exists to exploit.
 ///
-/// Small batches run sequentially on one rewriting session, so common
-/// subterms across entries are interned once (the normal-form memo is
-/// reset per entry, keeping each result and its stats byte-identical to a
-/// solo call — the response cache depends on that). Large batches fan out
-/// to the `gp-parallel` pool, one independent session per entry.
+/// The batch runs on one rewriting session, so common subterms across
+/// entries are interned once (the normal-form memo is reset per entry,
+/// keeping each result and its stats byte-identical to a solo call — the
+/// response cache depends on that).
 pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
     let Some(first) = reqs.first() else {
         return Vec::new();
@@ -431,12 +426,8 @@ pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
     );
     let simplifier = Simplifier::with_env(first.env.build());
     let exprs: Vec<Expr> = reqs.iter().map(|r| r.expr.clone()).collect();
-    let results = if reqs.len() >= PARALLEL_BATCH_THRESHOLD {
-        simplifier.simplify_batch_parallel(&exprs)
-    } else {
-        simplifier.simplify_batch(&exprs)
-    };
-    results
+    simplifier
+        .simplify_batch(&exprs)
         .into_iter()
         .map(|(out, stats)| Ok(render_result(&out, &stats)))
         .collect()
@@ -572,8 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_takes_the_parallel_path_and_still_matches_solo() {
-        // 3× the fan-out threshold, with shared structure between entries.
+    fn a_24_entry_batch_with_shared_structure_matches_solo_calls() {
         let shared = Expr::bin(
             BinOp::Add,
             Expr::bin(BinOp::Mul, Expr::var("x", Type::Int), Expr::int(1)),
