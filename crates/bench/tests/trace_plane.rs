@@ -115,8 +115,9 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
     router.shutdown();
 
     // --- Blocking path: root is `server`, and the engine span closes on
-    // a pool worker while the root closes on the connection thread — the
-    // recorded thread names are the cross-thread evidence. ---
+    // a shard worker (`gp-worker-{i}`) while the root closes on the
+    // connection thread — the recorded thread names are the cross-thread
+    // evidence. ---
     let mut svc = Service::start(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
@@ -147,7 +148,7 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
     assert_ne!(
         root_thread, engine_thread,
         "the root closes on the connection thread, the engine span on a \
-         pool worker — same thread would mean the hop never happened"
+         shard worker — same thread would mean the hop never happened"
     );
 
     // `stats` on the blocking front end.

@@ -9,7 +9,7 @@
 //! length-prefixed codec ([`gp_core::frame`]):
 //!
 //! * [`NetRunner`] — a **lockstep** socket runner that cross-validates
-//!   against [`AsyncRunner`]: payload bytes travel peer-to-peer over per-edge
+//!   against [`AsyncRunner`](crate::engine::AsyncRunner): payload bytes travel peer-to-peer over per-edge
 //!   TCP connections between host threads, while a coordinator replays the
 //!   *identical* seeded schedule the simulator would produce — same RNG
 //!   draw order, same event-queue ordering, same crash/recovery schedule.

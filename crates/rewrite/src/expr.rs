@@ -217,29 +217,10 @@ impl Expr {
         match self {
             Expr::Lit(v) => Some(v.clone()),
             Expr::Var(name, _) => env.get(name).cloned(),
-            Expr::Unary(op, e) => {
-                let v = e.eval(env)?;
-                match (op, v) {
-                    (UnOp::Neg, Value::Int(x)) => Some(Value::Int(-x)),
-                    (UnOp::Neg, Value::Float(x)) => Some(Value::Float(-x)),
-                    (UnOp::Neg, Value::BigFloat(x)) => Some(Value::BigFloat(-x)),
-                    (UnOp::Neg, Value::Rational(x)) => Some(Value::Rational(-x)),
-                    (UnOp::Recip, Value::Float(x)) => Some(Value::Float(1.0 / x)),
-                    (UnOp::Recip, Value::BigFloat(x)) => Some(Value::BigFloat(1.0 / x)),
-                    (UnOp::Recip, Value::Rational(x)) => {
-                        if x.is_zero() {
-                            None
-                        } else {
-                            Some(Value::Rational(gp_core::algebra::Recip::recip(&x)))
-                        }
-                    }
-                    (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
-                    _ => None,
-                }
-            }
+            Expr::Unary(op, e) => eval_un(*op, &e.eval(env)?),
             Expr::Binary(op, l, r) => {
                 let (l, r) = (l.eval(env)?, r.eval(env)?);
-                eval_bin(*op, l, r)
+                eval_bin(*op, &l, &r)
             }
             Expr::Call(name, _, args) => {
                 // Library calls known to the evaluator.
@@ -257,13 +238,36 @@ impl Expr {
     }
 }
 
-fn eval_bin(op: BinOp, l: Value, r: Value) -> Option<Value> {
+/// Apply a unary operator to a value; `None` when ill-typed (or the
+/// reciprocal of a zero rational).
+pub(crate) fn eval_un(op: UnOp, v: &Value) -> Option<Value> {
+    match (op, v) {
+        (UnOp::Neg, Value::Int(x)) => Some(Value::Int(-x)),
+        (UnOp::Neg, Value::Float(x)) => Some(Value::Float(-x)),
+        (UnOp::Neg, Value::BigFloat(x)) => Some(Value::BigFloat(-x)),
+        (UnOp::Neg, Value::Rational(x)) => Some(Value::Rational(-*x)),
+        (UnOp::Recip, Value::Float(x)) => Some(Value::Float(1.0 / x)),
+        (UnOp::Recip, Value::BigFloat(x)) => Some(Value::BigFloat(1.0 / x)),
+        (UnOp::Recip, Value::Rational(x)) => {
+            if x.is_zero() {
+                None
+            } else {
+                Some(Value::Rational(gp_core::algebra::Recip::recip(x)))
+            }
+        }
+        (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
+        _ => None,
+    }
+}
+
+/// Apply a binary operator to two values; `None` when ill-typed.
+pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     use BinOp::*;
     use Value::*;
     Some(match (op, l, r) {
-        (Add, Int(a), Int(b)) => Int(a.wrapping_add(b)),
-        (Sub, Int(a), Int(b)) => Int(a.wrapping_sub(b)),
-        (Mul, Int(a), Int(b)) => Int(a.wrapping_mul(b)),
+        (Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
+        (Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
+        (Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
         (Add, Float(a), Float(b)) => Float(a + b),
         (Sub, Float(a), Float(b)) => Float(a - b),
         (Mul, Float(a), Float(b)) => Float(a * b),
@@ -272,13 +276,13 @@ fn eval_bin(op: BinOp, l: Value, r: Value) -> Option<Value> {
         (Sub, BigFloat(a), BigFloat(b)) => BigFloat(a - b),
         (Mul, BigFloat(a), BigFloat(b)) => BigFloat(a * b),
         (Div, BigFloat(a), BigFloat(b)) => BigFloat(a / b),
-        (Add, Rational(a), Rational(b)) => Rational(a + b),
-        (Sub, Rational(a), Rational(b)) => Rational(a - b),
-        (Mul, Rational(a), Rational(b)) => Rational(a * b),
-        (And, Bool(a), Bool(b)) => Bool(a && b),
-        (Or, Bool(a), Bool(b)) => Bool(a || b),
+        (Add, Rational(a), Rational(b)) => Rational(*a + *b),
+        (Sub, Rational(a), Rational(b)) => Rational(*a - *b),
+        (Mul, Rational(a), Rational(b)) => Rational(*a * *b),
+        (And, Bool(a), Bool(b)) => Bool(*a && *b),
+        (Or, Bool(a), Bool(b)) => Bool(*a || *b),
         (BitAnd, UInt(a), UInt(b)) => UInt(a & b),
-        (Concat, Str(a), Str(b)) => Str(a + &b),
+        (Concat, Str(a), Str(b)) => Str([a.as_str(), b].concat()),
         _ => return None,
     })
 }

@@ -209,7 +209,7 @@ fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
 }
 
 /// Bit-level value equality — the interner's notion of "same literal".
-fn value_bits_eq(a: &Value, b: &Value) -> bool {
+pub(crate) fn value_bits_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
         (Value::BigFloat(x), Value::BigFloat(y)) => x.to_bits() == y.to_bits(),

@@ -18,7 +18,10 @@
 //! * [`mod@env`] — the concept environment: which `(type, operation)` pairs
 //!   model Monoid/Group/…, their identity and annihilator elements.
 //! * [`rules`] — the [`rules::RewriteRule`] concept and the built-in
-//!   concept-based rule library.
+//!   concept-based rule library. Each built-in rule is written once,
+//!   generic over the [`rules::Terms`] concept, whose two models are
+//!   `Expr` trees and the interned [`TermStore`]; one bridge impl turns
+//!   that body into both `RewriteRule` entry points.
 //! * [`intern`] — the hash-consed term store: every distinct subterm
 //!   interned once, `u32` ids, O(1) equality.
 //! * [`simplify`] — the rewrite engine: indexed rule dispatch plus a

@@ -7,11 +7,26 @@
 //! [`RightInverse`]/[`LeftInverse`] (`x + (-x) → 0`, Group); the library
 //! adds the equally concept-generic annihilator, idempotence,
 //! double-inverse, and constant-folding rules.
+//!
+//! Each built-in rule's matching is written once, as a [`GenericRule`]
+//! body generic over the [`Terms`] concept: the handful of operations a
+//! rule needs from a term representation (a node's shape and literal
+//! value, its type, `Expr::eq` and bit-for-bit identity, and building
+//! literal, binary and call nodes). Two representations model it:
+//!
+//! * `Expr` trees — a handle is a borrowed subtree, and a built node owns
+//!   clones of the subtrees it reuses;
+//! * the hash-consed [`TermStore`] — a handle is a [`TermId`], and
+//!   building a node interns it.
+//!
+//! One bridge impl instantiates each body for both [`RewriteRule`] entry
+//! points, `try_apply` on trees and `try_apply_interned` on the store, so
+//! the two cannot drift apart.
 
 use crate::env::{AlgConcept, ConceptEnv};
-use crate::expr::{BinOp, Expr, Type, UnOp, Value};
-use crate::intern::{Head, Term, TermId, TermStore};
-use std::collections::BTreeMap;
+use crate::expr::{eval_bin, eval_un, BinOp, Expr, Type, UnOp, Value};
+use crate::intern::{value_bits_eq, Head, Term, TermId, TermStore};
+use std::marker::PhantomData;
 
 /// The `(Type, head)` keys a rule can possibly fire on, used to build the
 /// dispatch index. `Any` (the default) places the rule in every bucket —
@@ -53,12 +68,13 @@ pub trait RewriteRule {
     /// Rewrite the root of the interned term `id` — the hash-consed fast
     /// path. The default extracts the whole subtree, applies
     /// [`RewriteRule::try_apply`], and re-interns the result, which is
-    /// correct for any user rule but pays a tree materialization; the
-    /// built-in rules override it with direct id-level matching.
+    /// correct for any user rule but pays a tree materialization. A
+    /// [`GenericRule`] (every built-in rule is one) gets both entry points
+    /// from its single body instead.
     ///
-    /// Implementations must preserve `try_apply` semantics exactly; in
-    /// particular, subterm equality is `Expr::eq` — use
-    /// [`TermStore::exprs_eq`], never raw id equality (NaN and `-0.0`
+    /// A user rule that overrides both methods must preserve `try_apply`
+    /// semantics exactly; in particular, subterm equality is `Expr::eq` —
+    /// use [`TermStore::exprs_eq`], never raw id equality (NaN and `-0.0`
     /// literals make the two differ).
     fn try_apply_interned(
         &self,
@@ -71,25 +87,216 @@ pub trait RewriteRule {
     }
 }
 
+/// The term-access concept a [`GenericRule`] body is written against.
+///
+/// An [`Id`](Terms::Id) is a handle to an existing term; an
+/// [`Out`](Terms::Out) is a built term, which is what a rule returns and
+/// what a built node takes as children. [`Terms::reuse`] turns a handle
+/// into a built term, so a replacement can contain existing subterms.
+pub trait Terms {
+    /// Handle to an existing term.
+    type Id: Copy;
+    /// A built term.
+    type Out;
+
+    /// The value of `id` if it is a literal.
+    fn as_lit(&self, id: Self::Id) -> Option<&Value>;
+    /// The operator and operand of `id` if it is a unary application.
+    fn as_unary(&self, id: Self::Id) -> Option<(UnOp, Self::Id)>;
+    /// The operator and operands of `id` if it is a binary application.
+    fn as_binary(&self, id: Self::Id) -> Option<(BinOp, Self::Id, Self::Id)>;
+    /// Static type of `id`.
+    fn ty(&self, id: Self::Id) -> Type;
+    /// `Expr::eq` of the two represented trees: `-0.0 == 0.0`, and a tree
+    /// that contains NaN equals nothing, itself included.
+    fn exprs_eq(&self, a: Self::Id, b: Self::Id) -> bool;
+    /// Whether the two represented trees are the same bit for bit
+    /// (floats compare by bit pattern, so NaN is identical to itself).
+    fn identical(&self, a: Self::Id, b: Self::Id) -> bool;
+    /// The existing subterm `id`, as a child of a node to build.
+    fn reuse(&self, id: Self::Id) -> Self::Out;
+    /// Build a literal.
+    fn make_lit(&mut self, v: Value) -> Self::Out;
+    /// Build a binary application.
+    fn make_binary(&mut self, op: BinOp, l: Self::Out, r: Self::Out) -> Self::Out;
+    /// Build a call.
+    fn make_call<const N: usize>(
+        &mut self,
+        name: &str,
+        ty: Type,
+        args: [Self::Out; N],
+    ) -> Self::Out;
+}
+
+/// The store model: handles are ids, and building a node interns it.
+impl Terms for TermStore {
+    type Id = TermId;
+    type Out = TermId;
+
+    fn as_lit(&self, id: TermId) -> Option<&Value> {
+        match self.term(id) {
+            Term::Lit(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn as_unary(&self, id: TermId) -> Option<(UnOp, TermId)> {
+        match *self.term(id) {
+            Term::Unary(op, x) => Some((op, x)),
+            _ => None,
+        }
+    }
+    fn as_binary(&self, id: TermId) -> Option<(BinOp, TermId, TermId)> {
+        match *self.term(id) {
+            Term::Binary(op, l, r) => Some((op, l, r)),
+            _ => None,
+        }
+    }
+    fn ty(&self, id: TermId) -> Type {
+        TermStore::ty(self, id)
+    }
+    fn exprs_eq(&self, a: TermId, b: TermId) -> bool {
+        TermStore::exprs_eq(self, a, b)
+    }
+    fn identical(&self, a: TermId, b: TermId) -> bool {
+        a == b
+    }
+    fn reuse(&self, id: TermId) -> TermId {
+        id
+    }
+    fn make_lit(&mut self, v: Value) -> TermId {
+        self.lit(&v)
+    }
+    fn make_binary(&mut self, op: BinOp, l: TermId, r: TermId) -> TermId {
+        self.binary(op, l, r)
+    }
+    fn make_call<const N: usize>(&mut self, name: &str, ty: Type, args: [TermId; N]) -> TermId {
+        self.call(name, ty, &args)
+    }
+}
+
+/// The tree model: a handle is a borrowed subtree, and a built node owns
+/// clones of the subtrees it reuses.
+struct Trees<'a>(PhantomData<&'a Expr>);
+
+impl<'a> Terms for Trees<'a> {
+    type Id = &'a Expr;
+    type Out = Expr;
+
+    fn as_lit(&self, e: &'a Expr) -> Option<&Value> {
+        match e {
+            Expr::Lit(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn as_unary(&self, e: &'a Expr) -> Option<(UnOp, &'a Expr)> {
+        match e {
+            Expr::Unary(op, x) => Some((*op, x)),
+            _ => None,
+        }
+    }
+    fn as_binary(&self, e: &'a Expr) -> Option<(BinOp, &'a Expr, &'a Expr)> {
+        match e {
+            Expr::Binary(op, l, r) => Some((*op, l, r)),
+            _ => None,
+        }
+    }
+    fn ty(&self, e: &'a Expr) -> Type {
+        e.ty()
+    }
+    fn exprs_eq(&self, a: &'a Expr, b: &'a Expr) -> bool {
+        a == b
+    }
+    fn identical(&self, a: &'a Expr, b: &'a Expr) -> bool {
+        bits_identical(a, b)
+    }
+    fn reuse(&self, e: &'a Expr) -> Expr {
+        e.clone()
+    }
+    fn make_lit(&mut self, v: Value) -> Expr {
+        Expr::Lit(v)
+    }
+    fn make_binary(&mut self, op: BinOp, l: Expr, r: Expr) -> Expr {
+        Expr::bin(op, l, r)
+    }
+    fn make_call<const N: usize>(&mut self, name: &str, ty: Type, args: [Expr; N]) -> Expr {
+        Expr::Call(name.to_string(), ty, args.into())
+    }
+}
+
+/// `Expr::eq`, except that literals compare by bit pattern — the tree
+/// counterpart of the store's id equality.
+fn bits_identical(a: &Expr, b: &Expr) -> bool {
+    match (a, b) {
+        (Expr::Lit(x), Expr::Lit(y)) => value_bits_eq(x, y),
+        (Expr::Unary(o, x), Expr::Unary(p, y)) => o == p && bits_identical(x, y),
+        (Expr::Binary(o, xl, xr), Expr::Binary(p, yl, yr)) => {
+            o == p && bits_identical(xl, yl) && bits_identical(xr, yr)
+        }
+        (Expr::Call(n, t, xs), Expr::Call(m, u, ys)) => {
+            n == m
+                && t == u
+                && xs.len() == ys.len()
+                && xs.iter().zip(ys).all(|(x, y)| bits_identical(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// A rewrite rule whose matching is written once, generic over the
+/// [`Terms`] concept. Every `GenericRule` is a [`RewriteRule`]: one bridge
+/// impl instantiates [`GenericRule::apply`] for `Expr` trees
+/// (`try_apply`) and for the [`TermStore`] (`try_apply_interned`).
+pub trait GenericRule {
+    /// See [`RewriteRule::name`].
+    const NAME: &'static str;
+    /// See [`RewriteRule::requirements`].
+    const REQUIREMENTS: &'static str;
+
+    /// Rewrite the root of `id` in `m` if the rule matches and its concept
+    /// requirements hold in `env`.
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out>;
+
+    /// See [`RewriteRule::index_hints`].
+    fn index_hints(&self, env: &ConceptEnv) -> IndexHints;
+}
+
+impl<R: GenericRule> RewriteRule for R {
+    fn name(&self) -> &'static str {
+        R::NAME
+    }
+    fn requirements(&self) -> &'static str {
+        R::REQUIREMENTS
+    }
+    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
+        self.apply(&mut Trees(PhantomData), e, env)
+    }
+    fn index_hints(&self, env: &ConceptEnv) -> IndexHints {
+        GenericRule::index_hints(self, env)
+    }
+    fn try_apply_interned(
+        &self,
+        st: &mut TermStore,
+        id: TermId,
+        env: &ConceptEnv,
+    ) -> Option<TermId> {
+        self.apply(st, id, env)
+    }
+}
+
 /// `x op e → x` when `(x, op)` models Monoid and `e` is its identity.
 pub struct RightIdentity;
 
-impl RewriteRule for RightIdentity {
-    fn name(&self) -> &'static str {
-        "right-identity"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Monoid"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let ty = l.ty();
-        if env.models(ty, *op, AlgConcept::Monoid) {
-            if let Expr::Lit(v) = &**r {
-                if Some(v) == env.identity(ty, *op) {
-                    return Some((**l).clone());
+impl GenericRule for RightIdentity {
+    const NAME: &'static str = "right-identity";
+    const REQUIREMENTS: &'static str = "(x, op) models Monoid";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let ty = m.ty(l);
+        if env.models(ty, op, AlgConcept::Monoid) {
+            if let Some(v) = m.as_lit(r) {
+                if Some(v) == env.identity(ty, op) {
+                    return Some(m.reuse(l));
                 }
             }
         }
@@ -105,46 +312,22 @@ impl RewriteRule for RightIdentity {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let ty = st.ty(l);
-        if env.models(ty, op, AlgConcept::Monoid) {
-            if let Term::Lit(v) = st.term(r) {
-                if Some(v) == env.identity(ty, op) {
-                    return Some(l);
-                }
-            }
-        }
-        None
-    }
 }
 
 /// `e op x → x` when `(x, op)` models Monoid and `e` is its identity.
 pub struct LeftIdentity;
 
-impl RewriteRule for LeftIdentity {
-    fn name(&self) -> &'static str {
-        "left-identity"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Monoid"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let ty = r.ty();
-        if env.models(ty, *op, AlgConcept::Monoid) {
-            if let Expr::Lit(v) = &**l {
-                if Some(v) == env.identity(ty, *op) {
-                    return Some((**r).clone());
+impl GenericRule for LeftIdentity {
+    const NAME: &'static str = "left-identity";
+    const REQUIREMENTS: &'static str = "(x, op) models Monoid";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let ty = m.ty(r);
+        if env.models(ty, op, AlgConcept::Monoid) {
+            if let Some(v) = m.as_lit(l) {
+                if Some(v) == env.identity(ty, op) {
+                    return Some(m.reuse(r));
                 }
             }
         }
@@ -161,25 +344,6 @@ impl RewriteRule for LeftIdentity {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let ty = st.ty(r);
-        if env.models(ty, op, AlgConcept::Monoid) {
-            if let Term::Lit(v) = st.term(l) {
-                if Some(v) == env.identity(ty, op) {
-                    return Some(r);
-                }
-            }
-        }
-        None
-    }
 }
 
 /// `x op inv(x) → identity` when `(x, op, inv)` models Group.
@@ -190,63 +354,41 @@ pub struct RightInverse;
 /// `inv(x) op x → identity` when `(x, op, inv)` models Group.
 pub struct LeftInverse;
 
-fn inverse_matches(env: &ConceptEnv, ty: Type, op: BinOp, x: &Expr, candidate: &Expr) -> bool {
-    let Some(inv) = env.inverse_op(ty, op) else {
-        return false;
-    };
-    matches!(candidate, Expr::Unary(u, inner) if *u == inv && **inner == *x)
-}
-
-/// Interned mirror of [`inverse_matches`]: `candidate` must be `inv(x)`
-/// for the declared inverse operator, with `inv`'s operand expr-equal to
-/// `x` (O(1) via the store's normalized ids).
-fn inverse_matches_interned(
-    st: &TermStore,
+/// Whether `candidate` is `inv(x)` for the inverse operator declared for
+/// `(ty, op)`, with `inv`'s operand expr-equal to `x`.
+fn inverse_matches<M: Terms>(
+    m: &M,
     env: &ConceptEnv,
     ty: Type,
     op: BinOp,
-    x: TermId,
-    candidate: TermId,
+    x: M::Id,
+    candidate: M::Id,
 ) -> bool {
     let Some(inv) = env.inverse_op(ty, op) else {
         return false;
     };
-    matches!(st.term(candidate), &Term::Unary(u, inner) if u == inv && st.exprs_eq(inner, x))
+    matches!(m.as_unary(candidate), Some((u, inner)) if u == inv && m.exprs_eq(inner, x))
 }
 
-fn group_identity(env: &ConceptEnv, ty: Type, op: BinOp) -> Option<Expr> {
-    env.identity(ty, op).cloned().map(Expr::Lit)
+fn group_identity<M: Terms>(m: &mut M, env: &ConceptEnv, ty: Type, op: BinOp) -> Option<M::Out> {
+    env.identity(ty, op).cloned().map(|v| m.make_lit(v))
 }
 
-fn group_identity_interned(
-    st: &mut TermStore,
-    env: &ConceptEnv,
-    ty: Type,
-    op: BinOp,
-) -> Option<TermId> {
-    env.identity(ty, op).cloned().map(|v| st.lit(&v))
-}
+impl GenericRule for RightInverse {
+    const NAME: &'static str = "right-inverse";
+    const REQUIREMENTS: &'static str = "(x, op, inv) models Group";
 
-impl RewriteRule for RightInverse {
-    fn name(&self) -> &'static str {
-        "right-inverse"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op, inv) models Group"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let ty = l.ty();
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let ty = m.ty(l);
         // Sugared forms first: x - x and x / x.
         let (base_op, rhs_is_inverse) = match op {
-            BinOp::Sub => (BinOp::Add, **l == **r),
-            BinOp::Div => (BinOp::Mul, **l == **r),
-            other => (*other, inverse_matches(env, ty, *other, l, r)),
+            BinOp::Sub => (BinOp::Add, m.exprs_eq(l, r)),
+            BinOp::Div => (BinOp::Mul, m.exprs_eq(l, r)),
+            other => (other, inverse_matches(m, env, ty, other, l, r)),
         };
         if rhs_is_inverse && env.models(ty, base_op, AlgConcept::Group) {
-            return group_identity(env, ty, base_op);
+            return group_identity(m, env, ty, base_op);
         }
         None
     }
@@ -272,42 +414,17 @@ impl RewriteRule for RightInverse {
         }
         IndexHints::Keys(keys)
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let ty = st.ty(l);
-        let (base_op, rhs_is_inverse) = match op {
-            BinOp::Sub => (BinOp::Add, st.exprs_eq(l, r)),
-            BinOp::Div => (BinOp::Mul, st.exprs_eq(l, r)),
-            other => (other, inverse_matches_interned(st, env, ty, other, l, r)),
-        };
-        if rhs_is_inverse && env.models(ty, base_op, AlgConcept::Group) {
-            return group_identity_interned(st, env, ty, base_op);
-        }
-        None
-    }
 }
 
-impl RewriteRule for LeftInverse {
-    fn name(&self) -> &'static str {
-        "left-inverse"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op, inv) models Group"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let ty = r.ty();
-        if inverse_matches(env, ty, *op, r, l) && env.models(ty, *op, AlgConcept::Group) {
-            return group_identity(env, ty, *op);
+impl GenericRule for LeftInverse {
+    const NAME: &'static str = "left-inverse";
+    const REQUIREMENTS: &'static str = "(x, op, inv) models Group";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let ty = m.ty(r);
+        if inverse_matches(m, env, ty, op, r, l) && env.models(ty, op, AlgConcept::Group) {
+            return group_identity(m, env, ty, op);
         }
         None
     }
@@ -324,47 +441,21 @@ impl RewriteRule for LeftInverse {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let ty = st.ty(r);
-        if inverse_matches_interned(st, env, ty, op, r, l) && env.models(ty, op, AlgConcept::Group)
-        {
-            return group_identity_interned(st, env, ty, op);
-        }
-        None
-    }
 }
 
 /// `x op a → a` when `a` is a declared annihilator of `(x, op)`
 /// (e.g. `x * 0 → 0`, `b && false → false`).
 pub struct Annihilator;
 
-impl RewriteRule for Annihilator {
-    fn name(&self) -> &'static str {
-        "annihilator"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) has a declared annihilator"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let ty = l.ty();
-        let a = env.annihilator(ty, *op)?;
-        for side in [&**l, &**r] {
-            if let Expr::Lit(v) = side {
-                if v == a {
-                    return Some(Expr::Lit(a.clone()));
-                }
-            }
+impl GenericRule for Annihilator {
+    const NAME: &'static str = "annihilator";
+    const REQUIREMENTS: &'static str = "(x, op) has a declared annihilator";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let a = env.annihilator(m.ty(l), op)?;
+        if m.as_lit(l) == Some(a) || m.as_lit(r) == Some(a) {
+            return Some(m.make_lit(a.clone()));
         }
         None
     }
@@ -377,45 +468,20 @@ impl RewriteRule for Annihilator {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let a = env.annihilator(st.ty(l), op)?;
-        for side in [l, r] {
-            if let Term::Lit(v) = st.term(side) {
-                if v == a {
-                    let a = a.clone();
-                    return Some(st.lit(&a));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// `x op x → x` when `(x, op)` models an idempotent operation
 /// (e.g. `b && b → b`, `i & i → i`).
 pub struct Idempotence;
 
-impl RewriteRule for Idempotence {
-    fn name(&self) -> &'static str {
-        "idempotence"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Idempotent"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        if l == r && env.models(l.ty(), *op, AlgConcept::Idempotent) {
-            return Some((**l).clone());
+impl GenericRule for Idempotence {
+    const NAME: &'static str = "idempotence";
+    const REQUIREMENTS: &'static str = "(x, op) models Idempotent";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        if m.exprs_eq(l, r) && env.models(m.ty(l), op, AlgConcept::Idempotent) {
+            return Some(m.reuse(l));
         }
         None
     }
@@ -427,48 +493,27 @@ impl RewriteRule for Idempotence {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        if st.exprs_eq(l, r) && env.models(st.ty(l), op, AlgConcept::Idempotent) {
-            return Some(l);
-        }
-        None
-    }
 }
 
 /// `inv(inv(x)) → x` when the type's operation with that inverse models
 /// Group (e.g. `-(-x) → x`, `1/(1/x) → x`).
 pub struct DoubleInverse;
 
-impl RewriteRule for DoubleInverse {
-    fn name(&self) -> &'static str {
-        "double-inverse"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op, inv) models Group"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Unary(u1, inner) = e else {
-            return None;
-        };
-        let Expr::Unary(u2, x) = &**inner else {
-            return None;
-        };
+impl GenericRule for DoubleInverse {
+    const NAME: &'static str = "double-inverse";
+    const REQUIREMENTS: &'static str = "(x, op, inv) models Group";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (u1, inner) = m.as_unary(id)?;
+        let (u2, x) = m.as_unary(inner)?;
         if u1 != u2 {
             return None;
         }
-        let ty = x.ty();
+        let ty = m.ty(x);
         // Find a group operation whose inverse op is u1.
         for op in [BinOp::Add, BinOp::Mul] {
-            if env.inverse_op(ty, op) == Some(*u1) && env.models(ty, op, AlgConcept::Group) {
-                return Some((**x).clone());
+            if env.inverse_op(ty, op) == Some(u1) && env.models(ty, op, AlgConcept::Group) {
+                return Some(m.reuse(x));
             }
         }
         None
@@ -486,52 +531,24 @@ impl RewriteRule for DoubleInverse {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Unary(u1, inner) = st.term(id) else {
-            return None;
-        };
-        let &Term::Unary(u2, x) = st.term(inner) else {
-            return None;
-        };
-        if u1 != u2 {
-            return None;
-        }
-        let ty = st.ty(x);
-        for op in [BinOp::Add, BinOp::Mul] {
-            if env.inverse_op(ty, op) == Some(u1) && env.models(ty, op, AlgConcept::Group) {
-                return Some(x);
-            }
-        }
-        None
-    }
 }
 
 /// Fold operations on literals (`2 + 3 → 5`) — the traditional simplifier
 /// retained alongside the concept rules.
 pub struct ConstantFold;
 
-impl RewriteRule for ConstantFold {
-    fn name(&self) -> &'static str {
-        "constant-fold"
-    }
-    fn requirements(&self) -> &'static str {
-        "all operands are literals"
-    }
-    fn try_apply(&self, e: &Expr, _env: &ConceptEnv) -> Option<Expr> {
-        match e {
-            Expr::Binary(_, l, r) if matches!(**l, Expr::Lit(_)) && matches!(**r, Expr::Lit(_)) => {
-                e.eval(&BTreeMap::new()).map(Expr::Lit)
-            }
-            Expr::Unary(_, x) if matches!(**x, Expr::Lit(_)) => {
-                e.eval(&BTreeMap::new()).map(Expr::Lit)
-            }
-            _ => None,
-        }
+impl GenericRule for ConstantFold {
+    const NAME: &'static str = "constant-fold";
+    const REQUIREMENTS: &'static str = "all operands are literals";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, _env: &ConceptEnv) -> Option<M::Out> {
+        let folded = if let Some((op, l, r)) = m.as_binary(id) {
+            eval_bin(op, m.as_lit(l)?, m.as_lit(r)?)?
+        } else {
+            let (op, x) = m.as_unary(id)?;
+            eval_un(op, m.as_lit(x)?)?
+        };
+        Some(m.make_lit(folded))
     }
     fn index_hints(&self, _env: &ConceptEnv) -> IndexHints {
         // Fires on any unary/binary node whose operands are literals; a
@@ -569,37 +586,6 @@ impl RewriteRule for ConstantFold {
         }
         IndexHints::Keys(keys)
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        _env: &ConceptEnv,
-    ) -> Option<TermId> {
-        // Rebuild only the two-level literal node as a tree and reuse the
-        // evaluator — cheap (a couple of `Value` clones) and guaranteed to
-        // fold exactly as the tree engine does.
-        let folded = match *st.term(id) {
-            Term::Binary(op, l, r) => {
-                let (Term::Lit(a), Term::Lit(b)) = (st.term(l), st.term(r)) else {
-                    return None;
-                };
-                Expr::Binary(
-                    op,
-                    Box::new(Expr::Lit(a.clone())),
-                    Box::new(Expr::Lit(b.clone())),
-                )
-                .eval(&BTreeMap::new())?
-            }
-            Term::Unary(op, x) => {
-                let Term::Lit(a) = st.term(x) else {
-                    return None;
-                };
-                Expr::Unary(op, Box::new(Expr::Lit(a.clone()))).eval(&BTreeMap::new())?
-            }
-            _ => return None,
-        };
-        Some(st.lit(&folded))
-    }
 }
 
 /// Associativity-based constant gathering: `(x op c1) op c2 → x op (c1 op
@@ -608,56 +594,33 @@ impl RewriteRule for ConstantFold {
 /// variant also matches `(c1 op x) op c2`.
 pub struct AssocFold;
 
-impl RewriteRule for AssocFold {
-    fn name(&self) -> &'static str {
-        "assoc-fold"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Semigroup (plus Commutative for the left variant)"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let Expr::Lit(c2) = &**r else { return None };
-        let Expr::Binary(op2, x, c1) = &**l else {
-            return None;
-        };
-        if op2 != op {
+impl GenericRule for AssocFold {
+    const NAME: &'static str = "assoc-fold";
+    const REQUIREMENTS: &'static str =
+        "(x, op) models Semigroup (plus Commutative for the left variant)";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        m.as_lit(r)?;
+        let (op2, x, c1) = m.as_binary(l)?;
+        let ty = m.ty(id);
+        if op2 != op || !env.models(ty, op, AlgConcept::Semigroup) {
             return None;
         }
-        let ty = e.ty();
-        if !env.models(ty, *op, AlgConcept::Semigroup) {
-            return None;
-        }
-        match (&**x, &**c1) {
+        let (x_lit, c1_lit) = (m.as_lit(x).is_some(), m.as_lit(c1).is_some());
+        let (inner, c1) = if !x_lit && c1_lit {
             // (x op c1) op c2 → x op (c1 op c2): pure associativity.
-            (inner, Expr::Lit(c1v)) if !matches!(inner, Expr::Lit(_)) => Some(Expr::Binary(
-                *op,
-                Box::new(inner.clone()),
-                Box::new(Expr::Binary(
-                    *op,
-                    Box::new(Expr::Lit(c1v.clone())),
-                    Box::new(Expr::Lit(c2.clone())),
-                )),
-            )),
+            (x, c1)
+        } else if x_lit && !c1_lit && env.models(ty, op, AlgConcept::Commutative) {
             // (c1 op x) op c2 → x op (c1 op c2): needs commutativity.
-            (Expr::Lit(c1v), inner)
-                if !matches!(inner, Expr::Lit(_))
-                    && env.models(ty, *op, AlgConcept::Commutative) =>
-            {
-                Some(Expr::Binary(
-                    *op,
-                    Box::new(inner.clone()),
-                    Box::new(Expr::Binary(
-                        *op,
-                        Box::new(Expr::Lit(c1v.clone())),
-                        Box::new(Expr::Lit(c2.clone())),
-                    )),
-                ))
-            }
-            _ => None,
-        }
+            (c1, x)
+        } else {
+            return None;
+        };
+        let (c1, c2) = (m.reuse(c1), m.reuse(r));
+        let consts = m.make_binary(op, c1, c2);
+        let inner = m.reuse(inner);
+        Some(m.make_binary(op, inner, consts))
     }
     fn index_hints(&self, env: &ConceptEnv) -> IndexHints {
         IndexHints::Keys(
@@ -667,76 +630,27 @@ impl RewriteRule for AssocFold {
                 .collect(),
         )
     }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        if !matches!(st.term(r), Term::Lit(_)) {
-            return None;
-        }
-        let &Term::Binary(op2, x, c1) = st.term(l) else {
-            return None;
-        };
-        if op2 != op || !env.models(st.ty(id), op, AlgConcept::Semigroup) {
-            return None;
-        }
-        let (x_lit, c1_lit) = (
-            matches!(st.term(x), Term::Lit(_)),
-            matches!(st.term(c1), Term::Lit(_)),
-        );
-        if !x_lit && c1_lit {
-            // (x op c1) op c2 → x op (c1 op c2): pure associativity.
-            let consts = st.binary(op, c1, r);
-            Some(st.binary(op, x, consts))
-        } else if x_lit && !c1_lit && env.models(st.ty(id), op, AlgConcept::Commutative) {
-            // (c1 op x) op c2 → x op (c1 op c2): needs commutativity.
-            let consts = st.binary(op, x, r);
-            Some(st.binary(op, c1, consts))
-        } else {
-            None
-        }
-    }
 }
 
 /// Boolean double negation: `!!b → b` (involution of `Not`).
 pub struct NotNot;
 
-impl RewriteRule for NotNot {
-    fn name(&self) -> &'static str {
-        "not-not"
-    }
-    fn requirements(&self) -> &'static str {
-        "negation is an involution on bool"
-    }
-    fn try_apply(&self, e: &Expr, _env: &ConceptEnv) -> Option<Expr> {
-        if let Expr::Unary(UnOp::Not, inner) = e {
-            if let Expr::Unary(UnOp::Not, b) = &**inner {
-                return Some((**b).clone());
-            }
-        }
-        None
+impl GenericRule for NotNot {
+    const NAME: &'static str = "not-not";
+    const REQUIREMENTS: &'static str = "negation is an involution on bool";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, _env: &ConceptEnv) -> Option<M::Out> {
+        let (UnOp::Not, inner) = m.as_unary(id)? else {
+            return None;
+        };
+        let (UnOp::Not, b) = m.as_unary(inner)? else {
+            return None;
+        };
+        Some(m.reuse(b))
     }
     fn index_hints(&self, _env: &ConceptEnv) -> IndexHints {
         // A `!`-headed node always has type Bool.
         IndexHints::Keys(vec![(Type::Bool, Head::Un(UnOp::Not))])
-    }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        _env: &ConceptEnv,
-    ) -> Option<TermId> {
-        if let &Term::Unary(UnOp::Not, inner) = st.term(id) {
-            if let &Term::Unary(UnOp::Not, b) = st.term(inner) {
-                return Some(b);
-            }
-        }
-        None
     }
 }
 
@@ -746,26 +660,27 @@ impl RewriteRule for NotNot {
 /// specific function calls".
 pub struct LidiaInverse;
 
-impl RewriteRule for LidiaInverse {
-    fn name(&self) -> &'static str {
-        "lidia-inverse"
-    }
-    fn requirements(&self) -> &'static str {
-        "f is a LiDIA bigfloat"
-    }
-    fn try_apply(&self, e: &Expr, _env: &ConceptEnv) -> Option<Expr> {
-        let make_call =
-            |f: &Expr| Expr::Call("Inverse".to_string(), Type::BigFloat, vec![f.clone()]);
-        match e {
-            Expr::Unary(UnOp::Recip, f) if f.ty() == Type::BigFloat => Some(make_call(f)),
-            Expr::Binary(BinOp::Div, one, f)
-                if f.ty() == Type::BigFloat
-                    && matches!(&**one, Expr::Lit(crate::expr::Value::BigFloat(v)) if *v == 1.0) =>
-            {
-                Some(make_call(f))
+impl GenericRule for LidiaInverse {
+    const NAME: &'static str = "lidia-inverse";
+    const REQUIREMENTS: &'static str = "f is a LiDIA bigfloat";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, _env: &ConceptEnv) -> Option<M::Out> {
+        let f = if let Some((UnOp::Recip, f)) = m.as_unary(id) {
+            f
+        } else {
+            let (BinOp::Div, one, f) = m.as_binary(id)? else {
+                return None;
+            };
+            if m.as_lit(one) != Some(&Value::BigFloat(1.0)) {
+                return None;
             }
-            _ => None,
+            f
+        };
+        if m.ty(f) != Type::BigFloat {
+            return None;
         }
+        let f = m.reuse(f);
+        Some(m.make_call("Inverse", Type::BigFloat, [f]))
     }
     fn index_hints(&self, _env: &ConceptEnv) -> IndexHints {
         // recip(f): node type is f's type (BigFloat); 1.0/f: node type is
@@ -774,24 +689,6 @@ impl RewriteRule for LidiaInverse {
             (Type::BigFloat, Head::Un(UnOp::Recip)),
             (Type::BigFloat, Head::Bin(BinOp::Div)),
         ])
-    }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        _env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let f = match *st.term(id) {
-            Term::Unary(UnOp::Recip, f) if st.ty(f) == Type::BigFloat => f,
-            Term::Binary(BinOp::Div, one, f)
-                if st.ty(f) == Type::BigFloat
-                    && matches!(st.term(one), Term::Lit(Value::BigFloat(v)) if *v == 1.0) =>
-            {
-                f
-            }
-            _ => return None,
-        };
-        Some(st.call("Inverse", Type::BigFloat, &[f]))
     }
 }
 
@@ -805,21 +702,19 @@ impl RewriteRule for LidiaInverse {
 /// which is exactly what lets cost-based extraction consider both.
 pub struct Commute;
 
-impl RewriteRule for Commute {
-    fn name(&self) -> &'static str {
-        "commute"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Commutative"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        if l == r || !env.models(e.ty(), *op, AlgConcept::Commutative) {
+impl GenericRule for Commute {
+    const NAME: &'static str = "commute";
+    const REQUIREMENTS: &'static str = "(x, op) models Commutative";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        // Skip exactly the terms commuting leaves unchanged: `x + x` and
+        // `NaN + NaN` do not fire, `0.0 + -0.0` does.
+        if m.identical(l, r) || !env.models(m.ty(id), op, AlgConcept::Commutative) {
             return None;
         }
-        Some(Expr::Binary(*op, r.clone(), l.clone()))
+        let (r, l) = (m.reuse(r), m.reuse(l));
+        Some(m.make_binary(op, r, l))
     }
     fn index_hints(&self, env: &ConceptEnv) -> IndexHints {
         IndexHints::Keys(
@@ -828,20 +723,6 @@ impl RewriteRule for Commute {
                 .map(|(ty, op, _)| (ty, Head::Bin(op)))
                 .collect(),
         )
-    }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        if l == r || !env.models(st.ty(id), op, AlgConcept::Commutative) {
-            return None;
-        }
-        Some(st.binary(op, r, l))
     }
 }
 
@@ -855,28 +736,20 @@ impl RewriteRule for Commute {
 /// re-associates to `x + (y + (-y))`, where the Group inverse rule fires.
 pub struct Associate;
 
-impl RewriteRule for Associate {
-    fn name(&self) -> &'static str {
-        "associate"
-    }
-    fn requirements(&self) -> &'static str {
-        "(x, op) models Semigroup"
-    }
-    fn try_apply(&self, e: &Expr, env: &ConceptEnv) -> Option<Expr> {
-        let Expr::Binary(op, l, r) = e else {
-            return None;
-        };
-        let Expr::Binary(op2, a, b) = &**l else {
-            return None;
-        };
-        if op2 != op || !env.models(e.ty(), *op, AlgConcept::Semigroup) {
+impl GenericRule for Associate {
+    const NAME: &'static str = "associate";
+    const REQUIREMENTS: &'static str = "(x, op) models Semigroup";
+
+    fn apply<M: Terms>(&self, m: &mut M, id: M::Id, env: &ConceptEnv) -> Option<M::Out> {
+        let (op, l, r) = m.as_binary(id)?;
+        let (op2, a, b) = m.as_binary(l)?;
+        if op2 != op || !env.models(m.ty(id), op, AlgConcept::Semigroup) {
             return None;
         }
-        Some(Expr::Binary(
-            *op,
-            a.clone(),
-            Box::new(Expr::Binary(*op, b.clone(), r.clone())),
-        ))
+        let (b, r) = (m.reuse(b), m.reuse(r));
+        let right = m.make_binary(op, b, r);
+        let a = m.reuse(a);
+        Some(m.make_binary(op, a, right))
     }
     fn index_hints(&self, env: &ConceptEnv) -> IndexHints {
         IndexHints::Keys(
@@ -885,24 +758,6 @@ impl RewriteRule for Associate {
                 .map(|(ty, op, _)| (ty, Head::Bin(op)))
                 .collect(),
         )
-    }
-    fn try_apply_interned(
-        &self,
-        st: &mut TermStore,
-        id: TermId,
-        env: &ConceptEnv,
-    ) -> Option<TermId> {
-        let &Term::Binary(op, l, r) = st.term(id) else {
-            return None;
-        };
-        let &Term::Binary(op2, a, b) = st.term(l) else {
-            return None;
-        };
-        if op2 != op || !env.models(st.ty(id), op, AlgConcept::Semigroup) {
-            return None;
-        }
-        let right = st.binary(op, b, r);
-        Some(st.binary(op, a, right))
     }
 }
 
@@ -1174,5 +1029,35 @@ mod tests {
         assert_eq!(NotNot.try_apply(&e, &env()), Some(b.clone()));
         let e = Expr::un(UnOp::Not, b);
         assert_eq!(NotNot.try_apply(&e, &env()), None);
+    }
+
+    /// `Commute` through both entry points, results rendered as text
+    /// (`Expr::eq` cannot tell `-0.0` from `0.0`, `Display` can).
+    fn commute_both(e: &Expr) -> (Option<String>, Option<String>) {
+        let tree = Commute.try_apply(e, &env());
+        let mut st = TermStore::new();
+        let id = st.intern_expr(e);
+        let store = Commute.try_apply_interned(&mut st, id, &env());
+        (
+            tree.map(|t| t.to_string()),
+            store.map(|t| st.extract(t).to_string()),
+        )
+    }
+
+    #[test]
+    fn commute_fires_on_signed_zeros() {
+        let e = Expr::bin(BinOp::Add, Expr::float(0.0), Expr::float(-0.0));
+        let want = Some("(-0.0 + 0.0)".to_string());
+        assert_eq!(commute_both(&e), (want.clone(), want));
+    }
+
+    #[test]
+    fn commute_skips_identical_operands() {
+        let nan = Expr::bin(BinOp::Add, Expr::float(f64::NAN), Expr::float(f64::NAN));
+        let x = Expr::var("x", Type::Int);
+        let xx = Expr::bin(BinOp::Add, x.clone(), x);
+        for e in [nan, xx] {
+            assert_eq!(commute_both(&e), (None, None), "{e}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   in machine-generated expressions — is a single hash lookup
 //!   (`rewrite.memo.hits`). The fixpoint is linear in *distinct* subterms.
 //! * **Rule index** keyed by `(Type, head symbol)`: each node consults
-//!   only the rules whose [`IndexHints`](crate::rules::IndexHints) admit
+//!   only the rules whose [`IndexHints`] admit
 //!   its key instead of scanning the whole rule list
 //!   (`rewrite.index.candidates` histogram records how many). Hints are
 //!   conservative supersets, so behavior is identical to the full scan.

@@ -312,7 +312,7 @@ impl Process for ControlProc {
     }
 }
 
-/// The running control plane: one [`ControlProc`] per shard over a
+/// The running control plane: one `ControlProc` per shard over a
 /// [`LiveMesh`], all sharing the router's [`FailoverTarget`].
 pub struct ControlPlane {
     mesh: LiveMesh,

@@ -5,7 +5,7 @@
 //! at "mostly idle, occasionally chatty" scale the bottleneck becomes
 //! thread stacks and scheduler churn, not work. The reactor replaces it
 //! with level-triggered readiness polling over raw `epoll_*` calls (the
-//! [`sys`] FFI shim binds the handful of libc symbols std already links —
+//! `sys` FFI shim binds the handful of libc symbols std already links —
 //! no external crate):
 //!
 //! - **Nonblocking accept** with an admission cap: past

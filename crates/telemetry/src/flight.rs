@@ -107,8 +107,8 @@ struct Slot {
     b: AtomicU64,
 }
 
-/// The ring buffer. One process-wide instance lives behind
-/// [`recorder`]; tests construct their own.
+/// The ring buffer. One process-wide instance lives behind [`record`]
+/// and [`dump`]; tests construct their own.
 pub struct FlightRecorder {
     epoch: Instant,
     head: AtomicU64,
