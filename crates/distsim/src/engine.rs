@@ -17,7 +17,7 @@ use std::collections::{BinaryHeap, HashMap};
 /// distsim.dropped + distsim.lost_to_crash + distsim.undelivered`).
 /// Crash/recovery events, which `RunStats` does not record, are counted
 /// live from the engines.
-pub(crate) struct DistMetrics {
+struct DistMetrics {
     runs: &'static gp_telemetry::Counter,
     sent: &'static gp_telemetry::Counter,
     retransmits: &'static gp_telemetry::Counter,
@@ -29,12 +29,12 @@ pub(crate) struct DistMetrics {
     timer_events: &'static gp_telemetry::Counter,
     local_steps: &'static gp_telemetry::Counter,
     app_messages: &'static gp_telemetry::Counter,
-    pub(crate) crashes: &'static gp_telemetry::Counter,
-    pub(crate) recoveries: &'static gp_telemetry::Counter,
+    crashes: &'static gp_telemetry::Counter,
+    recoveries: &'static gp_telemetry::Counter,
 }
 
 impl DistMetrics {
-    pub(crate) fn absorb_run(&self, stats: &RunStats) {
+    fn absorb_run(&self, stats: &RunStats) {
         self.runs.incr();
         self.sent.add(stats.sent_total());
         self.retransmits.add(stats.retransmits);
@@ -49,7 +49,7 @@ impl DistMetrics {
     }
 }
 
-pub(crate) fn dist_metrics() -> &'static DistMetrics {
+fn dist_metrics() -> &'static DistMetrics {
     static METRICS: std::sync::OnceLock<DistMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| DistMetrics {
         runs: gp_telemetry::counter("distsim.runs"),
@@ -486,57 +486,48 @@ pub trait Process {
 /// in-process.
 pub type BoxProcess = Box<dyn Process + Send>;
 
-struct NodeState {
+/// One node of a runtime: its process and what a step can change.
+pub(crate) struct NodeState {
     proc: BoxProcess,
-    output: Option<u64>,
-    halted: bool,
-    crashed: bool,
+    pub(crate) output: Option<u64>,
+    pub(crate) halted: bool,
 }
 
-/// Sends and timers produced by one process step, generic in what a
-/// "send" carries: the simulator moves real [`Payload`]s; the socket
-/// runner's coordinator moves per-link frame indices (the payload bytes
-/// travel peer-to-peer over TCP and never pass through the scheduler).
-pub(crate) struct StepOutOf<M> {
-    /// (to, message, is_retransmit)
-    pub(crate) sends: Vec<(NodeId, M, bool)>,
-    /// (delay, token)
-    pub(crate) timers: Vec<(u64, u64)>,
-}
-
-impl<M> Default for StepOutOf<M> {
-    fn default() -> Self {
-        StepOutOf {
-            sends: Vec::new(),
-            timers: Vec::new(),
+impl NodeState {
+    pub(crate) fn new(proc: BoxProcess) -> Self {
+        NodeState {
+            proc,
+            output: None,
+            halted: false,
         }
     }
-}
 
-pub(crate) type StepOut = StepOutOf<Payload>;
-
-fn run_step(
-    node: NodeId,
-    topo: &Topology,
-    st: &mut NodeState,
-    stats: &mut RunStats,
-    f: impl FnOnce(&mut dyn Process, &mut Ctx),
-) -> StepOut {
-    let mut out = StepOut::default();
-    if st.crashed || st.halted {
-        return out;
+    /// Run one step of the process at `node` (a no-op once it halted).
+    /// Every runtime builds a step's [`Ctx`] here, over `outbox`, `timers`
+    /// and the `stats` that take the step's accounting.
+    pub(crate) fn step(
+        &mut self,
+        node: NodeId,
+        neighbors: &[NodeId],
+        outbox: &mut Vec<(NodeId, Payload, bool)>,
+        timers: &mut Vec<(u64, u64)>,
+        stats: &mut RunStats,
+        f: impl FnOnce(&mut dyn Process, &mut Ctx),
+    ) {
+        if self.halted {
+            return;
+        }
+        let mut ctx = Ctx::new(
+            node,
+            neighbors,
+            outbox,
+            timers,
+            stats,
+            &mut self.output,
+            &mut self.halted,
+        );
+        f(self.proc.as_mut(), &mut ctx);
     }
-    let mut ctx = Ctx::new(
-        node,
-        topo.neighbors(node),
-        &mut out.sends,
-        &mut out.timers,
-        stats,
-        &mut st.output,
-        &mut st.halted,
-    );
-    f(st.proc.as_mut(), &mut ctx);
-    out
 }
 
 /// Synchronous executor: all messages sent in round `r` are delivered at
@@ -544,6 +535,7 @@ fn run_step(
 pub struct SyncRunner {
     topo: Topology,
     nodes: Vec<NodeState>,
+    crashed: Vec<bool>,
     /// Nodes crashing at the start of the given round.
     crash_at: HashMap<NodeId, u64>,
     /// If set, silence (a round with no deliveries) is not quiescence:
@@ -552,21 +544,17 @@ pub struct SyncRunner {
     run_to_halt: bool,
 }
 
+/// Messages to deliver next round, as (from, to, payload).
+type Inflight = Vec<(NodeId, NodeId, Payload)>;
+
 impl SyncRunner {
     /// Build a runner from a topology and one process per node.
     pub fn new(topo: Topology, procs: Vec<BoxProcess>) -> Self {
         assert_eq!(topo.len(), procs.len(), "one process per node");
         SyncRunner {
+            crashed: vec![false; topo.len()],
             topo,
-            nodes: procs
-                .into_iter()
-                .map(|proc| NodeState {
-                    proc,
-                    output: None,
-                    halted: false,
-                    crashed: false,
-                })
-                .collect(),
+            nodes: procs.into_iter().map(NodeState::new).collect(),
             crash_at: HashMap::new(),
             run_to_halt: false,
         }
@@ -588,6 +576,39 @@ impl SyncRunner {
         self
     }
 
+    fn dead(&self, v: NodeId) -> bool {
+        self.crashed[v] || self.nodes[v].halted
+    }
+
+    /// Run one step at `v` in round `now` (a no-op once it crashed or
+    /// halted): its sends go in flight for the next round, its timers
+    /// into `timers[v]`.
+    fn step(
+        &mut self,
+        v: NodeId,
+        now: u64,
+        stats: &mut RunStats,
+        inflight: &mut Inflight,
+        timers: &mut [Vec<(u64, u64)>],
+        f: impl FnOnce(&mut dyn Process, &mut Ctx),
+    ) {
+        if self.crashed[v] {
+            return;
+        }
+        let (mut sends, mut set) = (Vec::new(), Vec::new());
+        self.nodes[v].step(v, self.topo.neighbors(v), &mut sends, &mut set, stats, f);
+        stats.per_node_sent[v] += sends.len() as u64;
+        for (to, pl, retransmit) in sends {
+            if retransmit {
+                stats.retransmits += 1;
+            }
+            inflight.push((v, to, pl));
+        }
+        for (delay, token) in set {
+            timers[v].push((now + delay, token));
+        }
+    }
+
     /// Run until quiescence (no messages in flight, no pending timers, and
     /// every node halted or idle) or `max_rounds`.
     pub fn run(&mut self, max_rounds: u64) -> RunStats {
@@ -598,62 +619,39 @@ impl SyncRunner {
             per_node_sent: vec![0; n],
             ..RunStats::default()
         };
-        // In-flight: messages to deliver next round, as (from, to, payload).
-        let mut inflight: Vec<(NodeId, NodeId, Payload)> = Vec::new();
+        let mut inflight = Inflight::new();
         // Pending timers per node: (fire_round, token), insertion-ordered.
         let mut timers: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
 
-        fn absorb(
-            v: NodeId,
-            out: StepOut,
-            now: u64,
-            stats: &mut RunStats,
-            inflight: &mut Vec<(NodeId, NodeId, Payload)>,
-            timers: &mut [Vec<(u64, u64)>],
-        ) {
-            stats.per_node_sent[v] += out.sends.len() as u64;
-            for (to, pl, retransmit) in out.sends {
-                if retransmit {
-                    stats.retransmits += 1;
-                }
-                inflight.push((v, to, pl));
-            }
-            for (delay, token) in out.timers {
-                timers[v].push((now + delay, token));
-            }
-        }
-
         for v in 0..n {
             if self.crash_at.get(&v) == Some(&0) {
-                self.nodes[v].crashed = true;
+                self.crashed[v] = true;
                 dist_metrics().crashes.incr();
             }
-            let out = run_step(v, &self.topo, &mut self.nodes[v], &mut stats, |p, c| {
+            self.step(v, 0, &mut stats, &mut inflight, &mut timers, |p, c| {
                 p.on_start(c)
             });
-            absorb(v, out, 0, &mut stats, &mut inflight, &mut timers);
         }
 
         let mut round = 1u64;
         while round <= max_rounds {
-            for (v, node) in self.nodes.iter_mut().enumerate() {
+            for v in 0..n {
                 if self.crash_at.get(&v) == Some(&round) {
-                    node.crashed = true;
+                    self.crashed[v] = true;
                     dist_metrics().crashes.incr();
                 }
             }
             let delivering = std::mem::take(&mut inflight);
             let had_messages = !delivering.is_empty();
             for (from, to, payload) in delivering {
-                if self.nodes[to].crashed || self.nodes[to].halted {
+                if self.dead(to) {
                     stats.lost_to_crash += 1;
                     continue;
                 }
                 stats.messages += 1;
-                let out = run_step(to, &self.topo, &mut self.nodes[to], &mut stats, |p, c| {
+                self.step(to, round, &mut stats, &mut inflight, &mut timers, |p, c| {
                     p.on_message(from, &payload, c)
                 });
-                absorb(to, out, round, &mut stats, &mut inflight, &mut timers);
             }
             // Fire due timers at live nodes.
             for v in 0..n {
@@ -671,30 +669,24 @@ impl SyncRunner {
                     due
                 };
                 for token in due {
-                    if self.nodes[v].crashed || self.nodes[v].halted {
+                    if self.dead(v) {
                         continue;
                     }
                     stats.timer_events += 1;
-                    let out = run_step(v, &self.topo, &mut self.nodes[v], &mut stats, |p, c| {
+                    self.step(v, round, &mut stats, &mut inflight, &mut timers, |p, c| {
                         p.on_timer(token, c)
                     });
-                    absorb(v, out, round, &mut stats, &mut inflight, &mut timers);
                 }
             }
             // Round tick for every live node.
             for v in 0..n {
-                let out = run_step(v, &self.topo, &mut self.nodes[v], &mut stats, |p, c| {
+                self.step(v, round, &mut stats, &mut inflight, &mut timers, |p, c| {
                     p.on_round(round, c)
                 });
-                absorb(v, out, round, &mut stats, &mut inflight, &mut timers);
             }
             stats.time = round;
-            let all_done = self.nodes.iter().all(|s| s.halted || s.crashed);
-            let timers_pending = self
-                .nodes
-                .iter()
-                .enumerate()
-                .any(|(v, s)| !s.halted && !s.crashed && !timers[v].is_empty());
+            let all_done = (0..n).all(|v| self.dead(v));
+            let timers_pending = (0..n).any(|v| !self.dead(v) && !timers[v].is_empty());
             let silent_quiescence = !self.run_to_halt && !had_messages;
             if inflight.is_empty() && !timers_pending && (all_done || silent_quiescence) {
                 break;
@@ -711,14 +703,131 @@ impl SyncRunner {
     }
 }
 
+/// A step the asynchronous scheduler grants one node. `M` is what the
+/// node host carries for a message (see [`NodeHost::Msg`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Grant<M> {
+    /// Run [`Process::on_start`].
+    Start,
+    /// Deliver message `msg` from `from` ([`Process::on_message`]).
+    Deliver {
+        /// Sender.
+        from: NodeId,
+        /// The message.
+        msg: M,
+    },
+    /// Fire the timer with this token ([`Process::on_timer`]).
+    Timer(u64),
+    /// Run [`Process::on_recover`] after a crash.
+    Recover,
+}
+
+impl Grant<Payload> {
+    /// Call the process callback this grant names.
+    pub(crate) fn call(&self, p: &mut dyn Process, cx: &mut Ctx) {
+        match self {
+            Grant::Start => p.on_start(cx),
+            Grant::Deliver { from, msg } => p.on_message(*from, msg, cx),
+            Grant::Timer(token) => p.on_timer(*token, cx),
+            Grant::Recover => p.on_recover(cx),
+        }
+    }
+}
+
+/// The node-host concept: where the processes of an asynchronous run
+/// execute. [`AsyncScheduler`] owns the schedule — the event queue, the
+/// fault and delay draws, crashes and recoveries — and grants steps; a
+/// host runs each granted step at its node and hands back the step's
+/// sends and timers. Models: [`InProcess`] (nodes in this process, a
+/// message is its [`Payload`]) and [`crate::net::SocketHosts`] (one host
+/// thread per node behind a control connection, a message is a per-link
+/// frame index).
+pub trait NodeHost {
+    /// What the scheduler holds for one send until its delivery is
+    /// granted.
+    type Msg: Clone;
+
+    /// Hosts for one process per node.
+    fn new(procs: Vec<BoxProcess>) -> Self;
+
+    /// Open the telemetry span of one run.
+    fn span() -> gp_telemetry::Span;
+
+    /// Get ready to run steps on `topo`; called once at the start of
+    /// each run.
+    fn open(&mut self, _topo: &Topology) {}
+
+    /// Run `grant` at live node `v`, appending the step's sends as
+    /// `(to, msg, is_retransmit)` and its timers as `(delay, token)`, and
+    /// charging its local steps and application deliveries to `stats`.
+    fn step(
+        &mut self,
+        topo: &Topology,
+        v: NodeId,
+        grant: Grant<Self::Msg>,
+        sends: &mut Vec<(NodeId, Self::Msg, bool)>,
+        timers: &mut Vec<(u64, u64)>,
+        stats: &mut RunStats,
+    );
+
+    /// Whether `v` has halted.
+    fn halted(&self, v: NodeId) -> bool;
+
+    /// What `v` has output.
+    fn output(&self, v: NodeId) -> Option<u64>;
+
+    /// End the run; called once after the last step.
+    fn close(&mut self) {}
+}
+
+/// The in-process node-host model: every node is a [`Process`] in this
+/// process, and a message is the [`Payload`] itself.
+pub struct InProcess {
+    nodes: Vec<NodeState>,
+}
+
+impl NodeHost for InProcess {
+    type Msg = Payload;
+
+    fn new(procs: Vec<BoxProcess>) -> Self {
+        InProcess {
+            nodes: procs.into_iter().map(NodeState::new).collect(),
+        }
+    }
+
+    fn span() -> gp_telemetry::Span {
+        gp_telemetry::span!("async_run")
+    }
+
+    fn step(
+        &mut self,
+        topo: &Topology,
+        v: NodeId,
+        grant: Grant<Payload>,
+        sends: &mut Vec<(NodeId, Payload, bool)>,
+        timers: &mut Vec<(u64, u64)>,
+        stats: &mut RunStats,
+    ) {
+        self.nodes[v].step(v, topo.neighbors(v), sends, timers, stats, |p, cx| {
+            grant.call(p, cx)
+        });
+    }
+
+    fn halted(&self, v: NodeId) -> bool {
+        self.nodes[v].halted
+    }
+
+    fn output(&self, v: NodeId) -> Option<u64> {
+        self.nodes[v].output
+    }
+}
+
 // Event kinds in the asynchronous queue, ordered within a timestamp by
 // their global sequence number (control events are enqueued first).
-// Shared with the socket runner's coordinator, which replays the exact
-// same schedule over real connections.
-pub(crate) const EV_CRASH: u8 = 0;
-pub(crate) const EV_RECOVER: u8 = 1;
-pub(crate) const EV_MSG: u8 = 2;
-pub(crate) const EV_TIMER: u8 = 3;
+const EV_CRASH: u8 = 0;
+const EV_RECOVER: u8 = 1;
+const EV_MSG: u8 = 2;
+const EV_TIMER: u8 = 3;
 
 /// Asynchronous executor: each message suffers a random delay in
 /// `1..=max_delay`, drawn from a seeded RNG (taxonomy timing dimension:
@@ -729,13 +838,20 @@ pub(crate) const EV_TIMER: u8 = 3;
 /// duplication ([`duplicate_messages`]), crash-stop ([`crash`]) and
 /// crash-recovery ([`recover`]).
 ///
-/// [`drop_messages`]: AsyncRunner::drop_messages
-/// [`duplicate_messages`]: AsyncRunner::duplicate_messages
-/// [`crash`]: AsyncRunner::crash
-/// [`recover`]: AsyncRunner::recover
-pub struct AsyncRunner {
+/// The event loop is written once, generic over the [`NodeHost`] that
+/// runs the granted steps: [`AsyncRunner`] runs the processes in this
+/// process, [`crate::net::NetRunner`] on socket hosts. Any two hosts give
+/// the same [`RunStats`] and the same trace on the same seed and
+/// topology.
+///
+/// [`drop_messages`]: AsyncScheduler::drop_messages
+/// [`duplicate_messages`]: AsyncScheduler::duplicate_messages
+/// [`crash`]: AsyncScheduler::crash
+/// [`recover`]: AsyncScheduler::recover
+pub struct AsyncScheduler<H> {
     topo: Topology,
-    nodes: Vec<NodeState>,
+    hosts: H,
+    crashed: Vec<bool>,
     crash_at: HashMap<NodeId, u64>,
     recover_at: HashMap<NodeId, u64>,
     max_delay: u64,
@@ -749,71 +865,53 @@ pub struct AsyncRunner {
     trace: Vec<TraceEvent>,
 }
 
-// One queued event: (delivery_time, global_seq, kind, a, b, key). For
-// EV_MSG `a`/`b` are from/to and `key` indexes `payloads`; for EV_TIMER
-// `a` is the node and `key` the token; for crash/recover `a` is the node.
-pub(crate) type QueuedEvent = (u64, u64, u8, NodeId, NodeId, u64);
+/// The asynchronous scheduler over in-process nodes.
+pub type AsyncRunner = AsyncScheduler<InProcess>;
 
-// Carries the network-level state of one asynchronous run: the event
-// queue, the fault-injection RNG, and the trace. Generic in the message
-// representation `M` for the same reason as [`StepOutOf`]: the simulator
-// schedules real [`Payload`]s, the socket runner's coordinator schedules
-// per-link frame indices — but both draw from the RNG in the *identical*
-// order, which is what makes a socket run cross-validate event-for-event
-// against a simulator run on the same seed.
-pub(crate) struct NetState<M> {
-    pub(crate) queue: BinaryHeap<Reverse<QueuedEvent>>,
-    pub(crate) payloads: HashMap<u64, M>,
-    pub(crate) seq: u64,
-    pub(crate) rng: StdRng,
-    pub(crate) max_delay: u64,
-    pub(crate) drop_rate: f64,
-    pub(crate) dup_rate: f64,
-    pub(crate) tracing: bool,
-    pub(crate) trace: Vec<TraceEvent>,
+// One queued event: (delivery_time, global_seq, kind, a, b, key). For
+// EV_MSG `a`/`b` are from/to and `key` indexes `msgs`; for EV_TIMER `a` is
+// the node and `key` the token; for crash/recover `a` is the node.
+type QueuedEvent = (u64, u64, u8, NodeId, NodeId, u64);
+
+// The network-level state of one asynchronous run: the event queue, the
+// fault-injection RNG, the trace, and the buffers a step's sends and
+// timers land in.
+struct NetState<M> {
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    msgs: HashMap<u64, M>,
+    seq: u64,
+    rng: StdRng,
+    max_delay: u64,
+    drop_rate: f64,
+    dup_rate: f64,
+    tracing: bool,
+    trace: Vec<TraceEvent>,
+    sends: Vec<(NodeId, M, bool)>,
+    timers: Vec<(u64, u64)>,
 }
 
 impl<M: Clone> NetState<M> {
-    pub(crate) fn new(
-        max_delay: u64,
-        seed: u64,
-        drop_rate: f64,
-        dup_rate: f64,
-        tracing: bool,
-    ) -> Self {
-        NetState {
-            queue: BinaryHeap::new(),
-            payloads: HashMap::new(),
-            seq: 0,
-            rng: StdRng::seed_from_u64(seed),
-            max_delay,
-            drop_rate,
-            dup_rate,
-            tracing,
-            trace: Vec::new(),
-        }
+    fn push(&mut self, t: u64, kind: u8, a: NodeId, b: NodeId, key: u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse((t, seq, kind, a, b, key)));
     }
 
-    pub(crate) fn trace(&mut self, ev: TraceEvent) {
+    fn trace(&mut self, ev: TraceEvent) {
         if self.tracing {
             self.trace.push(ev);
         }
     }
 
-    // Absorb one step's sends and timers into the event queue, applying
+    // Absorb the step's sends and timers into the event queue, applying
     // omission and duplication faults to the sends. This is the *only*
     // place the fault/delay RNG is consulted, in a fixed per-send order
-    // (drop draw, delay draw, duplication draw, duplicate-delay draw) —
-    // every runner that shares it inherits the same schedule.
-    pub(crate) fn absorb(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        out: StepOutOf<M>,
-        stats: &mut RunStats,
-    ) {
-        stats.per_node_sent[from] += out.sends.len() as u64;
-        for (to, pl, retransmit) in out.sends {
+    // (drop draw, delay draw, duplication draw, duplicate-delay draw).
+    fn absorb(&mut self, now: u64, from: NodeId, stats: &mut RunStats) {
+        let mut sends = std::mem::take(&mut self.sends);
+        let mut timers = std::mem::take(&mut self.timers);
+        stats.per_node_sent[from] += sends.len() as u64;
+        for (to, msg, retransmit) in sends.drain(..) {
             let seq = self.seq;
             self.seq += 1;
             if retransmit {
@@ -843,7 +941,7 @@ impl<M: Clone> NetState<M> {
                 continue; // omission failure: the message never arrives
             }
             let t = now + self.rng.gen_range(1..=self.max_delay);
-            self.payloads.insert(seq, pl.clone());
+            self.msgs.insert(seq, msg.clone());
             self.queue.push(Reverse((t, seq, EV_MSG, from, to, seq)));
             if self.dup_rate > 0.0 && self.rng.gen_bool(self.dup_rate) {
                 let dup_seq = self.seq;
@@ -857,36 +955,28 @@ impl<M: Clone> NetState<M> {
                     to,
                 });
                 let t2 = now + self.rng.gen_range(1..=self.max_delay);
-                self.payloads.insert(dup_seq, pl);
+                self.msgs.insert(dup_seq, msg);
                 self.queue
                     .push(Reverse((t2, dup_seq, EV_MSG, from, to, dup_seq)));
             }
         }
-        for (delay, token) in out.timers {
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue
-                .push(Reverse((now + delay, seq, EV_TIMER, from, from, token)));
+        for (delay, token) in timers.drain(..) {
+            self.push(now + delay, EV_TIMER, from, from, token);
         }
+        self.sends = sends;
+        self.timers = timers;
     }
 }
 
-impl AsyncRunner {
+impl<H: NodeHost> AsyncScheduler<H> {
     /// Build a runner. `max_delay` ≥ 1.
     pub fn new(topo: Topology, procs: Vec<BoxProcess>, max_delay: u64, seed: u64) -> Self {
         assert_eq!(topo.len(), procs.len(), "one process per node");
         assert!(max_delay >= 1);
-        AsyncRunner {
+        AsyncScheduler {
+            crashed: vec![false; topo.len()],
             topo,
-            nodes: procs
-                .into_iter()
-                .map(|proc| NodeState {
-                    proc,
-                    output: None,
-                    halted: false,
-                    crashed: false,
-                })
-                .collect(),
+            hosts: H::new(procs),
             crash_at: HashMap::new(),
             recover_at: HashMap::new(),
             max_delay,
@@ -909,7 +999,7 @@ impl AsyncRunner {
     /// semantics) and gets an [`Process::on_recover`] callback. Messages
     /// that arrived during the outage are lost; so are pending timers.
     ///
-    /// [`crash`]: AsyncRunner::crash
+    /// [`crash`]: AsyncScheduler::crash
     pub fn recover(&mut self, node: NodeId, t: u64) -> &mut Self {
         let ct = *self
             .crash_at
@@ -921,7 +1011,8 @@ impl AsyncRunner {
     }
 
     /// Inject omission failures: each message is silently dropped with the
-    /// given probability.
+    /// given probability (on socket hosts the frame is physically sent,
+    /// but its delivery is never granted).
     pub fn drop_messages(&mut self, rate: f64) -> &mut Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
         self.drop_rate = rate;
@@ -930,7 +1021,8 @@ impl AsyncRunner {
 
     /// Inject duplication failures: each (non-dropped) message spawns one
     /// extra copy with the given probability, delivered with its own
-    /// independent delay.
+    /// independent delay (on socket hosts, an extra grant that re-reads
+    /// the same arrived frame).
     pub fn duplicate_messages(&mut self, rate: f64) -> &mut Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
         self.dup_rate = rate;
@@ -940,9 +1032,9 @@ impl AsyncRunner {
     /// Record a structured event trace during [`run`], retrievable via
     /// [`trace`] / [`trace_json`].
     ///
-    /// [`run`]: AsyncRunner::run
-    /// [`trace`]: AsyncRunner::trace
-    /// [`trace_json`]: AsyncRunner::trace_json
+    /// [`run`]: AsyncScheduler::run
+    /// [`trace`]: AsyncScheduler::trace
+    /// [`trace_json`]: AsyncScheduler::trace_json
     pub fn record_trace(&mut self) -> &mut Self {
         self.tracing = true;
         self
@@ -951,8 +1043,8 @@ impl AsyncRunner {
     /// The structured event trace of the last [`run`] (empty unless
     /// [`record_trace`] was called).
     ///
-    /// [`run`]: AsyncRunner::run
-    /// [`record_trace`]: AsyncRunner::record_trace
+    /// [`run`]: AsyncScheduler::run
+    /// [`record_trace`]: AsyncScheduler::record_trace
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
     }
@@ -962,79 +1054,97 @@ impl AsyncRunner {
         trace_json(&self.trace)
     }
 
+    fn dead(&self, v: NodeId) -> bool {
+        self.crashed[v] || self.hosts.halted(v)
+    }
+
+    // Grant one step at `v` (a no-op once it crashed or halted) and
+    // absorb what it produced at time `now`.
+    fn step(
+        &mut self,
+        net: &mut NetState<H::Msg>,
+        v: NodeId,
+        now: u64,
+        grant: Grant<H::Msg>,
+        stats: &mut RunStats,
+    ) {
+        if self.dead(v) {
+            return;
+        }
+        self.hosts
+            .step(&self.topo, v, grant, &mut net.sends, &mut net.timers, stats);
+        net.absorb(now, v, stats);
+    }
+
     /// Run to quiescence (empty event queue) or until `max_events`
     /// deliveries/timer firings have been processed. The budget is checked
     /// *before* an event is taken, so an exhausted budget leaves every
     /// unprocessed message in flight (counted in
     /// [`RunStats::undelivered`]) rather than silently discarding one.
+    /// Socket hosts consume their processes: a [`crate::net::NetRunner`]
+    /// panics if run twice.
     pub fn run(&mut self, max_events: u64) -> RunStats {
-        let _span = gp_telemetry::span!("async_run");
+        let _span = H::span();
         let n = self.topo.len();
         let mut stats = RunStats {
             outputs: vec![None; n],
             per_node_sent: vec![0; n],
             ..RunStats::default()
         };
-        let mut net: NetState<Payload> = NetState::new(
-            self.max_delay,
-            self.seed,
-            self.drop_rate,
-            self.dup_rate,
-            self.tracing,
-        );
+        self.hosts.open(&self.topo);
+        let mut net: NetState<H::Msg> = NetState {
+            queue: BinaryHeap::new(),
+            msgs: HashMap::new(),
+            seq: 0,
+            rng: StdRng::seed_from_u64(self.seed),
+            max_delay: self.max_delay,
+            drop_rate: self.drop_rate,
+            dup_rate: self.dup_rate,
+            tracing: self.tracing,
+            trace: Vec::new(),
+            sends: Vec::new(),
+            timers: Vec::new(),
+        };
 
         // Control events first (in node order, for determinism): their
         // sequence numbers precede every message's, so at equal timestamps
         // a crash/recovery takes effect before deliveries.
         for v in 0..n {
             if let Some(&ct) = self.crash_at.get(&v) {
-                let seq = net.seq;
-                net.seq += 1;
-                net.queue.push(Reverse((ct, seq, EV_CRASH, v, v, 0)));
+                net.push(ct, EV_CRASH, v, v, 0);
             }
             if let Some(&rt) = self.recover_at.get(&v) {
-                let seq = net.seq;
-                net.seq += 1;
-                net.queue.push(Reverse((rt, seq, EV_RECOVER, v, v, 0)));
+                net.push(rt, EV_RECOVER, v, v, 0);
             }
         }
 
         for v in 0..n {
             if self.crash_at.get(&v) == Some(&0) {
-                self.nodes[v].crashed = true;
+                self.crashed[v] = true;
             }
-            let out = run_step(v, &self.topo, &mut self.nodes[v], &mut stats, |p, c| {
-                p.on_start(c)
-            });
-            net.absorb(0, v, out, &mut stats);
+            self.step(&mut net, v, 0, Grant::Start, &mut stats);
         }
 
         let mut processed = 0u64;
-        loop {
-            if processed >= max_events {
-                break;
-            }
+        while processed < max_events {
             let Some(Reverse((t, _s, kind, a, b, key))) = net.queue.pop() else {
                 break;
             };
             match kind {
                 EV_CRASH => {
-                    self.nodes[a].crashed = true;
+                    self.crashed[a] = true;
                     dist_metrics().crashes.incr();
                     net.trace(TraceEvent::Crash { t, node: a });
                 }
                 EV_RECOVER => {
-                    self.nodes[a].crashed = false;
+                    self.crashed[a] = false;
                     dist_metrics().recoveries.incr();
                     net.trace(TraceEvent::Recover { t, node: a });
-                    let out = run_step(a, &self.topo, &mut self.nodes[a], &mut stats, |p, c| {
-                        p.on_recover(c)
-                    });
-                    net.absorb(t, a, out, &mut stats);
+                    self.step(&mut net, a, t, Grant::Recover, &mut stats);
                 }
                 EV_MSG => {
-                    let payload = net.payloads.remove(&key).expect("payload stored");
-                    if self.nodes[b].crashed || self.nodes[b].halted {
+                    let msg = net.msgs.remove(&key).expect("message stored");
+                    if self.dead(b) {
                         stats.lost_to_crash += 1;
                         net.trace(TraceEvent::Lost {
                             t,
@@ -1053,13 +1163,10 @@ impl AsyncRunner {
                         from: a,
                         to: b,
                     });
-                    let out = run_step(b, &self.topo, &mut self.nodes[b], &mut stats, |p, c| {
-                        p.on_message(a, &payload, c)
-                    });
-                    net.absorb(t, b, out, &mut stats);
+                    self.step(&mut net, b, t, Grant::Deliver { from: a, msg }, &mut stats);
                 }
                 EV_TIMER => {
-                    if self.nodes[a].crashed || self.nodes[a].halted {
+                    if self.dead(a) {
                         continue;
                     }
                     stats.timer_events += 1;
@@ -1070,10 +1177,7 @@ impl AsyncRunner {
                         node: a,
                         token: key,
                     });
-                    let out = run_step(a, &self.topo, &mut self.nodes[a], &mut stats, |p, c| {
-                        p.on_timer(key, c)
-                    });
-                    net.absorb(t, a, out, &mut stats);
+                    self.step(&mut net, a, t, Grant::Timer(key), &mut stats);
                 }
                 _ => unreachable!("unknown event kind"),
             }
@@ -1084,9 +1188,10 @@ impl AsyncRunner {
             .iter()
             .filter(|Reverse((_, _, kind, ..))| *kind == EV_MSG)
             .count() as u64;
+        self.hosts.close();
         self.trace = net.trace;
-        for (v, node) in self.nodes.iter().enumerate() {
-            stats.outputs[v] = node.output;
+        for (v, out) in stats.outputs.iter_mut().enumerate() {
+            *out = self.hosts.output(v);
         }
         dist_metrics().absorb_run(&stats);
         stats

@@ -15,7 +15,9 @@
 //!   (dimension 6: *timing*), with fault injection — omission, duplication,
 //!   crash-stop and crash-recovery schedules (dimension 3: *fault
 //!   tolerance*) — timer events, a structured event trace, and per-node
-//!   message/local-step accounting.
+//!   message/local-step accounting. The asynchronous event loop is written
+//!   once, as [`engine::AsyncScheduler`], generic over the
+//!   [`engine::NodeHost`] concept that says where a granted step runs.
 //! * [`channel`] — reliable delivery as a generic channel concept:
 //!   sequence numbers, acknowledgments, and timeout-driven retransmission
 //!   with exponential backoff, composing with any unmodified [`Process`].
@@ -25,12 +27,12 @@
 //!   fault-tolerant entries: reliable-channel Echo/LCR and the
 //!   crash-tolerant FT-FloodMax consensus.
 //! * [`net`] — sim-to-real: the same unmodified processes over real TCP.
-//!   The lockstep [`NetRunner`] replays the simulator's event schedule
-//!   against a live socket mesh and is event-for-event identical to
-//!   [`AsyncRunner`] on the same seed/topology (faults included); the
-//!   free-running [`LiveMesh`] gives each node a thread and a real tick
-//!   clock for actual deployment (it backs `gp-service`'s control
-//!   plane).
+//!   [`NetRunner`] is the simulator's scheduler over socket hosts: one
+//!   thread per node, payloads peer-to-peer over a live socket mesh, so it
+//!   is event-for-event identical to [`AsyncRunner`] on the same
+//!   seed/topology (faults included) by construction; the free-running
+//!   [`LiveMesh`] gives each node a thread and a real tick clock for
+//!   actual deployment (it backs `gp-service`'s control plane).
 //!
 //! Runs are deterministic per seed — including lossy, duplicating, and
 //! crash-recovery runs — so every experiment is reproducible.

@@ -8,19 +8,23 @@
 //! same boxed processes over OS sockets, framed with the service's
 //! length-prefixed codec ([`gp_core::frame`]):
 //!
-//! * [`NetRunner`] — a **lockstep** socket runner that cross-validates
-//!   against [`AsyncRunner`](crate::engine::AsyncRunner): payload bytes travel peer-to-peer over per-edge
-//!   TCP connections between host threads, while a coordinator replays the
-//!   *identical* seeded schedule the simulator would produce — same RNG
-//!   draw order, same event-queue ordering, same crash/recovery schedule.
-//!   A run on (seed, topology) X yields the same [`RunStats`] and the same
-//!   structured [`TraceEvent`] sequence as `AsyncRunner` on X, event for
-//!   event. The coordinator never sees payload bytes: it schedules
-//!   *per-link frame indices* (TCP guarantees per-connection FIFO, so index
-//!   `i` on link `u→v` always denotes the same frame), and delivery grants
-//!   tell the receiving host which arrived frame to consume. Injected
-//!   drops are frames that are physically sent but never granted;
-//!   injected duplicates are grants that re-read the same frame.
+//! * [`NetRunner`] — the simulator's own asynchronous scheduler,
+//!   [`AsyncScheduler`], over the [`SocketHosts`] model of the
+//!   [`NodeHost`] concept. Each node's process runs on a host thread;
+//!   payload bytes travel peer-to-peer over per-edge TCP connections
+//!   between hosts, while the scheduler — the same code that drives
+//!   [`AsyncRunner`](crate::engine::AsyncRunner) — grants each step over
+//!   a control connection. The RNG draws, the event order and the
+//!   crash/recovery schedule are therefore the simulator's by
+//!   construction: a run on (seed, topology) X yields the same
+//!   [`RunStats`] and the same structured trace as `AsyncRunner` on X,
+//!   event for event. The scheduler never sees payload bytes: it holds
+//!   *per-link frame indices* (TCP guarantees per-connection FIFO, so
+//!   index `i` on link `u→v` always denotes the same frame), and a
+//!   delivery grant tells the receiving host which arrived frame to
+//!   consume. Injected drops are frames that are physically sent but
+//!   never granted; injected duplicates are grants that re-read the same
+//!   frame.
 //!
 //! * [`LiveMesh`] — a **free-running** runtime for the service's control
 //!   plane: one OS thread per node over a complete TCP mesh, real
@@ -30,16 +34,17 @@
 //!   cross-validation is possible here by construction; this is where the
 //!   validated algorithms get *used*.
 //!
-//! Messages cross the wire as a whitespace-token text rendering of
-//! [`Payload`] ([`encode_payload`] / [`decode_payload`]) inside one frame.
+//! Both runtimes bring their mesh up the same way: each node connects to
+//! its peers with a `data <id>` hello and accepts each link by its hello,
+//! dropping connections whose hello names no awaited peer. Messages cross
+//! the wire as a whitespace-token text rendering of [`Payload`]
+//! ([`encode_payload`] / [`decode_payload`]) inside one frame.
 
 use crate::engine::{
-    dist_metrics, trace_json, BoxProcess, Ctx, NetState, Payload, Process, RunStats, StepOutOf,
-    TraceEvent, EV_CRASH, EV_MSG, EV_RECOVER, EV_TIMER,
+    AsyncScheduler, BoxProcess, Ctx, Grant, NodeHost, NodeState, Payload, Process, RunStats,
 };
 use crate::topology::{NodeId, Topology};
 use gp_core::frame::{read_frame, write_frame};
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -117,160 +122,177 @@ fn decode_tokens<'a>(toks: &mut impl Iterator<Item = &'a str>) -> Result<Payload
 }
 
 // ---------------------------------------------------------------------------
-// NetRunner: lockstep socket execution, cross-validated against AsyncRunner
+// Mesh bring-up, shared by both runtimes
+// ---------------------------------------------------------------------------
+
+/// How long an accepted connection may take to say hello before it is
+/// dropped.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Bind one loopback listener per node.
+fn bind_listeners(n: usize) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
+    let listeners = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let addrs = listeners
+        .iter()
+        .map(TcpListener::local_addr)
+        .collect::<io::Result<_>>()?;
+    Ok((listeners, addrs))
+}
+
+/// A node's connections once its part of a mesh is up.
+struct Links {
+    /// Data streams to peers, by receiver.
+    outgoing: HashMap<NodeId, TcpStream>,
+    /// Data streams from peers, by the sender their hello named.
+    incoming: Vec<(NodeId, TcpStream)>,
+    /// The scheduler's control connection, when one was awaited.
+    ctrl: Option<TcpStream>,
+}
+
+/// Bring up node `v`'s links. First connect to each of `peers` with a
+/// `data <v>` hello; a peer that cannot be reached is taken for dead, and
+/// the node runs without its links to and from it. Then accept on
+/// `listener` until every peer in `inbound` — and, with `want_ctrl`, one
+/// `ctrl` connection — has said hello. A connection whose hello is
+/// malformed, names no awaited peer (this node included) or one already
+/// linked, or does not come within [`HELLO_TIMEOUT`] is dropped and
+/// accepting goes on, so a stray local connection can neither end the
+/// node nor take a peer's accept slot.
+fn bring_up(
+    v: NodeId,
+    peers: &[(NodeId, SocketAddr)],
+    listener: &TcpListener,
+    inbound: &[NodeId],
+    want_ctrl: bool,
+) -> io::Result<Links> {
+    // Connect outbound first: connects complete against the peer's listen
+    // backlog, so no accept ordering can deadlock the mesh bring-up.
+    let mut outgoing = HashMap::new();
+    let mut awaited = inbound.to_vec();
+    for &(u, addr) in peers {
+        let linked = TcpStream::connect(addr).and_then(|mut s| {
+            s.set_nodelay(true).ok();
+            write_frame(&mut s, &format!("data {v}"))?;
+            Ok(s)
+        });
+        match linked {
+            Ok(s) => {
+                outgoing.insert(u, s);
+            }
+            Err(_) => awaited.retain(|&w| w != u),
+        }
+    }
+    let mut links = Links {
+        outgoing,
+        incoming: Vec::new(),
+        ctrl: None,
+    };
+    while !awaited.is_empty() || (want_ctrl && links.ctrl.is_none()) {
+        let (mut s, _) = listener.accept()?;
+        let hello = s
+            .set_read_timeout(Some(HELLO_TIMEOUT))
+            .and_then(|()| read_frame(&mut s));
+        let Ok(Some(hello)) = hello else {
+            continue;
+        };
+        if s.set_read_timeout(None).is_err() {
+            continue;
+        }
+        s.set_nodelay(true).ok();
+        if hello == "ctrl" && want_ctrl && links.ctrl.is_none() {
+            links.ctrl = Some(s);
+        } else if let Some(i) = hello
+            .strip_prefix("data ")
+            .and_then(|u| u.parse::<NodeId>().ok())
+            .and_then(|u| awaited.iter().position(|&w| w == u))
+        {
+            links.incoming.push((awaited.swap_remove(i), s));
+        }
+    }
+    Ok(links)
+}
+
+// ---------------------------------------------------------------------------
+// NetRunner: the asynchronous scheduler over socket hosts
 // ---------------------------------------------------------------------------
 
 /// Frames arrived on one incoming link, append-only so an injected
 /// duplicate can re-read the frame at the same index.
 type Arrived = Arc<(Mutex<Vec<String>>, Condvar)>;
 
-/// Executes unmodified processes over per-edge TCP connections between
-/// host threads, under the exact seeded schedule of [`AsyncRunner`] — see
-/// the module docs for the lockstep protocol. Builder API mirrors
-/// `AsyncRunner`; [`NetRunner::run`] consumes the processes and may be
-/// called once.
-///
-/// [`AsyncRunner`]: crate::engine::AsyncRunner
-pub struct NetRunner {
-    topo: Topology,
+/// The socket node-host model: one host thread per node owns the node's
+/// process, with a TCP connection per topology edge to its neighbors'
+/// hosts and a control connection from the scheduler. A granted step goes
+/// out as a command on the control connection, and the step's sends and
+/// timers come back as a report. Payload bytes travel peer-to-peer, so
+/// the scheduler holds a message as its per-link frame index: TCP keeps
+/// each connection FIFO, so index `i` on link `u→v` always names the same
+/// frame.
+pub struct SocketHosts {
+    /// The processes, until a run moves them onto host threads.
     procs: Option<Vec<BoxProcess>>,
-    crash_at: HashMap<NodeId, u64>,
-    recover_at: HashMap<NodeId, u64>,
-    max_delay: u64,
-    seed: u64,
-    drop_rate: f64,
-    dup_rate: f64,
-    tracing: bool,
-    trace: Vec<TraceEvent>,
+    threads: Vec<JoinHandle<()>>,
+    ctrl: Vec<TcpStream>,
+    /// Frames sent so far on each link `(from, to)`.
+    link_count: HashMap<(NodeId, NodeId), u64>,
+    halted: Vec<bool>,
+    outputs: Vec<Option<u64>>,
 }
 
-impl NetRunner {
-    /// Build a runner. `max_delay` ≥ 1.
-    pub fn new(topo: Topology, procs: Vec<BoxProcess>, max_delay: u64, seed: u64) -> Self {
-        assert_eq!(topo.len(), procs.len(), "one process per node");
-        assert!(max_delay >= 1);
-        NetRunner {
-            topo,
+/// Executes unmodified processes over per-edge TCP connections between
+/// host threads: the [`AsyncRunner`](crate::engine::AsyncRunner)
+/// scheduler over [`SocketHosts`], so a run on (seed, topology) X yields
+/// the same stats and trace as `AsyncRunner` on X. [`run`] consumes the
+/// processes and may be called once.
+///
+/// [`run`]: AsyncScheduler::run
+pub type NetRunner = AsyncScheduler<SocketHosts>;
+
+impl NodeHost for SocketHosts {
+    type Msg = u64;
+
+    fn new(procs: Vec<BoxProcess>) -> Self {
+        SocketHosts {
             procs: Some(procs),
-            crash_at: HashMap::new(),
-            recover_at: HashMap::new(),
-            max_delay,
-            seed,
-            drop_rate: 0.0,
-            dup_rate: 0.0,
-            tracing: false,
-            trace: Vec::new(),
+            threads: Vec::new(),
+            ctrl: Vec::new(),
+            link_count: HashMap::new(),
+            halted: Vec::new(),
+            outputs: Vec::new(),
         }
     }
 
-    /// Schedule a crash at virtual time `t`.
-    pub fn crash(&mut self, node: NodeId, t: u64) -> &mut Self {
-        self.crash_at.insert(node, t);
-        self
+    fn span() -> gp_telemetry::Span {
+        gp_telemetry::span!("net_run")
     }
 
-    /// Schedule a recovery after a crash (same contract as
-    /// [`AsyncRunner::recover`](crate::engine::AsyncRunner::recover)).
-    pub fn recover(&mut self, node: NodeId, t: u64) -> &mut Self {
-        let ct = *self
-            .crash_at
-            .get(&node)
-            .expect("recover(node, t) needs a crash scheduled for the node first");
-        assert!(t > ct, "recovery must come after the crash (crash at {ct})");
-        self.recover_at.insert(node, t);
-        self
-    }
-
-    /// Inject omission failures: the frame is physically sent but its
-    /// delivery is never granted.
-    pub fn drop_messages(&mut self, rate: f64) -> &mut Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.drop_rate = rate;
-        self
-    }
-
-    /// Inject duplication failures: an extra delivery grant that re-reads
-    /// the same arrived frame.
-    pub fn duplicate_messages(&mut self, rate: f64) -> &mut Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.dup_rate = rate;
-        self
-    }
-
-    /// Record a structured event trace during [`run`](NetRunner::run).
-    pub fn record_trace(&mut self) -> &mut Self {
-        self.tracing = true;
-        self
-    }
-
-    /// The structured event trace of the run.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
-    /// The trace rendered as a JSON array.
-    pub fn trace_json(&self) -> String {
-        trace_json(&self.trace)
-    }
-
-    /// Run to quiescence or `max_events` processed deliveries/timer
-    /// firings, exactly as [`AsyncRunner::run`] — same budget semantics,
-    /// same stats, same trace. Panics if called twice (the host threads
-    /// consume the processes).
-    ///
-    /// [`AsyncRunner::run`]: crate::engine::AsyncRunner::run
-    pub fn run(&mut self, max_events: u64) -> RunStats {
-        let _span = gp_telemetry::span!("net_run");
+    fn open(&mut self, topo: &Topology) {
         let procs = self
             .procs
             .take()
             .expect("NetRunner::run consumes the processes; build a new runner to rerun");
-        let n = self.topo.len();
-        let mut stats = RunStats {
-            outputs: vec![None; n],
-            per_node_sent: vec![0; n],
-            ..RunStats::default()
-        };
-        if n == 0 {
-            dist_metrics().absorb_run(&stats);
-            return stats;
-        }
-
-        // --- wire up the mesh -------------------------------------------------
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind host listener"))
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("listener addr"))
-            .collect();
-        let incoming: Vec<Vec<NodeId>> = {
-            let mut inc = vec![Vec::new(); n];
-            for u in 0..n {
-                for &v in self.topo.neighbors(u) {
-                    inc[v].push(u);
-                }
+        let n = topo.len();
+        let (listeners, addrs) = bind_listeners(n).expect("bind host listeners");
+        let mut inbound = vec![Vec::new(); n];
+        for u in 0..n {
+            for &v in topo.neighbors(u) {
+                inbound[v].push(u);
             }
-            inc
-        };
-
-        let mut hosts = Vec::with_capacity(n);
-        for (v, (listener, proc_)) in listeners.into_iter().zip(procs).enumerate() {
-            let out_neighbors: Vec<NodeId> = self.topo.neighbors(v).to_vec();
-            let out_addrs: Vec<SocketAddr> = out_neighbors.iter().map(|&u| addrs[u]).collect();
-            let in_count = incoming[v].len();
-            hosts.push(
+        }
+        let hosts = listeners.into_iter().zip(procs).zip(inbound);
+        for (v, ((listener, proc_), inbound)) in hosts.enumerate() {
+            let peers: Vec<(NodeId, SocketAddr)> =
+                topo.neighbors(v).iter().map(|&u| (u, addrs[u])).collect();
+            self.threads.push(
                 std::thread::Builder::new()
                     .name(format!("net-host-{v}"))
-                    .spawn(move || {
-                        host_main(v, proc_, out_neighbors, out_addrs, listener, in_count)
-                    })
+                    .spawn(move || host_main(v, proc_, peers, listener, inbound))
                     .expect("spawn host thread"),
             );
         }
-
-        // The coordinator's control connection to each host.
-        let mut ctrl: Vec<TcpStream> = addrs
+        self.ctrl = addrs
             .iter()
             .map(|&a| {
                 let mut s = TcpStream::connect(a).expect("connect ctrl");
@@ -279,268 +301,106 @@ impl NetRunner {
                 s
             })
             .collect();
+        self.halted = vec![false; n];
+        self.outputs = vec![None; n];
+    }
 
-        // --- the lockstep schedule: AsyncRunner::run over link indices -------
-        // `M = u64`: the per-link FIFO index of the frame a send produced.
-        let mut net: NetState<u64> = NetState::new(
-            self.max_delay,
-            self.seed,
-            self.drop_rate,
-            self.dup_rate,
-            self.tracing,
-        );
-        let mut link_count: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-        let mut crashed = vec![false; n];
-        let mut halted = vec![false; n];
-        let mut outputs: Vec<Option<u64>> = vec![None; n];
-
-        // One lockstep exchange: tell host `v` to run a step, absorb its
-        // report (sends become link-indexed queue entries, timers queue).
-        #[allow(clippy::too_many_arguments)]
-        fn exchange(
-            v: NodeId,
-            cmd: &str,
-            now: u64,
-            ctrl: &mut [TcpStream],
-            net: &mut NetState<u64>,
-            link_count: &mut HashMap<(NodeId, NodeId), u64>,
-            halted: &mut [bool],
-            outputs: &mut [Option<u64>],
-            stats: &mut RunStats,
-        ) {
-            write_frame(&mut ctrl[v], cmd).expect("ctrl send");
-            let report = read_frame(&mut ctrl[v])
-                .expect("ctrl recv")
-                .expect("host closed mid-run");
-            let mut out: StepOutOf<u64> = StepOutOf::default();
-            let mut lines = report.lines();
-            let head = lines.next().expect("report head");
-            let mut h = head.split_ascii_whitespace();
-            assert_eq!(h.next(), Some("report"), "bad report: {head}");
-            halted[v] = h.next() == Some("1");
-            outputs[v] = match h.next().expect("output field") {
-                "-" => None,
-                o => Some(o.parse().expect("output")),
-            };
-            stats.local_steps += h.next().expect("steps").parse::<u64>().expect("steps");
-            stats.app_messages += h.next().expect("app").parse::<u64>().expect("app");
-            for line in lines {
-                let mut f = line.split_ascii_whitespace();
-                match f.next() {
-                    Some("s") => {
-                        let to: NodeId = f.next().expect("to").parse().expect("to");
-                        let retx = f.next() == Some("1");
-                        let idx = link_count.entry((v, to)).or_insert(0);
-                        out.sends.push((to, *idx, retx));
-                        *idx += 1;
-                    }
-                    Some("t") => {
-                        let delay: u64 = f.next().expect("delay").parse().expect("delay");
-                        let token: u64 = f.next().expect("token").parse().expect("token");
-                        out.timers.push((delay, token));
-                    }
-                    other => panic!("bad report line {other:?}"),
+    fn step(
+        &mut self,
+        _topo: &Topology,
+        v: NodeId,
+        grant: Grant<u64>,
+        sends: &mut Vec<(NodeId, u64, bool)>,
+        timers: &mut Vec<(u64, u64)>,
+        stats: &mut RunStats,
+    ) {
+        let cmd = match grant {
+            Grant::Start => "start".to_string(),
+            Grant::Deliver { from, msg } => format!("deliver {from} {msg}"),
+            Grant::Timer(token) => format!("timer {token}"),
+            Grant::Recover => "recover".to_string(),
+        };
+        write_frame(&mut self.ctrl[v], &cmd).expect("ctrl send");
+        let report = read_frame(&mut self.ctrl[v])
+            .expect("ctrl recv")
+            .expect("host closed mid-run");
+        let mut lines = report.lines();
+        let head = lines.next().expect("report head");
+        let mut h = head.split_ascii_whitespace();
+        assert_eq!(h.next(), Some("report"), "bad report: {head}");
+        self.halted[v] = h.next() == Some("1");
+        self.outputs[v] = match h.next().expect("output field") {
+            "-" => None,
+            o => Some(o.parse().expect("output")),
+        };
+        stats.local_steps += h.next().expect("steps").parse::<u64>().expect("steps");
+        stats.app_messages += h.next().expect("app").parse::<u64>().expect("app");
+        for line in lines {
+            let mut f = line.split_ascii_whitespace();
+            match f.next() {
+                Some("s") => {
+                    let to: NodeId = f.next().expect("to").parse().expect("to");
+                    let retx = f.next() == Some("1");
+                    let idx = self.link_count.entry((v, to)).or_insert(0);
+                    sends.push((to, *idx, retx));
+                    *idx += 1;
                 }
-            }
-            net.absorb(now, v, out, stats);
-        }
-
-        // Control events first, in node order — identical to the simulator.
-        for v in 0..n {
-            if let Some(&ct) = self.crash_at.get(&v) {
-                let seq = net.seq;
-                net.seq += 1;
-                net.queue.push(Reverse((ct, seq, EV_CRASH, v, v, 0)));
-            }
-            if let Some(&rt) = self.recover_at.get(&v) {
-                let seq = net.seq;
-                net.seq += 1;
-                net.queue.push(Reverse((rt, seq, EV_RECOVER, v, v, 0)));
+                Some("t") => {
+                    let delay: u64 = f.next().expect("delay").parse().expect("delay");
+                    let token: u64 = f.next().expect("token").parse().expect("token");
+                    timers.push((delay, token));
+                }
+                other => panic!("bad report line {other:?}"),
             }
         }
+    }
 
-        for (v, dead) in crashed.iter_mut().enumerate() {
-            if self.crash_at.get(&v) == Some(&0) {
-                *dead = true;
-            }
-            if *dead {
-                continue; // the simulator's run_step no-ops here too
-            }
-            exchange(
-                v,
-                "start",
-                0,
-                &mut ctrl,
-                &mut net,
-                &mut link_count,
-                &mut halted,
-                &mut outputs,
-                &mut stats,
-            );
-        }
+    fn halted(&self, v: NodeId) -> bool {
+        self.halted[v]
+    }
 
-        let mut processed = 0u64;
-        loop {
-            if processed >= max_events {
-                break;
-            }
-            let Some(Reverse((t, _s, kind, a, b, key))) = net.queue.pop() else {
-                break;
-            };
-            match kind {
-                EV_CRASH => {
-                    crashed[a] = true;
-                    dist_metrics().crashes.incr();
-                    net.trace(TraceEvent::Crash { t, node: a });
-                }
-                EV_RECOVER => {
-                    crashed[a] = false;
-                    dist_metrics().recoveries.incr();
-                    net.trace(TraceEvent::Recover { t, node: a });
-                    if !halted[a] {
-                        exchange(
-                            a,
-                            "recover",
-                            t,
-                            &mut ctrl,
-                            &mut net,
-                            &mut link_count,
-                            &mut halted,
-                            &mut outputs,
-                            &mut stats,
-                        );
-                    }
-                }
-                EV_MSG => {
-                    let idx = net.payloads.remove(&key).expect("link index stored");
-                    if crashed[b] || halted[b] {
-                        stats.lost_to_crash += 1;
-                        net.trace(TraceEvent::Lost {
-                            t,
-                            seq: key,
-                            from: a,
-                            to: b,
-                        });
-                        continue;
-                    }
-                    stats.messages += 1;
-                    stats.time = stats.time.max(t);
-                    processed += 1;
-                    net.trace(TraceEvent::Deliver {
-                        t,
-                        seq: key,
-                        from: a,
-                        to: b,
-                    });
-                    exchange(
-                        b,
-                        &format!("deliver {a} {idx}"),
-                        t,
-                        &mut ctrl,
-                        &mut net,
-                        &mut link_count,
-                        &mut halted,
-                        &mut outputs,
-                        &mut stats,
-                    );
-                }
-                EV_TIMER => {
-                    if crashed[a] || halted[a] {
-                        continue;
-                    }
-                    stats.timer_events += 1;
-                    stats.time = stats.time.max(t);
-                    processed += 1;
-                    net.trace(TraceEvent::Timer {
-                        t,
-                        node: a,
-                        token: key,
-                    });
-                    exchange(
-                        a,
-                        &format!("timer {key}"),
-                        t,
-                        &mut ctrl,
-                        &mut net,
-                        &mut link_count,
-                        &mut halted,
-                        &mut outputs,
-                        &mut stats,
-                    );
-                }
-                _ => unreachable!("unknown event kind"),
-            }
-        }
+    fn output(&self, v: NodeId) -> Option<u64> {
+        self.outputs[v]
+    }
 
-        stats.undelivered = net
-            .queue
-            .iter()
-            .filter(|Reverse((_, _, kind, ..))| *kind == EV_MSG)
-            .count() as u64;
-
-        // Tear down: every host gets `stop` before any is joined, so hosts
-        // blocked on peers' reader EOFs all release together.
-        for s in ctrl.iter_mut() {
+    fn close(&mut self) {
+        // Every host gets `stop` before any is joined, so hosts blocked on
+        // peers' reader EOFs all release together.
+        for s in &mut self.ctrl {
             write_frame(s, "stop").expect("ctrl stop");
         }
-        for h in hosts {
+        for h in self.threads.drain(..) {
             h.join().expect("host thread");
         }
-
-        self.trace = net.trace;
-        stats.outputs = outputs;
-        dist_metrics().absorb_run(&stats);
-        stats
     }
 }
 
-/// The per-node host: owns the process, accepts its incoming links,
-/// connects its outgoing links, and executes exactly the steps the
-/// coordinator grants. Payload frames flow peer-to-peer; only step
-/// commands and step reports touch the coordinator.
+/// The per-node host: owns the process, brings up its links, and runs
+/// exactly the steps the scheduler grants. Payload frames flow
+/// peer-to-peer; only step commands and step reports touch the control
+/// connection.
 fn host_main(
     v: NodeId,
-    mut proc_: BoxProcess,
-    out_neighbors: Vec<NodeId>,
-    out_addrs: Vec<SocketAddr>,
+    proc_: BoxProcess,
+    peers: Vec<(NodeId, SocketAddr)>,
     listener: TcpListener,
-    in_count: usize,
+    inbound: Vec<NodeId>,
 ) {
-    // Connect outbound first: connects complete against the peer's listen
-    // backlog, so no accept ordering can deadlock the mesh bring-up.
-    let mut outgoing: HashMap<NodeId, TcpStream> = HashMap::new();
-    for (&u, &addr) in out_neighbors.iter().zip(&out_addrs) {
-        let mut s = TcpStream::connect(addr).expect("connect data link");
-        s.set_nodelay(true).ok();
-        write_frame(&mut s, &format!("data {v}")).expect("data hello");
-        outgoing.insert(u, s);
-    }
+    let links = bring_up(v, &peers, &listener, &inbound, true).expect("bring up host links");
+    let mut ctrl = links.ctrl.expect("bring-up awaits the control connection");
+    let mut outgoing = links.outgoing;
 
-    // Accept incoming links (+1 for the coordinator's control connection),
-    // identified by their hello frame. Each data link gets a reader thread
-    // appending arrived frames to an append-only per-source log.
+    // Each data link gets a reader thread appending arrived frames to an
+    // append-only per-source log.
     let mut arrived: HashMap<NodeId, Arrived> = HashMap::new();
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut ctrl: Option<TcpStream> = None;
-    for _ in 0..in_count + 1 {
-        let (mut s, _) = listener.accept().expect("accept link");
-        s.set_nodelay(true).ok();
-        let hello = read_frame(&mut s).expect("hello").expect("hello eof");
-        if hello == "ctrl" {
-            ctrl = Some(s);
-            continue;
-        }
-        let from: NodeId = hello
-            .strip_prefix("data ")
-            .and_then(|u| u.parse().ok())
-            .unwrap_or_else(|| panic!("bad hello {hello:?}"));
-        let log: Arrived = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+    for (from, mut s) in links.incoming {
+        let log: Arrived = Arc::default();
         arrived.insert(from, Arc::clone(&log));
         readers.push(
             std::thread::Builder::new()
                 .name(format!("net-read-{from}-{v}"))
                 .spawn(move || {
-                    let mut s = s;
                     while let Ok(Some(frame)) = read_frame(&mut s) {
                         let (lock, cv) = &*log;
                         lock.lock().expect("arrived log").push(frame);
@@ -550,66 +410,15 @@ fn host_main(
                 .expect("spawn reader"),
         );
     }
-    let mut ctrl = ctrl.expect("coordinator never connected");
 
-    let mut output: Option<u64> = None;
-    let mut halted = false;
-
-    // Run one granted step: sends go straight onto the outgoing streams
-    // (in send order — the per-link FIFO the coordinator indexes), then
-    // the step report goes back on the control connection.
-    let step = |ctrl: &mut TcpStream,
-                proc_: &mut BoxProcess,
-                output: &mut Option<u64>,
-                halted: &mut bool,
-                outgoing: &mut HashMap<NodeId, TcpStream>,
-                f: &mut dyn FnMut(&mut dyn Process, &mut Ctx)| {
-        let mut sends: Vec<(NodeId, Payload, bool)> = Vec::new();
-        let mut timers: Vec<(u64, u64)> = Vec::new();
-        let mut scratch = RunStats::default();
-        {
-            let mut cx = Ctx::new(
-                v,
-                &out_neighbors,
-                &mut sends,
-                &mut timers,
-                &mut scratch,
-                output,
-                halted,
-            );
-            f(proc_.as_mut(), &mut cx);
-        }
-        use std::fmt::Write as _;
-        let mut report = format!(
-            "report {} {} {} {}",
-            u8::from(*halted),
-            output.map_or("-".to_string(), |o| o.to_string()),
-            scratch.local_steps,
-            scratch.app_messages,
-        );
-        for (to, pl, retx) in sends {
-            let s = outgoing.get_mut(&to).expect("send to non-neighbor");
-            write_frame(s, &encode_payload(&pl)).expect("send frame");
-            let _ = write!(report, "\ns {to} {}", u8::from(retx));
-        }
-        for (delay, token) in timers {
-            let _ = write!(report, "\nt {delay} {token}");
-        }
-        write_frame(ctrl, &report).expect("report");
-    };
-
+    let neighbors: Vec<NodeId> = peers.iter().map(|&(u, _)| u).collect();
+    let mut node = NodeState::new(proc_);
+    let (mut sends, mut timers) = (Vec::new(), Vec::new());
     loop {
         let cmd = read_frame(&mut ctrl).expect("ctrl read").expect("ctrl eof");
         let mut toks = cmd.split_ascii_whitespace();
-        match toks.next() {
-            Some("start") => step(
-                &mut ctrl,
-                &mut proc_,
-                &mut output,
-                &mut halted,
-                &mut outgoing,
-                &mut |p, cx| p.on_start(cx),
-            ),
+        let grant = match toks.next() {
+            Some("start") => Grant::Start,
             Some("deliver") => {
                 let from: NodeId = toks.next().expect("from").parse().expect("from");
                 let idx: usize = toks.next().expect("idx").parse().expect("idx");
@@ -624,38 +433,43 @@ fn host_main(
                     }
                     log[idx].clone()
                 };
-                let pl = decode_payload(&text).expect("payload decode");
-                step(
-                    &mut ctrl,
-                    &mut proc_,
-                    &mut output,
-                    &mut halted,
-                    &mut outgoing,
-                    &mut |p, cx| p.on_message(from, &pl, cx),
-                );
+                let msg = decode_payload(&text).expect("payload decode");
+                Grant::Deliver { from, msg }
             }
-            Some("timer") => {
-                let token: u64 = toks.next().expect("token").parse().expect("token");
-                step(
-                    &mut ctrl,
-                    &mut proc_,
-                    &mut output,
-                    &mut halted,
-                    &mut outgoing,
-                    &mut |p, cx| p.on_timer(token, cx),
-                );
-            }
-            Some("recover") => step(
-                &mut ctrl,
-                &mut proc_,
-                &mut output,
-                &mut halted,
-                &mut outgoing,
-                &mut |p, cx| p.on_recover(cx),
-            ),
+            Some("timer") => Grant::Timer(toks.next().expect("token").parse().expect("token")),
+            Some("recover") => Grant::Recover,
             Some("stop") => break,
             other => panic!("unknown ctrl command {other:?}"),
+        };
+        let mut scratch = RunStats::default();
+        node.step(
+            v,
+            &neighbors,
+            &mut sends,
+            &mut timers,
+            &mut scratch,
+            |p, cx| grant.call(p, cx),
+        );
+        // Sends go straight onto the outgoing streams, in send order (the
+        // per-link FIFO the scheduler indexes); then the step report goes
+        // back on the control connection.
+        use std::fmt::Write as _;
+        let mut report = format!(
+            "report {} {} {} {}",
+            u8::from(node.halted),
+            node.output.map_or("-".to_string(), |o| o.to_string()),
+            scratch.local_steps,
+            scratch.app_messages,
+        );
+        for (to, pl, retx) in sends.drain(..) {
+            let s = outgoing.get_mut(&to).expect("send to non-neighbor");
+            write_frame(s, &encode_payload(&pl)).expect("send frame");
+            let _ = write!(report, "\ns {to} {}", u8::from(retx));
         }
+        for (delay, token) in timers.drain(..) {
+            let _ = write!(report, "\nt {delay} {token}");
+        }
+        write_frame(&mut ctrl, &report).expect("report");
     }
 
     // Closing our outgoing streams EOFs the peers' readers; every host got
@@ -687,13 +501,7 @@ impl LiveMesh {
     /// cannot be wired (ports, connects).
     pub fn start(procs: Vec<BoxProcess>, tick: Duration) -> io::Result<LiveMesh> {
         let n = procs.len();
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0"))
-            .collect::<io::Result<_>>()?;
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr())
-            .collect::<io::Result<_>>()?;
+        let (listeners, addrs) = bind_listeners(n)?;
         let kill: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
 
         let mut handles = Vec::with_capacity(n);
@@ -737,42 +545,66 @@ impl LiveMesh {
     }
 }
 
+/// One live mesh node between steps.
+struct MeshNode {
+    v: NodeId,
+    neighbors: Vec<NodeId>,
+    node: NodeState,
+    outgoing: HashMap<NodeId, TcpStream>,
+    round: u64,
+    /// (fire_round, token), insertion-ordered like the synchronous runner.
+    timers: Vec<(u64, u64)>,
+}
+
+impl MeshNode {
+    /// Run one step: its sends go out at once, its timers are armed in
+    /// ticks from the current round.
+    fn step(&mut self, f: impl FnOnce(&mut dyn Process, &mut Ctx)) {
+        let (mut sends, mut timers) = (Vec::new(), Vec::new());
+        let v = self.v;
+        self.node.step(
+            v,
+            &self.neighbors,
+            &mut sends,
+            &mut timers,
+            &mut RunStats::default(),
+            f,
+        );
+        for (to, pl, _) in sends {
+            if let Some(s) = self.outgoing.get_mut(&to) {
+                // A dead peer surfaces as a write error: the message is
+                // simply lost, exactly like a real partial failure.
+                if write_frame(s, &encode_payload(&pl)).is_err() {
+                    self.outgoing.remove(&to);
+                }
+            }
+        }
+        for (delay, token) in timers {
+            self.timers.push((self.round + delay, token));
+        }
+    }
+}
+
 fn mesh_node_main(
     v: NodeId,
-    mut proc_: BoxProcess,
+    proc_: BoxProcess,
     addrs: Vec<SocketAddr>,
     listener: TcpListener,
     tick: Duration,
     kill: Arc<AtomicBool>,
 ) {
-    let n = addrs.len();
-    let neighbors: Vec<NodeId> = (0..n).filter(|&u| u != v).collect();
-
-    let mut outgoing: HashMap<NodeId, TcpStream> = HashMap::new();
-    for &u in &neighbors {
-        let Ok(mut s) = TcpStream::connect(addrs[u]) else {
-            return; // peer already dead at bring-up: run without the link
-        };
-        s.set_nodelay(true).ok();
-        if write_frame(&mut s, &format!("data {v}")).is_err() {
-            return;
-        }
-        outgoing.insert(u, s);
-    }
+    let peers: Vec<(NodeId, SocketAddr)> = addrs
+        .into_iter()
+        .enumerate()
+        .filter(|&(u, _)| u != v)
+        .collect();
+    let neighbors: Vec<NodeId> = peers.iter().map(|&(u, _)| u).collect();
+    let Ok(links) = bring_up(v, &peers, &listener, &neighbors, false) else {
+        return;
+    };
 
     let (tx, rx) = mpsc::channel::<(NodeId, Payload)>();
-    for _ in 0..neighbors.len() {
-        let Ok((mut s, _)) = listener.accept() else {
-            return;
-        };
-        s.set_nodelay(true).ok();
-        let Ok(Some(hello)) = read_frame(&mut s) else {
-            return;
-        };
-        let from: NodeId = hello
-            .strip_prefix("data ")
-            .and_then(|u| u.parse().ok())
-            .unwrap_or_else(|| panic!("bad hello {hello:?}"));
+    for (from, mut s) in links.incoming {
         let tx = tx.clone();
         std::thread::Builder::new()
             .name(format!("mesh-read-{from}-{v}"))
@@ -790,50 +622,19 @@ fn mesh_node_main(
     }
     drop(tx);
 
-    let mut output: Option<u64> = None;
-    let mut halted = false;
-    let mut round: u64 = 0;
-    // (fire_round, token), insertion-ordered like the synchronous runner.
-    let mut pending_timers: Vec<(u64, u64)> = Vec::new();
+    let mut mesh = MeshNode {
+        v,
+        neighbors,
+        node: NodeState::new(proc_),
+        outgoing: links.outgoing,
+        round: 0,
+        timers: Vec::new(),
+    };
     let start = Instant::now();
+    mesh.step(|p, cx| p.on_start(cx));
 
-    macro_rules! step {
-        ($f:expr) => {{
-            let mut sends: Vec<(NodeId, Payload, bool)> = Vec::new();
-            let mut timers: Vec<(u64, u64)> = Vec::new();
-            let mut scratch = RunStats::default();
-            {
-                let mut cx = Ctx::new(
-                    v,
-                    &neighbors,
-                    &mut sends,
-                    &mut timers,
-                    &mut scratch,
-                    &mut output,
-                    &mut halted,
-                );
-                #[allow(clippy::redundant_closure_call)]
-                ($f)(proc_.as_mut(), &mut cx);
-            }
-            for (to, pl, _) in sends {
-                if let Some(s) = outgoing.get_mut(&to) {
-                    // A dead peer surfaces as a write error: the message is
-                    // simply lost, exactly like a real partial failure.
-                    if write_frame(s, &encode_payload(&pl)).is_err() {
-                        outgoing.remove(&to);
-                    }
-                }
-            }
-            for (delay, token) in timers {
-                pending_timers.push((round + delay, token));
-            }
-        }};
-    }
-
-    step!(|p: &mut dyn Process, cx: &mut Ctx| p.on_start(cx));
-
-    while !kill.load(Ordering::SeqCst) && !halted {
-        let next_tick = start + tick * (round as u32 + 1);
+    while !kill.load(Ordering::SeqCst) && !mesh.node.halted {
+        let next_tick = start + tick * (mesh.round as u32 + 1);
         let wait = next_tick.saturating_duration_since(Instant::now());
         let msg = match rx.recv_timeout(wait) {
             Ok(m) => Some(m),
@@ -846,32 +647,24 @@ fn mesh_node_main(
             }
         };
         match msg {
-            Some((from, pl)) => {
-                step!(|p: &mut dyn Process, cx: &mut Ctx| p.on_message(from, &pl, cx))
-            }
+            Some((from, pl)) => mesh.step(|p, cx| p.on_message(from, &pl, cx)),
             None => {
-                round += 1;
-                let due: Vec<u64> = {
-                    let mut due = Vec::new();
-                    pending_timers.retain(|&(fire, token)| {
-                        if fire <= round {
-                            due.push(token);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due
-                };
-                for token in due {
-                    if halted {
-                        break;
+                mesh.round += 1;
+                let round = mesh.round;
+                let mut due = Vec::new();
+                mesh.timers.retain(|&(fire, token)| {
+                    if fire <= round {
+                        due.push(token);
+                        false
+                    } else {
+                        true
                     }
-                    step!(|p: &mut dyn Process, cx: &mut Ctx| p.on_timer(token, cx));
+                });
+                // A step after a halt is a no-op.
+                for token in due {
+                    mesh.step(|p, cx| p.on_timer(token, cx));
                 }
-                if !halted {
-                    step!(|p: &mut dyn Process, cx: &mut Ctx| p.on_round(round, cx));
-                }
+                mesh.step(|p, cx| p.on_round(round, cx));
             }
         }
     }
@@ -1009,6 +802,64 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         mesh.shutdown();
+    }
+
+    /// Stray local connections reach a mesh node's listener before its
+    /// peer does: a malformed hello, hellos naming no peer or the node
+    /// itself, and one that closes before any hello. The node drops them,
+    /// keeps accepting, and still links to its real peer.
+    #[test]
+    fn stray_connections_do_not_break_mesh_bring_up() {
+        struct Hear(mpsc::Sender<(NodeId, Payload)>);
+        impl Process for Hear {
+            fn on_start(&mut self, cx: &mut Ctx) {
+                cx.send_all(Payload::Uid(cx.node as u64));
+            }
+            fn on_message(&mut self, from: NodeId, msg: &Payload, _cx: &mut Ctx) {
+                let _ = self.0.send((from, msg.clone()));
+            }
+        }
+
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let mut strays = Vec::new();
+        for hello in ["hello?", "data 7", "data 0"] {
+            let mut s = TcpStream::connect(addrs[0]).unwrap();
+            write_frame(&mut s, hello).unwrap();
+            strays.push(s);
+        }
+        drop(TcpStream::connect(addrs[0]).unwrap());
+
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel()).unzip();
+        let kill: Vec<Arc<AtomicBool>> = (0..2).map(|_| Arc::default()).collect();
+        let nodes: Vec<JoinHandle<()>> = listeners
+            .into_iter()
+            .zip(txs)
+            .enumerate()
+            .map(|(v, (listener, tx))| {
+                let proc_: BoxProcess = Box::new(Hear(tx));
+                let (addrs, flag) = (addrs.clone(), Arc::clone(&kill[v]));
+                let tick = Duration::from_millis(5);
+                std::thread::spawn(move || mesh_node_main(v, proc_, addrs, listener, tick, flag))
+            })
+            .collect();
+
+        let heard: Vec<_> = rxs
+            .iter()
+            .map(|rx| rx.recv_timeout(Duration::from_secs(5)))
+            .collect();
+        for f in &kill {
+            f.store(true, Ordering::SeqCst);
+        }
+        let ended: Vec<bool> = nodes.into_iter().map(|h| h.join().is_ok()).collect();
+        assert_eq!(
+            heard,
+            vec![Ok((1, Payload::Uid(1))), Ok((0, Payload::Uid(0)))]
+        );
+        assert_eq!(ended, vec![true, true], "no node panicked");
+        drop(strays);
     }
 
     #[test]

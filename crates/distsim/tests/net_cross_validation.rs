@@ -8,7 +8,7 @@
 use gp_distsim::algorithms::{
     consensus, expected_leader, ft_floodmax_nodes, reliable_echo_nodes, reliable_lcr_nodes,
 };
-use gp_distsim::{AsyncRunner, BoxProcess, NetRunner, Topology, TraceEvent};
+use gp_distsim::{required_diameter, AsyncRunner, BoxProcess, NetRunner, Topology, TraceEvent};
 use proptest::prelude::*;
 
 const BUDGET: u64 = 300_000;
@@ -29,7 +29,8 @@ fn delivered(trace: &[TraceEvent]) -> Vec<(u64, usize, usize)> {
 }
 
 /// Run the same deployment under both runtimes and assert event-for-event
-/// agreement. Returns the (identical) consensus value.
+/// agreement. `crash` is an optional `(node, crash_at, recover_at)`
+/// schedule. Returns the (identical) consensus value.
 fn cross_validate(
     topo: &Topology,
     make: &dyn Fn() -> Vec<BoxProcess>,
@@ -37,17 +38,21 @@ fn cross_validate(
     seed: u64,
     drop_rate: f64,
     dup_rate: f64,
+    crash: Option<(usize, u64, u64)>,
 ) -> Option<u64> {
     let mut sim = AsyncRunner::new(topo.clone(), make(), max_delay, seed);
     sim.drop_messages(drop_rate)
         .duplicate_messages(dup_rate)
         .record_trace();
-    let sim_stats = sim.run(BUDGET);
-
     let mut net = NetRunner::new(topo.clone(), make(), max_delay, seed);
     net.drop_messages(drop_rate)
         .duplicate_messages(dup_rate)
         .record_trace();
+    if let Some((node, at, back)) = crash {
+        sim.crash(node, at).recover(node, back);
+        net.crash(node, at).recover(node, back);
+    }
+    let sim_stats = sim.run(BUDGET);
     let net_stats = net.run(BUDGET);
 
     assert_eq!(sim_stats, net_stats, "stats diverge on {}", topo.name());
@@ -82,7 +87,15 @@ fn cross_validation_matrix_on_three_topologies() {
 
     // 1. FT-FloodMax on the complete graph, clean network.
     let topo = Topology::complete(4);
-    let elected = cross_validate(&topo, &|| ft_floodmax_nodes(&uids, 8, 4), 4, 7, 0.0, 0.0);
+    let elected = cross_validate(
+        &topo,
+        &|| ft_floodmax_nodes(&uids, 8, 4),
+        4,
+        7,
+        0.0,
+        0.0,
+        None,
+    );
     assert_eq!(elected, expected_leader(&uids));
 
     // 2. Reliable Echo on a grid, under drops and duplicates.
@@ -94,12 +107,21 @@ fn cross_validation_matrix_on_three_topologies() {
         13,
         0.15,
         0.1,
+        None,
     );
     assert_eq!(done, Some(1), "echo terminates despite loss");
 
     // 3. Reliable LCR on the bidirectional ring, under drops.
     let topo = Topology::ring_bidirectional(4);
-    let elected = cross_validate(&topo, &|| reliable_lcr_nodes(&uids, 10, 20), 4, 3, 0.2, 0.0);
+    let elected = cross_validate(
+        &topo,
+        &|| reliable_lcr_nodes(&uids, 10, 20),
+        4,
+        3,
+        0.2,
+        0.0,
+        None,
+    );
     assert_eq!(elected, expected_leader(&uids));
 }
 
@@ -133,9 +155,10 @@ fn crash_recovery_schedule_cross_validates() {
 }
 
 proptest! {
-    /// Property: for random small topologies, seeds, and fault rates, the
-    /// socket runner and the simulator yield identical delivered-message
-    /// multisets and agree on the elected leader.
+    /// Property: for random small topologies, seeds, fault rates and
+    /// crash/recover schedules, the socket runner and the simulator yield
+    /// identical delivered-message multisets and agree on the elected
+    /// leader.
     #[test]
     fn socket_and_sim_agree_on_random_deployments(
         kind in 0usize..4,
@@ -143,6 +166,7 @@ proptest! {
         seed in 0u64..10_000,
         drop_pct in 0u32..=25,
         dup_pct in 0u32..=25,
+        crash in (0usize..8, 1u64..=16, 1u64..=24),
     ) {
         let topo = match kind {
             0 => Topology::complete(n),
@@ -151,6 +175,16 @@ proptest! {
             _ => Topology::random_connected(n, 2, seed),
         };
         let uids: Vec<u64> = (0..n as u64).map(|i| (i * 131 + 7) % 997).collect();
+        // About half the cases crash one node (none when `crash.0` is out
+        // of range). The crash comes after the initial flood has reached
+        // every node (`diameter · max_delay`), so every node already holds
+        // the maximum and a clean network still elects it; the node comes
+        // back `crash.2` later, while the others run or after they halted.
+        let settled = required_diameter(&topo).expect("connected") * 4;
+        let crash = (crash.0 < n).then(|| {
+            let at = settled + crash.1;
+            (crash.0, at, at + crash.2)
+        });
         let elected = cross_validate(
             &topo,
             &|| ft_floodmax_nodes(&uids, 6, 3),
@@ -158,6 +192,7 @@ proptest! {
             seed,
             f64::from(drop_pct) / 100.0,
             f64::from(dup_pct) / 100.0,
+            crash,
         );
         // Agreement between runtimes is asserted inside cross_validate;
         // on a clean network the leader must also be the max uid.
