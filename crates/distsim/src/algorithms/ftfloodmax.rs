@@ -13,11 +13,21 @@
 //! Taxonomy position: problem = consensus (on the maximum uid that
 //! entered the live network); topology = completely connected (liveness
 //! needs the live nodes to stay mutually reachable); fault tolerance =
-//! **crash** (including crash-recovery — a recovered node re-floods and
-//! resynchronizes); sharing = message passing; strategy = flooding;
-//! timing = partially synchronous (the quiet-period termination rule
-//! needs delays bounded by `quiet_ticks · period`); process management =
-//! static.
+//! **crash** (crash-stop; see the recovery limit below); sharing =
+//! message passing; strategy = flooding; timing = partially synchronous
+//! (the quiet-period termination rule needs delays bounded by
+//! `quiet_ticks · period`); process management = static.
+//!
+//! **Recovery limit.** A recovered node re-floods its maximum and takes
+//! up a newer one only while its peers still re-flood. A node that
+//! crashes before the maximum reaches it, and stays down past its peers'
+//! quiet window, recovers into halted peers and decides its stale
+//! maximum, so the run reaches no consensus. An `AsyncRunner` sweep of
+//! the cross-validation deployment (period 6, quiet 3, max delay 4)
+//! found such runs on complete, star and ring topologies for early
+//! crashes with long outages. Off a complete graph a short outage can
+//! suffice: on `random_connected`, n = 5, seed 5, node 2 down at
+//! [3, 4), the outputs are `[531, 531, 400, 531, 531]`.
 //!
 //! Complexity guarantees: `O((n + K)·|E|)` messages for `K` total timer
 //! ticks (each node improves at most `n` times and re-floods `≤ K`

@@ -253,52 +253,61 @@ impl Ded {
     /// Rename every symbol in the deduction (the generic-proof
     /// instantiation device: rename axioms and proof together, re-check).
     pub fn rename(&self, map: &crate::logic::SymbolMap) -> Ded {
+        self.rename_with(&mut |s| map.apply(s))
+    }
+
+    /// Rename every relation, function and constant symbol through `f`,
+    /// each `ExElim` witness name included; variables pass through
+    /// untouched.
+    pub(crate) fn rename_with<F: FnMut(&str) -> String>(&self, f: &mut F) -> Ded {
         match self {
-            Ded::Claim(p) => Ded::Claim(p.rename(map)),
+            Ded::Claim(p) => Ded::Claim(p.rename_with(f)),
             Ded::Assume { hypothesis, body } => Ded::Assume {
-                hypothesis: hypothesis.rename(map),
-                body: Box::new(body.rename(map)),
+                hypothesis: hypothesis.rename_with(f),
+                body: Box::new(body.rename_with(f)),
             },
             Ded::Mp { imp, ant } => Ded::Mp {
-                imp: Box::new(imp.rename(map)),
-                ant: Box::new(ant.rename(map)),
+                imp: Box::new(imp.rename_with(f)),
+                ant: Box::new(ant.rename_with(f)),
             },
             Ded::Mt { imp, neg } => Ded::Mt {
-                imp: Box::new(imp.rename(map)),
-                neg: Box::new(neg.rename(map)),
+                imp: Box::new(imp.rename_with(f)),
+                neg: Box::new(neg.rename_with(f)),
             },
-            Ded::AndIntro(l, r) => Ded::AndIntro(Box::new(l.rename(map)), Box::new(r.rename(map))),
-            Ded::AndElimL(d) => Ded::AndElimL(Box::new(d.rename(map))),
-            Ded::AndElimR(d) => Ded::AndElimR(Box::new(d.rename(map))),
-            Ded::OrIntroL(d, p) => Ded::OrIntroL(Box::new(d.rename(map)), p.rename(map)),
-            Ded::OrIntroR(p, d) => Ded::OrIntroR(p.rename(map), Box::new(d.rename(map))),
+            Ded::AndIntro(l, r) => {
+                Ded::AndIntro(Box::new(l.rename_with(f)), Box::new(r.rename_with(f)))
+            }
+            Ded::AndElimL(d) => Ded::AndElimL(Box::new(d.rename_with(f))),
+            Ded::AndElimR(d) => Ded::AndElimR(Box::new(d.rename_with(f))),
+            Ded::OrIntroL(d, p) => Ded::OrIntroL(Box::new(d.rename_with(f)), p.rename_with(f)),
+            Ded::OrIntroR(p, d) => Ded::OrIntroR(p.rename_with(f), Box::new(d.rename_with(f))),
             Ded::Cases { disj, left, right } => Ded::Cases {
-                disj: Box::new(disj.rename(map)),
-                left: Box::new(left.rename(map)),
-                right: Box::new(right.rename(map)),
+                disj: Box::new(disj.rename_with(f)),
+                left: Box::new(left.rename_with(f)),
+                right: Box::new(right.rename_with(f)),
             },
             Ded::IffIntro { forward, backward } => Ded::IffIntro {
-                forward: Box::new(forward.rename(map)),
-                backward: Box::new(backward.rename(map)),
+                forward: Box::new(forward.rename_with(f)),
+                backward: Box::new(backward.rename_with(f)),
             },
-            Ded::IffElimF(d) => Ded::IffElimF(Box::new(d.rename(map))),
-            Ded::IffElimB(d) => Ded::IffElimB(Box::new(d.rename(map))),
+            Ded::IffElimF(d) => Ded::IffElimF(Box::new(d.rename_with(f))),
+            Ded::IffElimB(d) => Ded::IffElimB(Box::new(d.rename_with(f))),
             Ded::Absurd { pos, neg } => Ded::Absurd {
-                pos: Box::new(pos.rename(map)),
-                neg: Box::new(neg.rename(map)),
+                pos: Box::new(pos.rename_with(f)),
+                neg: Box::new(neg.rename_with(f)),
             },
             Ded::ByContradiction { hypothesis, body } => Ded::ByContradiction {
-                hypothesis: hypothesis.rename(map),
-                body: Box::new(body.rename(map)),
+                hypothesis: hypothesis.rename_with(f),
+                body: Box::new(body.rename_with(f)),
             },
-            Ded::DoubleNegElim(d) => Ded::DoubleNegElim(Box::new(d.rename(map))),
+            Ded::DoubleNegElim(d) => Ded::DoubleNegElim(Box::new(d.rename_with(f))),
             Ded::Generalize { var, body } => Ded::Generalize {
                 var: var.clone(),
-                body: Box::new(body.rename(map)),
+                body: Box::new(body.rename_with(f)),
             },
             Ded::Instantiate { forall, term } => Ded::Instantiate {
-                forall: Box::new(forall.rename(map)),
-                term: term.rename(map),
+                forall: Box::new(forall.rename_with(f)),
+                term: term.rename_with(f),
             },
             Ded::ExIntro {
                 witness,
@@ -306,35 +315,35 @@ impl Ded {
                 template,
                 proof,
             } => Ded::ExIntro {
-                witness: witness.rename(map),
+                witness: witness.rename_with(f),
                 var: var.clone(),
-                template: template.rename(map),
-                proof: Box::new(proof.rename(map)),
+                template: template.rename_with(f),
+                proof: Box::new(proof.rename_with(f)),
             },
             Ded::ExElim {
                 existential,
                 fresh,
                 body,
             } => Ded::ExElim {
-                existential: Box::new(existential.rename(map)),
-                fresh: map.apply(fresh),
-                body: Box::new(body.rename(map)),
+                existential: Box::new(existential.rename_with(f)),
+                fresh: f(fresh),
+                body: Box::new(body.rename_with(f)),
             },
-            Ded::Refl(t) => Ded::Refl(t.rename(map)),
-            Ded::Sym(d) => Ded::Sym(Box::new(d.rename(map))),
-            Ded::Trans(a, b) => Ded::Trans(Box::new(a.rename(map)), Box::new(b.rename(map))),
+            Ded::Refl(t) => Ded::Refl(t.rename_with(f)),
+            Ded::Sym(d) => Ded::Sym(Box::new(d.rename_with(f))),
+            Ded::Trans(a, b) => Ded::Trans(Box::new(a.rename_with(f)), Box::new(b.rename_with(f))),
             Ded::Subst {
                 eq,
                 proof,
                 var,
                 template,
             } => Ded::Subst {
-                eq: Box::new(eq.rename(map)),
-                proof: Box::new(proof.rename(map)),
+                eq: Box::new(eq.rename_with(f)),
+                proof: Box::new(proof.rename_with(f)),
                 var: var.clone(),
-                template: template.rename(map),
+                template: template.rename_with(f),
             },
-            Ded::Seq(ds) => Ded::Seq(ds.iter().map(|d| d.rename(map)).collect()),
+            Ded::Seq(ds) => Ded::Seq(ds.iter().map(|d| d.rename_with(f)).collect()),
         }
     }
 }

@@ -15,9 +15,10 @@
 //!   parameterizable;
 //! * **genericity without modules**: theories are "parameterized … by
 //!   functions that carry operator mappings" — a generic proof over
-//!   abstract symbols is *renamed* onto concrete symbols and re-checked
-//!   ([`logic::SymbolMap`], [`theories`]). Proof **checking** is all the
-//!   engine ever does; there is no proof search.
+//!   abstract symbols is checked once and *renamed* onto concrete symbols
+//!   ([`logic::SymbolMap`], [`theories`]); a renaming that could change a
+//!   proof's meaning re-checks it. Proof **checking** is all the engine
+//!   ever does; there is no proof search.
 //!
 //! The flagship content is [`theories::order`]: the Strict Weak Order
 //! axioms of Fig. 6 with machine-checked derivations of the symmetry and

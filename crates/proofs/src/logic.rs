@@ -68,11 +68,18 @@ impl Term {
     /// Rename function and constant symbols (the operator-mapping engine of
     /// generic proofs).
     pub fn rename(&self, map: &SymbolMap) -> Term {
+        self.rename_with(&mut |s| map.apply(s))
+    }
+
+    /// Rename every function and constant symbol through `f`, in
+    /// left-to-right order; variables pass through untouched.
+    pub(crate) fn rename_with<F: FnMut(&str) -> String>(&self, f: &mut F) -> Term {
         match self {
             Term::Var(v) => Term::Var(v.clone()),
-            Term::Const(c) => Term::Const(map.apply(c)),
-            Term::App(f, args) => {
-                Term::App(map.apply(f), args.iter().map(|a| a.rename(map)).collect())
+            Term::Const(c) => Term::Const(f(c)),
+            Term::App(name, args) => {
+                let name = f(name);
+                Term::App(name, args.iter().map(|a| a.rename_with(f)).collect())
             }
         }
     }
@@ -96,6 +103,9 @@ impl fmt::Display for Term {
         }
     }
 }
+
+/// The name of the reserved absurdity atom [`Prop::falsum`].
+pub(crate) const FALSUM: &str = "false";
 
 /// First-order propositions.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -139,7 +149,7 @@ impl Prop {
 
     /// The absurdity proposition `⊥`.
     pub fn falsum() -> Prop {
-        Prop::Atom("false".to_string(), Vec::new())
+        Prop::Atom(FALSUM.to_string(), Vec::new())
     }
 
     /// Negation shorthand (a constructor, like `and`/`or`/`implies` — not
@@ -291,18 +301,27 @@ impl Prop {
 
     /// Rename relation, function, and constant symbols.
     pub fn rename(&self, map: &SymbolMap) -> Prop {
+        self.rename_with(&mut |s| map.apply(s))
+    }
+
+    /// Rename every relation, function and constant symbol through `f`;
+    /// variables and binders pass through untouched.
+    pub(crate) fn rename_with<F: FnMut(&str) -> String>(&self, f: &mut F) -> Prop {
         match self {
             Prop::Atom(r, args) => {
-                Prop::Atom(map.apply(r), args.iter().map(|a| a.rename(map)).collect())
+                let r = f(r);
+                Prop::Atom(r, args.iter().map(|a| a.rename_with(f)).collect())
             }
-            Prop::Eq(l, r) => Prop::Eq(l.rename(map), r.rename(map)),
-            Prop::Not(p) => Prop::Not(Box::new(p.rename(map))),
-            Prop::And(l, r) => Prop::And(Box::new(l.rename(map)), Box::new(r.rename(map))),
-            Prop::Or(l, r) => Prop::Or(Box::new(l.rename(map)), Box::new(r.rename(map))),
-            Prop::Implies(l, r) => Prop::Implies(Box::new(l.rename(map)), Box::new(r.rename(map))),
-            Prop::Iff(l, r) => Prop::Iff(Box::new(l.rename(map)), Box::new(r.rename(map))),
-            Prop::Forall(v, body) => Prop::Forall(v.clone(), Box::new(body.rename(map))),
-            Prop::Exists(v, body) => Prop::Exists(v.clone(), Box::new(body.rename(map))),
+            Prop::Eq(l, r) => Prop::Eq(l.rename_with(f), r.rename_with(f)),
+            Prop::Not(p) => Prop::Not(Box::new(p.rename_with(f))),
+            Prop::And(l, r) => Prop::And(Box::new(l.rename_with(f)), Box::new(r.rename_with(f))),
+            Prop::Or(l, r) => Prop::Or(Box::new(l.rename_with(f)), Box::new(r.rename_with(f))),
+            Prop::Implies(l, r) => {
+                Prop::Implies(Box::new(l.rename_with(f)), Box::new(r.rename_with(f)))
+            }
+            Prop::Iff(l, r) => Prop::Iff(Box::new(l.rename_with(f)), Box::new(r.rename_with(f))),
+            Prop::Forall(v, body) => Prop::Forall(v.clone(), Box::new(body.rename_with(f))),
+            Prop::Exists(v, body) => Prop::Exists(v.clone(), Box::new(body.rename_with(f))),
         }
     }
 }
@@ -353,10 +372,17 @@ impl SymbolMap {
 
     /// Apply to one symbol.
     pub fn apply(&self, sym: &str) -> String {
-        self.map
-            .get(sym)
-            .cloned()
-            .unwrap_or_else(|| sym.to_string())
+        self.get(sym).unwrap_or(sym).to_string()
+    }
+
+    /// The image of `sym`, if the map names it.
+    pub fn get(&self, sym: &str) -> Option<&str> {
+        self.map.get(sym).map(String::as_str)
+    }
+
+    /// The `(abstract, concrete)` pairs, in abstract-symbol order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.map.iter().map(|(a, b)| (a.as_str(), b.as_str()))
     }
 }
 

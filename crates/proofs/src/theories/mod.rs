@@ -5,10 +5,17 @@
 //! axioms into functions, pass them around … and we simulate
 //! type-parameterization simply by parameterizing functions and methods by
 //! functions that carry operator mappings." A [`Theory`] is checked once
-//! over abstract symbols; [`Theory::instantiate`] renames axioms *and
-//! proofs* onto a concrete model's symbols, and the renamed proofs re-check
-//! — "one can express a proof once and subsequently instantiate it many
-//! times", amortizing the proof effort over all instances.
+//! over abstract symbols — "one can express a proof once and subsequently
+//! instantiate it many times", amortizing the proof effort over all
+//! instances. Two ways to instantiate it:
+//!
+//! * [`CheckedTheory::rename_statements`] renames only the *statements* of
+//!   a theory checked once. It applies to a map that is a bijection on the
+//!   theory's symbols and fixes the reserved `false` atom; no deduction
+//!   runs again (the soundness argument is on [`CheckedTheory`]).
+//! * [`Theory::instantiate`] renames axioms *and proofs*, and the result
+//!   re-checks like any other theory. This covers every other map: a
+//!   colliding map may make a proof improper.
 
 pub mod group;
 pub mod monoid;
@@ -17,7 +24,8 @@ pub mod ring;
 
 use crate::base::AssumptionBase;
 use crate::deduction::{eval, Ded, ProofError};
-use crate::logic::{Prop, SymbolMap};
+use crate::logic::{Prop, SymbolMap, FALSUM};
+use std::collections::BTreeSet;
 
 /// A named theorem: a statement and the deduction that proves it.
 #[derive(Clone, Debug)]
@@ -145,6 +153,94 @@ impl Theory {
     }
 }
 
+/// A theory whose proofs were checked once, with what instantiating it by
+/// renaming needs: the proved propositions, the proof size and the
+/// theory's symbol set.
+///
+/// **Why renaming the statements is sound.** The symbol set holds every
+/// relation, function and constant name in the axioms, the statements and
+/// the proofs, each `ExElim` witness included. Checking a theory inspects
+/// symbols only by comparing them for equality, and the only symbol it
+/// introduces is `false` ([`Prop::falsum`]). Renaming never touches
+/// variables. So a map that is injective on the symbol set, whose image
+/// avoids the symbols it leaves unmapped, and that neither maps nor
+/// produces `false`, renames each rule application into a rule application
+/// one for one: equal propositions stay equal, distinct ones stay
+/// distinct, and an ∃-elimination witness stays fresh. The renamed theory
+/// therefore checks, and proves exactly the renamed statements.
+#[derive(Clone, Debug)]
+pub struct CheckedTheory {
+    theory: Theory,
+    proved: Vec<Prop>,
+    proof_size: usize,
+    symbols: BTreeSet<String>,
+}
+
+impl CheckedTheory {
+    /// Check `theory` and collect its symbols; fails as [`Theory::check`]
+    /// does.
+    pub fn new(theory: Theory) -> Result<CheckedTheory, TheoryError> {
+        let proved = theory.check()?;
+        // An identity renaming that records each symbol it visits; the
+        // renamed copies are dropped (this runs once per theory).
+        let mut symbols = BTreeSet::new();
+        let mut collect = |s: &str| {
+            symbols.insert(s.to_string());
+            s.to_string()
+        };
+        for a in &theory.axioms {
+            a.rename_with(&mut collect);
+        }
+        for t in &theory.theorems {
+            t.statement.rename_with(&mut collect);
+            t.proof.rename_with(&mut collect);
+        }
+        Ok(CheckedTheory {
+            proof_size: theory.proof_size(),
+            theory,
+            proved,
+            symbols,
+        })
+    }
+
+    /// The checked theory.
+    pub fn theory(&self) -> &Theory {
+        &self.theory
+    }
+
+    /// [`Theory::proof_size`], computed once.
+    pub fn proof_size(&self) -> usize {
+        self.proof_size
+    }
+
+    /// Every relation, function and constant name the theory mentions.
+    pub fn symbols(&self) -> &BTreeSet<String> {
+        &self.symbols
+    }
+
+    /// The proved propositions renamed by `map` — what
+    /// `instantiate(_, map).check()` would prove — or `None` when `map` is
+    /// not eligible for renaming without a re-check: it maps two theory
+    /// symbols to one name, maps one onto a theory symbol it leaves
+    /// unmapped, or names `false` as a key or a value.
+    pub fn rename_statements(&self, map: &SymbolMap) -> Option<Vec<Prop>> {
+        let mut images = BTreeSet::new();
+        for (from, to) in map.iter() {
+            if from == FALSUM || to == FALSUM {
+                return None;
+            }
+            if !self.symbols.contains(from) {
+                continue;
+            }
+            let hits_unmapped = self.symbols.contains(to) && map.get(to).is_none();
+            if hits_unmapped || !images.insert(to) {
+                return None;
+            }
+        }
+        Some(self.proved.iter().map(|p| p.rename(map)).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +291,91 @@ mod tests {
         };
         assert_eq!(t.check().unwrap().len(), 2);
         assert!(t.proof_size() >= 5);
+    }
+
+    /// `∃x. p(x)`, `∀x. (p(x) → q)` and `r(c)` prove `q` through the
+    /// ∃-elimination witness `w`.
+    fn witness_theory() -> Theory {
+        let p = |t: Term| Prop::atom("p", vec![t]);
+        let q = Prop::atom("q", vec![]);
+        let ex = Prop::exists("x", p(Term::var("x")));
+        let all = Prop::forall(&["x"], Prop::implies(p(Term::var("x")), q.clone()));
+        Theory {
+            name: "witness".into(),
+            axioms: vec![
+                ex.clone(),
+                all.clone(),
+                Prop::atom("r", vec![Term::cst("c")]),
+            ],
+            theorems: vec![NamedTheorem {
+                name: "q".into(),
+                statement: q,
+                proof: Ded::ExElim {
+                    existential: Box::new(Ded::Claim(ex)),
+                    fresh: "w".into(),
+                    body: Box::new(Ded::mp(
+                        Ded::Instantiate {
+                            forall: Box::new(Ded::Claim(all)),
+                            term: Term::cst("w"),
+                        },
+                        Ded::Claim(p(Term::cst("w"))),
+                    )),
+                },
+            }],
+        }
+    }
+
+    /// Every map of up to two pairs over the theory's symbols, `false`
+    /// and two outside names: wherever renaming answers, it proves what
+    /// the full re-check proves.
+    #[test]
+    fn renamed_statements_match_a_full_recheck() {
+        let checked = CheckedTheory::new(witness_theory()).unwrap();
+        let symbols: Vec<&str> = checked.symbols().iter().map(String::as_str).collect();
+        assert_eq!(symbols, ["c", "p", "q", "r", "w"]);
+        let names = ["c", "p", "q", "r", "w", "false", "s", "v"];
+        let pairs: Vec<(&str, &str)> = names
+            .iter()
+            .flat_map(|&a| names.iter().map(move |&b| (a, b)))
+            .collect();
+        let (mut renamed, mut improper) = (0, 0);
+        for (i, &first) in pairs.iter().enumerate() {
+            for &second in &pairs[i..] {
+                let map = SymbolMap::new([first, second]);
+                let full = checked.theory().instantiate("i", &map).check();
+                improper += usize::from(full.is_err());
+                if let Some(props) = checked.rename_statements(&map) {
+                    assert_eq!(Ok(props), full, "{map:?}");
+                    renamed += 1;
+                }
+            }
+        }
+        assert!(
+            renamed > 0 && improper > 0,
+            "{renamed} renamed, {improper} improper"
+        );
+    }
+
+    #[test]
+    fn ineligible_maps_are_refused() {
+        let checked = CheckedTheory::new(witness_theory()).unwrap();
+        // Onto the witness: `r(w)` joins the axioms, so `w` is no longer
+        // fresh and the renamed proof is improper.
+        let onto_witness = SymbolMap::new([("c", "w")]);
+        assert_eq!(checked.rename_statements(&onto_witness), None);
+        assert!(checked
+            .theory()
+            .instantiate("i", &onto_witness)
+            .check()
+            .is_err());
+        for map in [
+            SymbolMap::new([("p", "r"), ("q", "r")]),
+            SymbolMap::new([("p", "r")]),
+            SymbolMap::new([("q", "false")]),
+            SymbolMap::new([("false", "q")]),
+        ] {
+            assert_eq!(checked.rename_statements(&map), None, "{map:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,14 @@
 //! backing).
 //!
 //! A client names a packaged theory, an instance name, and a symbol map
-//! (abstract symbol → model symbol); the handler renames the axioms *and*
-//! proofs onto the model and re-checks every theorem. A failed proof is a
+//! (abstract symbol → model symbol). Each packaged theory is built and
+//! checked once per process; a map that renames the theory's symbols
+//! bijectively and leaves `false` alone is answered by renaming the
+//! checked statements ([`CheckedTheory::rename_statements`] carries the
+//! soundness argument). Any other map renames the axioms *and* proofs
+//! onto the model and re-checks every theorem. Which path served shows
+//! in the `proofs.prove.renamed` and `proofs.prove.rechecked` counters;
+//! the payload bytes are the same either way. A failed proof is a
 //! **verdict**, not a transport error: the payload carries `ok: false`
 //! plus which theorem broke and why, so a client probing a bogus model
 //! still gets a cacheable, well-formed answer.
@@ -11,12 +17,15 @@
 use crate::request::RequestKind;
 use gp_core::json::Json;
 use gp_proofs::logic::SymbolMap;
-use gp_proofs::theories::{group, monoid, order, ring, Theory};
+use gp_proofs::theories::{group, monoid, order, ring, CheckedTheory, Theory};
+use gp_telemetry::Counter;
+use std::sync::OnceLock;
 
 /// Check a named theory, optionally instantiated onto a model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProveRequest {
-    /// Theory name (see [`lookup_theory`] for the registry).
+    /// Theory name: `monoid`, `monoid-identity-uniqueness`, `group`,
+    /// `ring` or `order` (alias `strict-weak-order`).
     pub theory: String,
     /// Instance name used when renaming (empty = check the base theory).
     pub instance: String,
@@ -24,20 +33,62 @@ pub struct ProveRequest {
     pub model: Vec<(String, String)>,
 }
 
-/// Resolve a theory name to its packaged theory.
-pub fn lookup_theory(name: &str) -> Result<Theory, String> {
-    Ok(match name {
-        "monoid" => monoid::theory(),
-        "monoid-identity-uniqueness" => monoid::identity_uniqueness_theory(),
-        "group" => group::theory(),
-        "ring" => ring::theory(),
-        "order" | "strict-weak-order" => order::theory(),
-        other => {
-            return Err(format!(
-                "unknown theory {other:?} (known: monoid, monoid-identity-uniqueness, \
+/// Builds one packaged theory.
+type Build = fn() -> Theory;
+
+/// The packaged theories by request name, in table order.
+const PACKAGED: [(&str, Build); 5] = [
+    ("monoid", monoid::theory),
+    (
+        "monoid-identity-uniqueness",
+        monoid::identity_uniqueness_theory,
+    ),
+    ("group", group::theory),
+    ("ring", ring::theory),
+    ("order", order::theory),
+];
+
+/// Resolve a theory name (`strict-weak-order` is an alias of `order`) to
+/// its packaged theory, built and checked on the process's first request.
+fn checked_theory(name: &str) -> Result<&'static CheckedTheory, String> {
+    static CHECKED: OnceLock<Vec<Result<CheckedTheory, String>>> = OnceLock::new();
+    let key = if name == "strict-weak-order" {
+        "order"
+    } else {
+        name
+    };
+    let slot = PACKAGED
+        .iter()
+        .position(|(n, _)| *n == key)
+        .ok_or_else(|| {
+            format!(
+                "unknown theory {name:?} (known: monoid, monoid-identity-uniqueness, \
                  group, ring, order)"
-            ))
-        }
+            )
+        })?;
+    let table = CHECKED.get_or_init(|| {
+        PACKAGED
+            .iter()
+            .map(|(n, build)| {
+                CheckedTheory::new(build())
+                    .map_err(|e| format!("packaged theory {n} fails its own check: {e:?}"))
+            })
+            .collect()
+    });
+    table[slot].as_ref().map_err(String::clone)
+}
+
+/// Pre-resolved telemetry handles: which path served a `prove`.
+struct ProveMetrics {
+    renamed: &'static Counter,
+    rechecked: &'static Counter,
+}
+
+fn prove_metrics() -> &'static ProveMetrics {
+    static METRICS: OnceLock<ProveMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| ProveMetrics {
+        renamed: gp_telemetry::counter("proofs.prove.renamed"),
+        rechecked: gp_telemetry::counter("proofs.prove.rechecked"),
     })
 }
 
@@ -47,11 +98,15 @@ impl RequestKind for ProveRequest {
 
     /// The model renders sorted, so its order never splits a cache key.
     fn to_json(&self) -> Json {
-        let mut model = self.model.clone();
-        model.sort();
+        let mut model: Vec<(&str, &str)> = self
+            .model
+            .iter()
+            .map(|(from, to)| (from.as_str(), to.as_str()))
+            .collect();
+        model.sort_unstable();
         let mut m = Json::obj();
-        for (from, to) in &model {
-            m = m.field(from.clone(), to.as_str());
+        for (from, to) in model {
+            m = m.field(from.to_string(), to);
         }
         Json::obj()
             .field("theory", self.theory.as_str())
@@ -87,32 +142,49 @@ impl RequestKind for ProveRequest {
         })
     }
 
-    /// Look up, optionally instantiate, and check. The payload reports
-    /// the verdict plus the proved theorems (success) or the failing
-    /// theorem and its error (failure).
+    /// Look up and instantiate: rename the checked statements, or re-check
+    /// the renamed proofs when the map is not eligible for that. The
+    /// payload reports the verdict plus the proved theorems (success) or
+    /// the failing theorem and its error (failure).
     fn handle(&self) -> Result<Json, String> {
-        let base = lookup_theory(&self.theory)?;
-        let theory = if self.instance.is_empty() && self.model.is_empty() {
-            base
-        } else {
-            let map = SymbolMap::new(self.model.iter().map(|(a, b)| (a.clone(), b.clone())));
-            base.instantiate(&self.instance, &map)
+        let checked = checked_theory(&self.theory)?;
+        let base = checked.theory();
+        // An empty instance and model name the base theory itself.
+        let instance =
+            (!self.instance.is_empty() || !self.model.is_empty()).then_some(self.instance.as_str());
+        let map = SymbolMap::new(self.model.iter().map(|(a, b)| (a.as_str(), b.as_str())));
+        let verdict = match checked.rename_statements(&map) {
+            Some(props) => {
+                prove_metrics().renamed.incr();
+                Ok(props)
+            }
+            None => {
+                prove_metrics().rechecked.incr();
+                base.instantiate(&self.instance, &map).check()
+            }
+        };
+        let theory_name = match instance {
+            Some(i) => format!("{}[{i}]", base.name),
+            None => base.name.clone(),
         };
         let payload = Json::obj()
-            .field("theory", theory.name.as_str())
-            .field("axioms", theory.axioms.len())
-            .field("proof_size", theory.proof_size());
-        Ok(match theory.check() {
+            .field("theory", theory_name)
+            .field("axioms", base.axioms.len())
+            .field("proof_size", checked.proof_size());
+        Ok(match verdict {
             Ok(props) => payload.field("ok", true).field(
                 "theorems",
                 Json::Arr(
-                    theory
-                        .theorems
+                    base.theorems
                         .iter()
                         .zip(&props)
                         .map(|(t, p)| {
+                            let name = match instance {
+                                Some(i) => format!("{}@{i}", t.name),
+                                None => t.name.clone(),
+                            };
                             Json::obj()
-                                .field("name", t.name.as_str())
+                                .field("name", name)
                                 .field("statement", p.to_string())
                         })
                         .collect(),
@@ -180,6 +252,48 @@ mod tests {
         assert!(!theorems.is_empty());
         let all = payload.render();
         assert!(all.contains("add"), "instantiated symbols in {all}");
+    }
+
+    #[test]
+    fn counters_show_which_path_served() {
+        let prove = |model: &[(&str, &str)]| {
+            ProveRequest {
+                theory: "monoid".into(),
+                instance: "i".into(),
+                model: model
+                    .iter()
+                    .map(|(a, b)| (a.to_string(), b.to_string()))
+                    .collect(),
+            }
+            .handle()
+            .unwrap()
+            .render()
+        };
+        let metrics = prove_metrics();
+        let monoid = checked_theory("monoid").unwrap();
+
+        // `op ↦ e` collides with the unmapped constant `e`: re-checked,
+        // and the verdict still reads as the full re-check renders it.
+        let colliding = [("op", "e")];
+        assert!(monoid
+            .rename_statements(&SymbolMap::new(colliding))
+            .is_none());
+        let before = metrics.rechecked.get();
+        assert_eq!(
+            prove(&colliding),
+            "{\"theory\":\"Monoid[i]\",\"axioms\":3,\"proof_size\":6,\"ok\":true,\
+             \"theorems\":[{\"name\":\"double-right-identity@i\",\
+             \"statement\":\"∀x. e(e(x, e), e) = x\"}]}"
+        );
+        assert!(metrics.rechecked.get() > before);
+
+        let eligible = [("e", "zero"), ("op", "add")];
+        assert!(monoid
+            .rename_statements(&SymbolMap::new(eligible))
+            .is_some());
+        let before = metrics.renamed.get();
+        assert!(prove(&eligible).contains("∀x. add(add(x, zero), zero) = x"));
+        assert!(metrics.renamed.get() > before);
     }
 
     #[test]

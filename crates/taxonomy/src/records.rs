@@ -168,7 +168,12 @@ pub fn catalog() -> Vec<DistAlgorithm> {
             // value is stranded by the crash of its carrier. Survives any
             // f < n crash-stop failures on a complete graph; partially
             // synchronous because the quiet-period termination rule needs
-            // delays bounded by the re-flood period.
+            // delays bounded by the re-flood period. Crash-recovery is not
+            // covered: a node that crashes before the maximum reaches it
+            // and stays down past its peers' quiet window recovers into
+            // halted peers and decides its stale maximum (measured case:
+            // random_connected, n = 5, seed 5, node 2 down at [3, 4),
+            // outputs [531, 531, 400, 531, 531]).
             name: "FT-FloodMax",
             problem: Problem::Consensus,
             topology: Topology::Complete,
