@@ -24,10 +24,17 @@
 //!    the `BENCH_rewrite.json` baseline when present (the e-graph must
 //!    not tax the fast path).
 //!
+//! Every selection, budget and LiDIA run is repeated on the frozen
+//! full-sweep engine (`gp_bench::oracle::optimize_full_sweep`): the
+//! report gives nodes e-matched per iteration for both, and
+//! `optimize_identical` records that statistics and extracted terms
+//! agree on every workload.
+//!
 //! Emits `results/BENCH_egraph.json`; `--smoke` shrinks counts for CI.
 
+use gp_bench::oracle::{optimize_full_sweep, optimize_payload_rebuild, KeyedCost};
 use gp_bench::{banner, median_ms, write_results, Json, Table};
-use gp_rewrite::egraph::{op_key, CostModel, EGraph, EGraphConfig, MeasuredCost};
+use gp_rewrite::egraph::{op_key, CostModel, EGraph, EGraphConfig, MeasuredCost, OptimizeStats};
 use gp_rewrite::rules::LidiaInverse;
 use gp_rewrite::{BinOp, Expr, Simplifier, Type, UnOp};
 use gp_service::optimize::{CostSpec, OptimizeRequest};
@@ -35,7 +42,6 @@ use gp_service::simplify::{EnvSpec, SimplifyRequest};
 use gp_service::{Request, Response, Service, ServiceConfig, TcpClient};
 use std::time::Instant;
 
-/// Median wall time of `reps` runs, in milliseconds.
 /// Tree cost of an expression under a model: intern into a fresh store
 /// and fold — the yardstick both engines' outputs are measured with.
 fn tree_cost_of(e: &Expr, cost: &dyn CostModel) -> u64 {
@@ -43,6 +49,46 @@ fn tree_cost_of(e: &Expr, cost: &dyn CostModel) -> u64 {
     let mut sess = s.session();
     let root = sess.store_mut().intern_expr(e);
     EGraph::new(&s, sess.store_mut()).tree_cost(cost, root)
+}
+
+/// One workload on both engines: the library's semi-naive run (on a
+/// fresh session, as `Session::optimize` runs it) and the frozen full
+/// sweep under the same weights looked up by `op_key` string.
+struct Compared {
+    out: Expr,
+    stats: OptimizeStats,
+    /// Nodes e-matched per iteration: library, then full sweep.
+    matched_per_iter: (f64, f64),
+    /// Statistics and extracted term agree.
+    identical: bool,
+    /// Wall time of the library run, in milliseconds.
+    wall_ms: f64,
+}
+
+fn compare_engines(
+    simp: &Simplifier,
+    e: &Expr,
+    cfg: &EGraphConfig,
+    cost: &dyn CostModel,
+    oracle_cost: &KeyedCost,
+) -> Compared {
+    let t0 = Instant::now();
+    let mut sess = simp.session();
+    let root = sess.store_mut().intern_expr(e);
+    let mut g = EGraph::new(simp, sess.store_mut());
+    let (out, stats) = g.optimize(root, cfg, cost);
+    let matched = g.matched();
+    let out = sess.store().extract(out);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (full_out, full_stats, full_matched) = optimize_full_sweep(simp, e, cfg, oracle_cost);
+    let per_iter = |m: usize| m as f64 / stats.iters.max(1) as f64;
+    Compared {
+        identical: out == full_out && stats == full_stats,
+        matched_per_iter: (per_iter(matched), per_iter(full_matched)),
+        out,
+        stats,
+        wall_ms,
+    }
 }
 
 // --- Phase 1: extraction past the directed engine ------------------------
@@ -89,7 +135,7 @@ fn selection_workloads() -> Vec<(&'static str, Expr)> {
     ]
 }
 
-fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
+fn selection_phase(reps: usize, identical: &mut bool) -> (Vec<Json>, bool) {
     println!("-- selection: extraction past the directed engine --");
     let cost = MeasuredCost::from_counts(gp_taxonomy::measured_op_counts());
     let directed = Simplifier::standard();
@@ -105,13 +151,17 @@ fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
         ("classes", 8),
         ("dir ms", 9),
         ("egraph ms", 10),
+        ("match/it", 9),
+        ("full/it", 8),
     ]);
     let mut rows = Vec::new();
     let mut any_beat = false;
     for (name, e) in selection_workloads() {
         let (dir_out, _) = directed.simplify(&e);
-        let mut sess = superopt.session();
-        let (ext_out, stats) = sess.optimize(&e, &cfg, &cost);
+        let run = compare_engines(&superopt, &e, &cfg, &cost, &KeyedCost::measured());
+        *identical &= run.identical;
+        let (ext_out, stats) = (run.out, run.stats);
+        let (matched, full_matched) = run.matched_per_iter;
         let cost_dir = tree_cost_of(&dir_out, &cost);
         let cost_ext = stats.cost_after;
         assert!(
@@ -133,6 +183,8 @@ fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
             stats.classes.to_string(),
             format!("{directed_ms:.3}"),
             format!("{egraph_ms:.3}"),
+            format!("{matched:.1}"),
+            format!("{full_matched:.1}"),
         ]);
         rows.push(
             Json::obj()
@@ -150,7 +202,10 @@ fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
                 .field("unions", stats.unions)
                 .field("saturated", stats.saturated)
                 .field("directed_ms", directed_ms)
-                .field("egraph_ms", egraph_ms),
+                .field("egraph_ms", egraph_ms)
+                .field("matched_per_iter", matched)
+                .field("full_sweep_matched_per_iter", full_matched)
+                .field("identical_to_full_sweep", run.identical),
         );
     }
     assert!(
@@ -163,7 +218,7 @@ fn selection_phase(reps: usize) -> (Vec<Json>, bool) {
 
 // --- Phase 2: budgets hold -----------------------------------------------
 
-fn budget_phase(vars: usize) -> Json {
+fn budget_phase(vars: usize, identical: &mut bool) -> Json {
     println!();
     println!("-- budget: explosive comm+assoc workload at a tiny node cap --");
     // An add-chain of distinct variables: commutativity and associativity
@@ -180,9 +235,9 @@ fn budget_phase(vars: usize) -> Json {
         max_classes: 300,
         max_iters: 12,
     };
-    let t0 = Instant::now();
-    let (out, stats) = superopt.session().optimize(&e, &cfg, &cost);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let run = compare_engines(&superopt, &e, &cfg, &cost, &KeyedCost::measured());
+    *identical &= run.identical;
+    let (out, stats, wall_ms) = (run.out, run.stats, run.wall_ms);
     assert!(stats.budget_hit, "the cap must trip on {vars} variables");
     assert!(!stats.saturated);
     assert!(
@@ -208,6 +263,9 @@ fn budget_phase(vars: usize) -> Json {
         .field("extracted", out.to_string())
         .field("wall_ms", wall_ms)
         .field("respected", respected)
+        .field("matched_per_iter", run.matched_per_iter.0)
+        .field("full_sweep_matched_per_iter", run.matched_per_iter.1)
+        .field("identical_to_full_sweep", run.identical)
 }
 
 // --- Phase 3: the two cost models agree on ranking -----------------------
@@ -296,7 +354,7 @@ fn optimize_pool(size: usize) -> Vec<Request> {
         .collect()
 }
 
-fn service_phase(requests_per_kind: usize, reps: usize) -> (Json, bool) {
+fn service_phase(requests_per_kind: usize, reps: usize, identical: &mut bool) -> (Json, bool) {
     println!();
     println!("-- service: optimize over TCP, cache, conservation, fast path --");
     let before = gp_telemetry::snapshot();
@@ -316,6 +374,9 @@ fn service_phase(requests_per_kind: usize, reps: usize) -> (Json, bool) {
                     payload.contains("\"display\":\"x"),
                     "served optimize must extract the cancellation: {payload}"
                 );
+                if let Request::Optimize(r) = req {
+                    *identical &= payload == optimize_payload_rebuild(r).render();
+                }
                 fresh.push(payload);
             }
             other => panic!("optimize: {other:?}"),
@@ -468,7 +529,7 @@ fn service_phase(requests_per_kind: usize, reps: usize) -> (Json, bool) {
 
 // --- E17b: the LiDIA extension as a *cost* win ---------------------------
 
-fn lidia_phase() -> Json {
+fn lidia_phase(identical: &mut bool) -> Json {
     println!();
     println!("-- LiDIA: 1.0/f vs Inverse(f) decided by cost, not rule order --");
     let mut superopt = Simplifier::superopt(gp_rewrite::ConceptEnv::standard());
@@ -479,9 +540,15 @@ fn lidia_phase() -> Json {
         Expr::bigfloat(1.0),
         Expr::var("f", Type::BigFloat),
     );
-    let (out, stats) = superopt
-        .session()
-        .optimize(&e, &EGraphConfig::default(), cost.as_ref());
+    let run = compare_engines(
+        &superopt,
+        &e,
+        &EGraphConfig::default(),
+        cost,
+        &KeyedCost::annotation(),
+    );
+    *identical &= run.identical;
+    let (out, stats) = (run.out, run.stats);
     assert_eq!(out.to_string(), "Inverse(f)");
     assert!(stats.cost_after < stats.cost_before);
     println!(
@@ -494,6 +561,9 @@ fn lidia_phase() -> Json {
         .field("extracted", out.to_string())
         .field("cost_before", stats.cost_before)
         .field("cost_after", stats.cost_after)
+        .field("matched_per_iter", run.matched_per_iter.0)
+        .field("full_sweep_matched_per_iter", run.matched_per_iter.1)
+        .field("identical_to_full_sweep", run.identical)
 }
 
 fn main() {
@@ -504,12 +574,23 @@ fn main() {
         "§3.2 Simplicissimus taken past directed rewriting; taxonomy cost attributes",
     );
     let (reps, budget_vars, per_kind) = if smoke { (3, 8, 12) } else { (7, 10, 60) };
-    let (workloads, beats) = selection_phase(reps);
-    let budget = budget_phase(budget_vars);
+    let mut identical = true;
+    let (workloads, beats) = selection_phase(reps, &mut identical);
+    let budget = budget_phase(budget_vars, &mut identical);
     let budget_respected = budget.get("respected").and_then(Json::as_bool) == Some(true);
     let cost_models = cost_model_phase();
-    let lidia = lidia_phase();
-    let (service, conserves) = service_phase(per_kind, reps);
+    let lidia = lidia_phase(&mut identical);
+    let (service, conserves) = service_phase(per_kind, reps, &mut identical);
+    assert!(
+        identical,
+        "semi-naive saturation and the shared engines must match the full sweep \
+         and per-request builds on every workload and served payload"
+    );
+    println!();
+    println!(
+        "   semi-naive runs and served payloads identical to the full sweep \
+         with per-request engines: ok"
+    );
 
     let report = Json::obj()
         .field("experiment", "E17")
@@ -520,6 +601,7 @@ fn main() {
         .field("budget_respected", budget_respected)
         .field("cost_models", cost_models)
         .field("lidia", lidia)
+        .field("optimize_identical", identical)
         .field("service", service)
         .field("conserves", conserves)
         .field(

@@ -88,13 +88,8 @@ fn main() {
     let mut rules_used = std::collections::BTreeSet::new();
     for (label, e) in instances() {
         let (out, stats) = s.simplify(&e);
-        let rule = stats
-            .applications
-            .keys()
-            .next()
-            .cloned()
-            .unwrap_or_else(|| "-".to_string());
-        let req = match rule.as_str() {
+        let rule = stats.applications.keys().next().copied().unwrap_or("-");
+        let req = match rule {
             "right-identity" | "left-identity" => "(x, op) models Monoid",
             "right-inverse" | "left-inverse" => "(x, op, inv) models Group",
             _ => "-",
@@ -104,7 +99,7 @@ fn main() {
             label.to_string(),
             e.to_string(),
             out.to_string(),
-            rule,
+            rule.to_string(),
             req.to_string(),
         ]);
     }

@@ -13,6 +13,12 @@
 //!   interned; the oracle for `gp_checker::parse::parse`.
 //! * [`simplify_baseline`] — the clone-per-pass rewriter; the reference
 //!   and E13r baseline for the interned `Simplifier`.
+//! * [`optimize_full_sweep`] — the e-graph that e-matches every node
+//!   against every rule on every iteration and rebuilds by full sweeps;
+//!   the reference and E17 baseline for semi-naive `EGraph::saturate`.
+//!   With it, [`optimize_payload_rebuild`] and [`simplify_payload_rebuild`]
+//!   — the rewrite handlers that build their engine and cost model per
+//!   request — pin the served payloads of the shared engines.
 //! * [`prove_recheck`] — the `prove` handler that rebuilds, renames and
 //!   re-checks every theory per request; the reference and E8b baseline
 //!   for the served handler, which renames statements checked once.
@@ -20,12 +26,16 @@
 //!   primitives; the E11 baseline for the pooled executor.
 
 mod checker;
+mod egraph;
 mod parse;
 mod prove;
 mod rewrite;
 mod spawn;
 
 pub use checker::analyze_flat;
+pub use egraph::{
+    optimize_full_sweep, optimize_payload_rebuild, simplify_payload_rebuild, KeyedCost,
+};
 pub use parse::parse_seed;
 pub use prove::prove_recheck;
 pub use rewrite::simplify_baseline;

@@ -70,7 +70,7 @@ fn pass(s: &Simplifier, e: &Expr, stats: &mut SimplifyStats) -> (Expr, bool) {
         let Some((name, next)) = fired else {
             return (node, changed);
         };
-        *stats.applications.entry(name.to_string()).or_insert(0) += 1;
+        *stats.applications.entry(name).or_insert(0) += 1;
         node = next;
         changed = true;
     }

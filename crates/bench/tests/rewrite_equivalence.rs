@@ -94,8 +94,8 @@ fn assert_engines_agree(s: &Simplifier, e: &Expr) {
     assert_eq!(out_new, out_old, "engines diverged on {e}");
     assert_eq!(stats_new.size_before, stats_old.size_before);
     assert_eq!(stats_new.size_after, stats_old.size_after);
-    let new_rules: Vec<&String> = stats_new.applications.keys().collect();
-    let old_rules: Vec<&String> = stats_old.applications.keys().collect();
+    let new_rules: Vec<&&str> = stats_new.applications.keys().collect();
+    let old_rules: Vec<&&str> = stats_old.applications.keys().collect();
     assert_eq!(new_rules, old_rules, "different rule sets fired on {e}");
     for (rule, n_new) in &stats_new.applications {
         let n_old = stats_old.applications[rule];

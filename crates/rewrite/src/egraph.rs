@@ -11,12 +11,20 @@
 //! when the concept environment models their requirements, so every
 //! union is justified by a declared algebraic law (or by congruence).
 //!
-//! Two things make this tractable rather than explosive:
+//! Three things make this tractable rather than explosive:
 //!
 //! * **Bounded saturation.** Node / class / iteration budgets stop the
 //!   loop deterministically; hitting one sets a flag in
 //!   [`OptimizeStats`], never panics, and extraction still returns a
 //!   no-worse-cost term (the input's class always contains the input).
+//! * **Semi-naive matching.** Each iteration e-matches only the nodes
+//!   interned since the previous sweep. An older node cannot derive
+//!   anything new: the store is hash-consed and append-only, so the node
+//!   never changes; a rule's result at it is a pure function of the node
+//!   and the environment, so re-matching re-interns the same terms and
+//!   re-derives the same pairs; and classes only merge, so a pair merged
+//!   once stays merged. Re-matching it would only cost time
+//!   (`rewrite.egraph.matched` counts the nodes actually matched).
 //! * **Canonical rebuilding as cheap e-matching.** Representatives are
 //!   chosen by a fixed preference (literals, then variables, then the
 //!   oldest id), so rebuilding a node with its children's
@@ -24,19 +32,25 @@
 //!   pattern-match on. This is not complete e-matching — a rule sees one
 //!   member per child class — but it is deterministic, cheap, and enough
 //!   to reach the re-association/cancellation forms the directed engine
-//!   cannot.
+//!   cannot. The rebuilt node is a new node, so the next sweep matches it.
 //!
 //! Costs come through the [`CostModel`] concept with two library models:
 //! [`ComplexityCost`] (weights derived from the taxonomy's asymptotic
 //! complexity annotations, evaluated at a nominal size) and
 //! [`MeasuredCost`] (weights from measured operation counts, the E9
-//! methodology). Extraction is a fixpoint relaxation over classes with a
-//! deterministic `(cost, id)` tie-break, so equal-cost extractions are
-//! reproducible run to run.
+//! methodology). Both look a node's weight up by its [`op_key`] without
+//! building the key string. Extraction is a fixpoint relaxation over
+//! classes with a deterministic `(cost, id)` tie-break, so equal-cost
+//! extractions are reproducible run to run.
+//!
+//! The engine before semi-naive matching — every node e-matched on every
+//! iteration, every rule tried in registration order — is frozen in
+//! `gp_bench::oracle` as the reference the equivalence proptests pin this
+//! one to.
 
 use crate::env::ConceptEnv;
 use crate::expr::{BinOp, Type, UnOp};
-use crate::intern::{Term, TermId, TermStore};
+use crate::intern::{type_index, Head, Term, TermId, TermStore, TYPE_COUNT};
 use crate::simplify::Simplifier;
 use gp_core::complexity::Complexity;
 use gp_telemetry::Counter;
@@ -50,6 +64,7 @@ struct EGraphMetrics {
     nodes: &'static Counter,
     unions: &'static Counter,
     iters: &'static Counter,
+    matched: &'static Counter,
     extract_cost: &'static Counter,
 }
 
@@ -60,6 +75,7 @@ fn egraph_metrics() -> &'static EGraphMetrics {
         nodes: gp_telemetry::counter("rewrite.egraph.nodes"),
         unions: gp_telemetry::counter("rewrite.egraph.unions"),
         iters: gp_telemetry::counter("rewrite.egraph.iters"),
+        matched: gp_telemetry::counter("rewrite.egraph.matched"),
         extract_cost: gp_telemetry::counter("rewrite.egraph.extract_cost"),
     })
 }
@@ -111,7 +127,7 @@ pub struct OptimizeStats {
     /// Tree size of the extracted term.
     pub extracted_size: usize,
     /// Saturation-phase rule applications that merged classes, per rule.
-    pub applications: BTreeMap<String, usize>,
+    pub applications: BTreeMap<&'static str, usize>,
 }
 
 // ---------------------------------------------------------------------
@@ -128,49 +144,120 @@ pub trait CostModel {
     fn node_cost(&self, store: &TermStore, id: TermId) -> u64;
 }
 
+fn ty_key(t: Type) -> &'static str {
+    match t {
+        Type::Int => "int",
+        Type::UInt => "uint",
+        Type::Float => "float",
+        Type::Bool => "bool",
+        Type::Str => "str",
+        Type::Rational => "rational",
+        Type::Matrix => "matrix",
+        Type::BigFloat => "bigfloat",
+    }
+}
+
+fn bin_key(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Add => "add",
+        BinOp::Sub => "sub",
+        BinOp::Mul => "mul",
+        BinOp::Div => "div",
+        BinOp::And => "and",
+        BinOp::Or => "or",
+        BinOp::BitAnd => "bitand",
+        BinOp::Concat => "concat",
+    }
+}
+
+fn un_key(op: UnOp) -> &'static str {
+    match op {
+        UnOp::Neg => "neg",
+        UnOp::Recip => "recip",
+        UnOp::Not => "not",
+    }
+}
+
+/// Every `"<type>.<op>"` key, built once and indexed like the rule index
+/// (`type_index * Head::COUNT + head.index()`); leaf and call slots are
+/// empty.
+fn operator_keys() -> &'static [String] {
+    static KEYS: OnceLock<Vec<String>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        use BinOp::*;
+        use Type::*;
+        let types = [Int, UInt, Float, Bool, Str, Rational, Matrix, BigFloat];
+        let heads = [Add, Sub, Mul, Div, And, Or, BitAnd, Concat]
+            .map(|op| (Head::Bin(op), bin_key(op)))
+            .into_iter()
+            .chain([UnOp::Neg, UnOp::Recip, UnOp::Not].map(|op| (Head::Un(op), un_key(op))));
+        let mut keys = vec![String::new(); TYPE_COUNT * Head::COUNT];
+        for (head, op) in heads {
+            for ty in types {
+                keys[type_index(ty) * Head::COUNT + head.index()] = format!("{}.{op}", ty_key(ty));
+            }
+        }
+        keys
+    })
+}
+
+/// A node's cost key, borrowed: a static operator or leaf key, or the
+/// name of a library call (whose key is `"call.<name>"`).
+enum KeyRef<'a> {
+    Static(&'static str),
+    Call(&'a str),
+}
+
+fn key_ref(store: &TermStore, id: TermId) -> KeyRef<'_> {
+    match store.term(id) {
+        Term::Lit(_) => KeyRef::Static("lit"),
+        Term::Var(..) => KeyRef::Static("var"),
+        Term::Call(name, ..) => KeyRef::Call(name),
+        Term::Unary(..) | Term::Binary(..) => KeyRef::Static(
+            &operator_keys()[type_index(store.ty(id)) * Head::COUNT + store.head(id).index()],
+        ),
+    }
+}
+
 /// The stable cost key of a node: `"<type>.<op>"` for operators (e.g.
 /// `int.add`, `bigfloat.div`), `"call.<Name>"` for library calls,
 /// `"lit"` / `"var"` for leaves. [`ComplexityCost`] and [`MeasuredCost`]
 /// weight tables are keyed by these strings, as is the cost catalog the
 /// taxonomy crate surfaces.
 pub fn op_key(store: &TermStore, id: TermId) -> String {
-    fn ty_key(t: Type) -> &'static str {
-        match t {
-            Type::Int => "int",
-            Type::UInt => "uint",
-            Type::Float => "float",
-            Type::Bool => "bool",
-            Type::Str => "str",
-            Type::Rational => "rational",
-            Type::Matrix => "matrix",
-            Type::BigFloat => "bigfloat",
-        }
+    match key_ref(store, id) {
+        KeyRef::Static(key) => key.to_string(),
+        KeyRef::Call(name) => format!("call.{name}"),
     }
-    fn bin_key(op: BinOp) -> &'static str {
-        match op {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::BitAnd => "bitand",
-            BinOp::Concat => "concat",
+}
+
+/// A weight table keyed like [`op_key`] and read without building the
+/// key: operator and leaf weights under their static keys, call weights
+/// under the bare call name. Unlisted keys weigh 1.
+struct Weights {
+    ops: BTreeMap<String, u64>,
+    calls: BTreeMap<String, u64>,
+}
+
+impl Weights {
+    fn new(pairs: impl IntoIterator<Item = (String, u64)>) -> Self {
+        let (mut ops, mut calls) = (BTreeMap::new(), BTreeMap::new());
+        for (key, w) in pairs {
+            match key.strip_prefix("call.") {
+                Some(name) => calls.insert(name.to_string(), w),
+                None => ops.insert(key, w),
+            };
         }
+        Weights { ops, calls }
     }
-    fn un_key(op: UnOp) -> &'static str {
-        match op {
-            UnOp::Neg => "neg",
-            UnOp::Recip => "recip",
-            UnOp::Not => "not",
+
+    fn get(&self, store: &TermStore, id: TermId) -> u64 {
+        match key_ref(store, id) {
+            KeyRef::Static(key) => self.ops.get(key),
+            KeyRef::Call(name) => self.calls.get(name),
         }
-    }
-    match store.term(id) {
-        Term::Lit(_) => "lit".to_string(),
-        Term::Var(..) => "var".to_string(),
-        Term::Unary(op, _) => format!("{}.{}", ty_key(store.ty(id)), un_key(*op)),
-        Term::Binary(op, ..) => format!("{}.{}", ty_key(store.ty(id)), bin_key(*op)),
-        Term::Call(name, ..) => format!("call.{name}"),
+        .copied()
+        .unwrap_or(1)
     }
 }
 
@@ -187,10 +274,9 @@ impl CostModel for AstSizeCost {
 /// Weights derived from the taxonomy's asymptotic complexity
 /// annotations: each operator's [`Complexity`] evaluated at a nominal
 /// problem size (operand width, precision …) and rounded up. Leaves and
-/// unlisted operators fall back to `default_weight`.
+/// unlisted operators fall back to weight 1.
 pub struct ComplexityCost {
-    weights: BTreeMap<String, u64>,
-    default_weight: u64,
+    weights: Weights,
 }
 
 impl ComplexityCost {
@@ -202,11 +288,9 @@ impl ComplexityCost {
     ) -> Self {
         let weights = annotations
             .into_iter()
-            .map(|(key, c)| (key.to_string(), weight_of(c.evaluate_single(n))))
-            .collect();
+            .map(|(key, c)| (key.to_string(), weight_of(c.evaluate_single(n))));
         ComplexityCost {
-            weights,
-            default_weight: 1,
+            weights: Weights::new(weights),
         }
     }
 }
@@ -222,41 +306,30 @@ fn weight_of(w: f64) -> u64 {
 
 impl CostModel for ComplexityCost {
     fn node_cost(&self, store: &TermStore, id: TermId) -> u64 {
-        self.weights
-            .get(&op_key(store, id))
-            .copied()
-            .unwrap_or(self.default_weight)
+        self.weights.get(store, id)
     }
 }
 
 /// Weights from **measured** operation counts (the E9 methodology:
 /// instrumented runs counting what each operation actually executes),
-/// keyed like [`op_key`]. Unlisted operators fall back to
-/// `default_count`.
+/// keyed like [`op_key`]. Unlisted operators fall back to count 1.
 pub struct MeasuredCost {
-    counts: BTreeMap<String, u64>,
-    default_count: u64,
+    counts: Weights,
 }
 
 impl MeasuredCost {
     /// Build from `(op key, measured count)` pairs.
     pub fn from_counts<K: Into<String>>(counts: impl IntoIterator<Item = (K, u64)>) -> Self {
+        let counts = counts.into_iter().map(|(k, v)| (k.into(), v.max(1)));
         MeasuredCost {
-            counts: counts
-                .into_iter()
-                .map(|(k, v)| (k.into(), v.max(1)))
-                .collect(),
-            default_count: 1,
+            counts: Weights::new(counts),
         }
     }
 }
 
 impl CostModel for MeasuredCost {
     fn node_cost(&self, store: &TermStore, id: TermId) -> u64 {
-        self.counts
-            .get(&op_key(store, id))
-            .copied()
-            .unwrap_or(self.default_count)
+        self.counts.get(store, id)
     }
 }
 
@@ -276,31 +349,137 @@ fn node_rank(store: &TermStore, id: TermId) -> u8 {
     }
 }
 
+/// No entry: the end of a use list.
+const NONE: u32 = u32::MAX;
+
+/// One node's union-find slot. `dirty` asks the next rebuild pass to
+/// re-canonicalize the node; `head`/`tail` delimit, while the node is a
+/// class root, the class's use list.
+#[derive(Clone, Copy)]
+struct Slot {
+    parent: u32,
+    dirty: bool,
+    head: u32,
+    tail: u32,
+}
+
+/// One use-list entry: `user` has a member of the list's class as a
+/// child.
+#[derive(Clone, Copy)]
+struct Use {
+    user: u32,
+    next: u32,
+}
+
+/// The union-find over node ids, plus what a worklist rebuild needs: a
+/// dirty flag per node, and per class the nodes that have a member of
+/// the class as a child. The use lists are linked through one flat
+/// array, an entry per (node, child) pair, and a union splices the losing
+/// class's list onto the winner's in O(1).
 struct UnionFind {
-    parent: Vec<u32>,
+    slots: Vec<Slot>,
+    uses: Vec<Use>,
+}
+
+fn u32_id(i: usize) -> u32 {
+    u32::try_from(i).expect("e-graph id overflow")
 }
 
 impl UnionFind {
-    fn new() -> Self {
-        UnionFind { parent: Vec::new() }
+    /// An empty union-find with room for a store of `n` nodes to grow
+    /// fourfold before the arrays reallocate (E17's cancellations end
+    /// at about three times their input).
+    fn with_room(n: usize) -> Self {
+        let nodes = 4 * n.max(16);
+        UnionFind {
+            slots: Vec::with_capacity(nodes),
+            uses: Vec::with_capacity(2 * nodes),
+        }
     }
 
-    /// Grow to cover `n` ids (new ids start as singleton classes).
-    fn ensure(&mut self, n: usize) {
-        let from = self.parent.len();
-        self.parent
-            .extend((from..n).map(|i| u32::try_from(i).expect("e-graph id overflow")));
+    /// Cover every node of `store`: a new node starts as a dirty
+    /// singleton class and joins its children's classes' use lists.
+    fn ensure(&mut self, store: &TermStore) {
+        for i in self.slots.len()..store.len() {
+            self.slots.push(Slot {
+                parent: u32_id(i),
+                dirty: true,
+                head: NONE,
+                tail: NONE,
+            });
+            let id = TermId::from_index(i);
+            match store.term(id) {
+                Term::Lit(_) | Term::Var(..) => {}
+                &Term::Unary(_, x) => self.add_use(x, id),
+                &Term::Binary(_, l, r) => {
+                    self.add_use(l, id);
+                    self.add_use(r, id);
+                }
+                Term::Call(_, _, args) => {
+                    for &a in args {
+                        self.add_use(a, id);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Record that `user` has a member of `child`'s class as a child.
+    fn add_use(&mut self, child: TermId, user: TermId) {
+        let c = self.find(child).index();
+        let e = u32_id(self.uses.len());
+        self.uses.push(Use {
+            user: u32_id(user.index()),
+            next: NONE,
+        });
+        match self.slots[c].tail {
+            NONE => self.slots[c].head = e,
+            t => self.uses[t as usize].next = e,
+        }
+        self.slots[c].tail = e;
     }
 
     fn find(&mut self, id: TermId) -> TermId {
         let mut i = id.index();
-        while self.parent[i] as usize != i {
+        while self.slots[i].parent as usize != i {
             // Path halving.
-            let gp = self.parent[self.parent[i] as usize];
-            self.parent[i] = gp;
+            let gp = self.slots[self.slots[i].parent as usize].parent;
+            self.slots[i].parent = gp;
             i = gp as usize;
         }
         TermId::from_index(i)
+    }
+
+    /// Merge the class rooted at `child` into the one rooted at `root`:
+    /// every user of the losing class now has a non-canonical child, so
+    /// it is dirty, and the list moves to the winner.
+    fn merge(&mut self, root: TermId, child: TermId) {
+        let (r, c) = (root.index(), child.index());
+        let lost = self.slots[c];
+        self.slots[c] = Slot {
+            parent: u32_id(r),
+            head: NONE,
+            tail: NONE,
+            ..lost
+        };
+        let mut e = lost.head;
+        while e != NONE {
+            let u = self.uses[e as usize];
+            self.slots[u.user as usize].dirty = true;
+            e = u.next;
+        }
+        if lost.head != NONE {
+            match self.slots[r].tail {
+                NONE => self.slots[r].head = lost.head,
+                t => self.uses[t as usize].next = lost.head,
+            }
+            self.slots[r].tail = lost.tail;
+        }
+    }
+
+    /// Take `i`'s dirty flag, leaving it clean.
+    fn take_dirty(&mut self, i: usize) -> bool {
+        std::mem::take(&mut self.slots[i].dirty)
     }
 }
 
@@ -318,25 +497,31 @@ pub struct EGraph<'a> {
     store: &'a mut TermStore,
     uf: UnionFind,
     unions: usize,
+    /// Nodes below this id have been e-matched; a sweep starts here.
+    swept: usize,
+    /// Nodes e-matched so far.
+    matched: usize,
 }
 
 impl<'a> EGraph<'a> {
     /// Wrap a store (typically a [`Session`](crate::Session)'s) for
     /// saturation with `simp`'s rules and environment.
     pub fn new(simp: &'a Simplifier, store: &'a mut TermStore) -> Self {
-        let mut uf = UnionFind::new();
-        uf.ensure(store.len());
+        let mut uf = UnionFind::with_room(store.len());
+        uf.ensure(store);
         EGraph {
             simp,
             store,
             uf,
             unions: 0,
+            swept: 0,
+            matched: 0,
         }
     }
 
     /// The canonical representative of `id`'s e-class.
     pub fn find(&mut self, id: TermId) -> TermId {
-        self.uf.ensure(self.store.len());
+        self.uf.ensure(self.store);
         self.uf.find(id)
     }
 
@@ -352,7 +537,7 @@ impl<'a> EGraph<'a> {
         let ka = (node_rank(self.store, ra), ra.index());
         let kb = (node_rank(self.store, rb), rb.index());
         let (root, child) = if ka <= kb { (ra, rb) } else { (rb, ra) };
-        self.uf.parent[child.index()] = u32::try_from(root.index()).expect("e-graph id overflow");
+        self.uf.merge(root, child);
         self.unions += 1;
         true
     }
@@ -390,23 +575,32 @@ impl<'a> EGraph<'a> {
         }
     }
 
-    /// Congruence closure: repeatedly rebuild every node with canonical
-    /// children and union it with the rebuilt form, until nothing moves
-    /// or the node budget stops it. Returns `true` on a budget stop.
+    /// Congruence closure: pass over the dirty nodes in id order, rebuild
+    /// each with canonical children and union it with the rebuilt form,
+    /// until a pass moves nothing or the node budget stops it. Returns
+    /// `true` on a budget stop.
+    ///
+    /// A clean node's children have kept their representatives since the
+    /// node was last rebuilt, so rebuilding it again would re-intern the
+    /// same node and re-derive a union already made. Skipping it leaves
+    /// the passes, the interning order and every union exactly as a sweep
+    /// over all nodes makes them.
     fn rebuild(&mut self, cfg: &EGraphConfig) -> bool {
         loop {
             let mut changed = false;
             let n = self.store.len();
-            self.uf.ensure(n);
+            self.uf.ensure(self.store);
             for i in 0..n {
+                if !self.uf.take_dirty(i) {
+                    continue;
+                }
                 let id = TermId::from_index(i);
                 let rebuilt = self.canonical_rebuild(id);
-                self.uf.ensure(self.store.len());
+                self.uf.ensure(self.store);
                 if self.union(id, rebuilt) {
                     changed = true;
                 }
             }
-            self.uf.ensure(self.store.len());
             if self.store.len() >= cfg.max_nodes {
                 return true;
             }
@@ -416,25 +610,35 @@ impl<'a> EGraph<'a> {
         }
     }
 
-    /// Number of distinct e-classes.
-    pub fn class_count(&mut self) -> usize {
-        let n = self.store.len();
-        self.uf.ensure(n);
-        (0..n)
-            .filter(|&i| {
-                let id = TermId::from_index(i);
-                self.uf.find(id) == id
-            })
-            .count()
+    /// Number of distinct e-classes: every node starts as its own class
+    /// and every union merges two.
+    pub fn class_count(&self) -> usize {
+        self.store.len() - self.unions
     }
 
-    /// Run bounded equality saturation from `root`'s store. Every
-    /// e-node is e-matched against the rule index each iteration; fires
-    /// that merge distinct classes count as applications (re-deriving a
-    /// known equality is free and unreported). Deterministic: nodes are
-    /// swept in id order and unions use a fixed preference, so two runs
-    /// over equal inputs produce identical e-graphs.
+    /// Nodes e-matched so far (each node at most once, see
+    /// [`EGraph::saturate`]); mirrored into `rewrite.egraph.matched`.
+    pub fn matched(&self) -> usize {
+        self.matched
+    }
+
+    /// Run bounded equality saturation from `root`'s store. Each
+    /// iteration e-matches the nodes interned since the previous sweep
+    /// against the rule index (semi-naive matching; the module doc gives
+    /// the argument that older nodes derive nothing new), merges what
+    /// the matches equate, and closes the result under congruence. Fires
+    /// that merge distinct classes count as applications. Deterministic:
+    /// nodes are swept in id order and unions use a fixed preference, so
+    /// two runs over equal inputs produce identical e-graphs — the same
+    /// e-graph, statistics and extraction as sweeping every node on
+    /// every iteration.
     pub fn saturate(&mut self, cfg: &EGraphConfig, stats: &mut OptimizeStats) {
+        let simp = self.simp;
+        let index = simp.index();
+        let rules = simp.rules();
+        let env: &ConceptEnv = simp.env();
+        let mut fires = vec![0usize; rules.len()];
+        let mut matches: Vec<(TermId, TermId, usize)> = Vec::new();
         loop {
             if stats.iters >= cfg.max_iters {
                 stats.budget_hit = true;
@@ -443,21 +647,17 @@ impl<'a> EGraph<'a> {
             stats.iters += 1;
             let n = self.store.len();
             let unions_before = self.unions;
-            self.uf.ensure(n);
 
             // E-match phase: collect (lhs, rhs, rule) triples before
             // touching the union-find so match order cannot depend on
             // this iteration's own merges.
-            let mut matches: Vec<(TermId, TermId, usize)> = Vec::new();
-            let simp = self.simp;
-            let index = simp.index();
-            let rules = simp.rules();
-            let env: &ConceptEnv = simp.env();
+            matches.clear();
             let mut node_budget_hit = false;
-            for i in 0..n {
+            for i in self.swept..n {
                 let id = TermId::from_index(i);
-                let cands = index.candidates(self.store, id);
-                for &ri in cands {
+                self.swept = i + 1;
+                self.matched += 1;
+                for &ri in index.candidates(self.store, id) {
                     if let Some(next) = rules[ri as usize].try_apply_interned(self.store, id, env) {
                         if next != id {
                             matches.push((id, next, ri as usize));
@@ -469,14 +669,11 @@ impl<'a> EGraph<'a> {
                     break;
                 }
             }
-            self.uf.ensure(self.store.len());
-            for (lhs, rhs, ri) in matches {
+            self.uf.ensure(self.store);
+            for &(lhs, rhs, ri) in &matches {
                 if self.union(lhs, rhs) {
-                    self.simp.record_fire(ri);
-                    *stats
-                        .applications
-                        .entry(self.simp.rules()[ri].name().to_string())
-                        .or_insert(0) += 1;
+                    simp.record_fire(ri);
+                    fires[ri] += 1;
                 }
             }
 
@@ -490,6 +687,11 @@ impl<'a> EGraph<'a> {
             if self.unions == unions_before && self.store.len() == n {
                 stats.saturated = true;
                 break;
+            }
+        }
+        for (rule, count) in rules.iter().zip(fires) {
+            if count > 0 {
+                *stats.applications.entry(rule.name()).or_insert(0) += count;
             }
         }
         stats.nodes = self.store.len();
@@ -532,7 +734,7 @@ impl<'a> EGraph<'a> {
     /// id and its cost. Deterministic via the lexicographic tie-break.
     pub fn extract(&mut self, root: TermId, cost: &dyn CostModel) -> (TermId, u64) {
         let n = self.store.len();
-        self.uf.ensure(n);
+        self.uf.ensure(self.store);
         // Per-node own costs and class membership, resolved once.
         let own: Vec<u64> = (0..n)
             .map(|i| cost.node_cost(self.store, TermId::from_index(i)).max(1))
@@ -667,6 +869,7 @@ impl<'a> EGraph<'a> {
         m.nodes.add(stats.nodes as u64);
         m.unions.add(stats.unions as u64);
         m.iters.add(stats.iters as u64);
+        m.matched.add(self.matched as u64);
         m.extract_cost.add(stats.cost_after);
         (out, stats)
     }

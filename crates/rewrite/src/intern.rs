@@ -118,10 +118,10 @@ impl TermId {
         self.0 as usize
     }
 
-    /// Rebuild an id from a dense index. Crate-internal: only the e-graph
-    /// sweeps the store by index; callers must stay below
-    /// [`TermStore::len`] of the store the index came from.
-    pub(crate) fn from_index(i: usize) -> TermId {
+    /// Rebuild an id from a dense index, for sweeping a store in id
+    /// order. Callers must stay below [`TermStore::len`] of the store the
+    /// index came from.
+    pub fn from_index(i: usize) -> TermId {
         TermId(u32::try_from(i).expect("term index exceeds u32"))
     }
 }

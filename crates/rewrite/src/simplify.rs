@@ -17,6 +17,11 @@
 //! * **Facade**: the public API still speaks `Expr` trees; conversion
 //!   happens once in, once out. [`Session::simplify_id`] exposes the
 //!   id-level entry point for callers that build DAGs directly.
+//! * **Built once**: [`Simplifier::standard_ref`] and
+//!   [`Simplifier::superopt_ref`] are process-wide engines over the
+//!   standard environment, so concurrent request handlers share one rule
+//!   set and one dispatch index (`rewrite.index.builds` counts index
+//!   builds).
 //!
 //! The original engine (bottom-up clone-per-pass, iterated to fixpoint)
 //! lives on outside the library, in `gp_bench::oracle`: `exp_rewrite`
@@ -37,6 +42,7 @@ struct EngineMetrics {
     runs: &'static Counter,
     passes: &'static Counter,
     memo_hits: &'static Counter,
+    index_builds: &'static Counter,
     index_candidates: &'static Histogram,
 }
 
@@ -46,6 +52,7 @@ fn engine_metrics() -> &'static EngineMetrics {
         runs: gp_telemetry::counter("rewrite.runs"),
         passes: gp_telemetry::counter("rewrite.passes"),
         memo_hits: gp_telemetry::counter("rewrite.memo.hits"),
+        index_builds: gp_telemetry::counter("rewrite.index.builds"),
         index_candidates: gp_telemetry::histogram("rewrite.index.candidates"),
     })
 }
@@ -61,7 +68,7 @@ fn rule_fire_counter(name: &str) -> &'static Counter {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimplifyStats {
     /// Applications per rule name.
-    pub applications: BTreeMap<String, usize>,
+    pub applications: BTreeMap<&'static str, usize>,
     /// Fixpoint iterations used (the interned engine normalizes in one).
     pub iterations: usize,
     /// AST size before and after.
@@ -92,6 +99,7 @@ pub(crate) struct RuleIndex {
 
 impl RuleIndex {
     fn build(rules: &[Box<dyn RewriteRule + Send + Sync>], env: &ConceptEnv) -> Self {
+        engine_metrics().index_builds.incr();
         let n = TYPE_COUNT * Head::COUNT;
         let mut buckets = vec![Vec::new(); n];
         let mut seen = vec![false; n];
@@ -167,6 +175,22 @@ impl Simplifier {
         let mut rules = standard_rules();
         rules.extend(crate::rules::exploration_rules());
         Self::from_parts(env, rules)
+    }
+
+    /// The shared [`Simplifier::standard`] engine, built on first use and
+    /// then read by every caller for the rest of the process: its rule
+    /// index is built once, not once per request.
+    pub fn standard_ref() -> &'static Simplifier {
+        static STANDARD: OnceLock<Simplifier> = OnceLock::new();
+        STANDARD.get_or_init(Simplifier::standard)
+    }
+
+    /// The shared [`Simplifier::superopt`] engine over the standard
+    /// environment, built once per process like
+    /// [`Simplifier::standard_ref`].
+    pub fn superopt_ref() -> &'static Simplifier {
+        static SUPEROPT: OnceLock<Simplifier> = OnceLock::new();
+        SUPEROPT.get_or_init(|| Simplifier::superopt(ConceptEnv::standard()))
     }
 
     /// An engine with no rules at all (baseline for benchmarks).
@@ -436,10 +460,7 @@ impl Session<'_> {
             let rule = &self.simp.rules[ri];
             if let Some(next) = rule.try_apply_interned(&mut self.store, id, &self.simp.env) {
                 self.budget -= 1;
-                *stats
-                    .applications
-                    .entry(rule.name().to_string())
-                    .or_insert(0) += 1;
+                *stats.applications.entry(rule.name()).or_insert(0) += 1;
                 self.simp.rule_fires[ri].incr();
                 return self.norm(next, stats);
             }

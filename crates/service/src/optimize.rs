@@ -27,6 +27,7 @@ use crate::simplify::{expr_from_json, expr_to_json, EnvSpec};
 use gp_core::json::Json;
 use gp_rewrite::egraph::{ComplexityCost, CostModel, EGraphConfig, MeasuredCost};
 use gp_rewrite::{Expr, Simplifier};
+use std::sync::OnceLock;
 
 /// Ceiling on the requestable node/class budget: keeps one `optimize`
 /// request's memory bounded however generous the client feels.
@@ -53,19 +54,21 @@ pub(crate) const COST_MODELS: WireNames<CostSpec> = WireNames::new(
 );
 
 impl CostSpec {
-    /// Build the model from the taxonomy's surfaced tables.
-    pub fn build(self) -> Box<dyn CostModel + Send + Sync> {
+    /// The model, built from the taxonomy's surfaced tables once per
+    /// process and shared by every request.
+    pub fn build(self) -> &'static (dyn CostModel + Send + Sync) {
+        static ANNOTATION: OnceLock<ComplexityCost> = OnceLock::new();
+        static MEASURED: OnceLock<MeasuredCost> = OnceLock::new();
         match self {
-            CostSpec::Annotation => {
+            CostSpec::Annotation => ANNOTATION.get_or_init(|| {
                 let catalog = gp_taxonomy::op_cost_catalog();
-                Box::new(ComplexityCost::from_annotations(
+                ComplexityCost::from_annotations(
                     catalog.iter().map(|a| (a.key, &a.cost)),
                     gp_taxonomy::costs::NOMINAL_SIZE,
-                ))
-            }
-            CostSpec::Measured => {
-                Box::new(MeasuredCost::from_counts(gp_taxonomy::measured_op_counts()))
-            }
+                )
+            }),
+            CostSpec::Measured => MEASURED
+                .get_or_init(|| MeasuredCost::from_counts(gp_taxonomy::measured_op_counts())),
         }
     }
 }
@@ -138,15 +141,19 @@ impl RequestKind for OptimizeRequest {
 
     /// Superoptimizer rule set (standard plus exploration equalities)
     /// over the requested environment, bounded saturation, cost-based
-    /// extraction.
+    /// extraction. The standard environment's engine and both cost models
+    /// are built once per process; a custom environment builds its engine
+    /// per request.
     fn handle(&self) -> Result<Json, String> {
-        let simplifier = Simplifier::superopt(self.env.build());
-        let cost = self.cost.build();
-        let mut session = simplifier.session();
-        let (out, stats) = session.optimize(&self.expr, &self.config(), cost.as_ref());
+        let (out, stats) =
+            self.env
+                .with_engine(Simplifier::superopt_ref(), Simplifier::superopt, |s| {
+                    s.session()
+                        .optimize(&self.expr, &self.config(), self.cost.build())
+                });
         let mut apps = Json::obj();
-        for (rule, count) in &stats.applications {
-            apps = apps.field(rule.clone(), *count);
+        for (&rule, &count) in &stats.applications {
+            apps = apps.field(rule, count);
         }
         Ok(Json::obj()
             .field("expr", expr_to_json(&out))

@@ -3,12 +3,13 @@
 //!
 //! The expression travels as a JSON AST (`{"bin":["+",l,r]}` …) and the
 //! concept environment as either the string `"standard"` or an explicit
-//! declaration list. Requests whose environments render to the same
-//! canonical JSON share a **fingerprint**; the serving core groups queued
-//! requests by fingerprint and builds the `Simplifier` (environment +
-//! rule set) once per batch instead of once per request — the
-//! amortization the `ConceptEnv::standard_ref` cache starts and batching
-//! finishes.
+//! declaration list. A standard-environment request runs on the
+//! process-wide [`Simplifier::standard_ref`] engine, whose rule set and
+//! dispatch index are built once per process; a custom environment builds
+//! its own engine per request (per batch when batched). Requests whose
+//! environments render to the same canonical JSON share a
+//! **fingerprint**, and the serving core groups queued requests by
+//! fingerprint so a batch shares one rewriting `Session`.
 //!
 //! Wire caveat: numeric literals ride in JSON numbers (f64), so `Int`/
 //! `UInt` literals are exact only up to 2^53 — plenty for rewrite
@@ -350,6 +351,21 @@ impl EnvSpec {
         }
     }
 
+    /// Run `f` on the engine for this environment: `shared` (an engine
+    /// built once per process) for the standard environment, or an engine
+    /// `build` makes over a custom one.
+    pub(crate) fn with_engine<R>(
+        &self,
+        shared: &'static Simplifier,
+        build: fn(ConceptEnv) -> Simplifier,
+        f: impl FnOnce(&Simplifier) -> R,
+    ) -> R {
+        match self {
+            EnvSpec::Standard => f(shared),
+            EnvSpec::Custom(_) => f(&build(self.build())),
+        }
+    }
+
     /// The batching key: hash of the canonical environment JSON. Requests
     /// with equal fingerprints can share one `Simplifier`.
     pub fn fingerprint(&self) -> u64 {
@@ -378,7 +394,11 @@ impl RequestKind for SimplifyRequest {
     }
 
     fn handle(&self) -> Result<Json, String> {
-        let (out, stats) = Simplifier::with_env(self.env.build()).simplify(&self.expr);
+        let (out, stats) =
+            self.env
+                .with_engine(Simplifier::standard_ref(), Simplifier::with_env, |s| {
+                    s.simplify(&self.expr)
+                });
         Ok(render_result(&out, &stats))
     }
 
@@ -387,7 +407,7 @@ impl RequestKind for SimplifyRequest {
     }
 
     /// The environment fingerprint: requests sharing it share one
-    /// `Simplifier` build, and a router sends them to one shard so the
+    /// rewriting session, and a router sends them to one shard so the
     /// batcher sees dense same-environment runs.
     fn batch_key(&self) -> Option<u64> {
         Some(self.env.fingerprint())
@@ -406,15 +426,13 @@ impl RequestKind for SimplifyRequest {
     }
 }
 
-/// Simplify a batch of requests sharing an environment fingerprint: the
-/// `Simplifier` (environment + rule set + resolved fire counters + rule
-/// dispatch index) is built **once** and reused for every expression —
-/// the amortization the serving core's micro-batching exists to exploit.
-///
-/// The batch runs on one rewriting session, so common subterms across
-/// entries are interned once (the normal-form memo is reset per entry,
-/// keeping each result and its stats byte-identical to a solo call — the
-/// response cache depends on that).
+/// Simplify a batch of requests sharing an environment fingerprint on
+/// one engine and one rewriting session: common subterms across entries
+/// are interned once (the normal-form memo is reset per entry, keeping
+/// each result and its stats byte-identical to a solo call — the
+/// response cache depends on that). A custom environment's engine is
+/// built once per batch; the standard one is shared process-wide, so a
+/// standard batch saves only the session.
 pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
     let Some(first) = reqs.first() else {
         return Vec::new();
@@ -424,10 +442,12 @@ pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
             .all(|r| r.env.fingerprint() == first.env.fingerprint()),
         "batched simplify requests must share an environment fingerprint"
     );
-    let simplifier = Simplifier::with_env(first.env.build());
     let exprs: Vec<Expr> = reqs.iter().map(|r| r.expr.clone()).collect();
-    simplifier
-        .simplify_batch(&exprs)
+    first
+        .env
+        .with_engine(Simplifier::standard_ref(), Simplifier::with_env, |s| {
+            s.simplify_batch(&exprs)
+        })
         .into_iter()
         .map(|(out, stats)| Ok(render_result(&out, &stats)))
         .collect()
@@ -435,8 +455,8 @@ pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
 
 fn render_result(out: &Expr, stats: &gp_rewrite::SimplifyStats) -> Json {
     let mut apps = Json::obj();
-    for (rule, count) in &stats.applications {
-        apps = apps.field(rule.clone(), *count);
+    for (&rule, &count) in &stats.applications {
+        apps = apps.field(rule, count);
     }
     Json::obj()
         .field("expr", expr_to_json(out))

@@ -39,7 +39,7 @@ fn run(label: &str, s: &Simplifier) {
     println!("== {label} ==");
     let mut total_before = 0;
     let mut total_after = 0;
-    let mut rules: BTreeMap<String, usize> = BTreeMap::new();
+    let mut rules: BTreeMap<&str, usize> = BTreeMap::new();
     for e in workload() {
         let (out, stats) = s.simplify(&e);
         total_before += stats.size_before;
