@@ -39,7 +39,7 @@ use gp_rewrite::rules::LidiaInverse;
 use gp_rewrite::{BinOp, Expr, Simplifier, Type, UnOp};
 use gp_service::optimize::{CostSpec, OptimizeRequest};
 use gp_service::simplify::{EnvSpec, SimplifyRequest};
-use gp_service::{Request, Response, Service, ServiceConfig, TcpClient};
+use gp_service::{ReactorConfig, Request, Response, Service, ServiceConfig, TcpClient};
 use std::time::Instant;
 
 /// Tree cost of an expression under a model: intern into a fresh store
@@ -359,7 +359,9 @@ fn service_phase(requests_per_kind: usize, reps: usize, identical: &mut bool) ->
     println!("-- service: optimize over TCP, cache, conservation, fast path --");
     let before = gp_telemetry::snapshot();
     let mut svc = Service::start(ServiceConfig::default());
-    let addr = svc.listen("127.0.0.1:0").expect("bind loopback");
+    let addr = svc
+        .listen_reactor("127.0.0.1:0", ReactorConfig::default())
+        .expect("bind loopback");
     let mut client = TcpClient::connect(addr).expect("connect");
 
     let pool = optimize_pool(requests_per_kind);

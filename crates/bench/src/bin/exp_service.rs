@@ -2,18 +2,18 @@
 //! closed-loop load sweep.
 //!
 //! Smoke phase (always runs; CI gate): all four request kinds answered
-//! over TCP loopback, repeat requests answered from the cache with
-//! byte-identical payloads, a tiny queue under flood shedding
-//! `Overloaded` instead of collapsing, micro-batching of same-environment
-//! `Simplify` requests, and the conservation law
-//! `accepted == completed + shed` proved from one telemetry snapshot
-//! delta across the phase.
+//! over TCP loopback through the reactor front end, repeat requests
+//! answered from the cache with byte-identical payloads, a tiny queue
+//! under flood shedding `Overloaded` instead of collapsing, and the
+//! conservation law `accepted == completed + shed` proved from one
+//! telemetry snapshot delta across the phase.
 //!
 //! Sweep phase: a closed-loop generator (each client issues its next
-//! request when the previous answer lands) across worker counts × client
-//! counts × cache on/off, reporting throughput, p50/p99 latency, shed
-//! rate, and cache hit rate. Emits `results/BENCH_service.json`;
-//! `--smoke` shrinks the sweep for a fast CI pass.
+//! request when the previous answer lands) over the reactor, across
+//! worker counts × client counts × cache on/off, reporting throughput,
+//! p50/p99 latency, shed rate, and cache hit rate. Emits
+//! `results/BENCH_service.json`; `--smoke` shrinks the sweep for a fast
+//! CI pass.
 
 use gp_bench::{banner, write_results, Json, Table};
 use gp_rewrite::{BinOp, Expr, Type};
@@ -21,7 +21,7 @@ use gp_service::lint::LintRequest;
 use gp_service::prove::ProveRequest;
 use gp_service::select::SelectRequest;
 use gp_service::simplify::{EnvSpec, SimplifyRequest};
-use gp_service::{Request, Response, Service, ServiceConfig, TcpClient};
+use gp_service::{ReactorConfig, Request, Response, Service, ServiceConfig, TcpClient};
 use std::time::{Duration, Instant};
 
 /// A deterministic request pool: distinct requests across all four kinds.
@@ -69,12 +69,14 @@ fn expect_ok(resp: Result<Response, String>, what: &str) -> String {
 
 /// The CI gate: every claim in the module docs, asserted.
 fn smoke_phase() -> Json {
-    println!("-- smoke: wire, cache, shedding, batching, conservation --");
+    println!("-- smoke: wire, cache, shedding, conservation --");
     let before = gp_telemetry::snapshot();
 
     // 1. All four kinds over TCP loopback, then a repeat to hit the cache.
     let mut svc = Service::start(ServiceConfig::default());
-    let addr = svc.listen("127.0.0.1:0").expect("bind loopback");
+    let addr = svc
+        .listen_reactor("127.0.0.1:0", ReactorConfig::default())
+        .expect("bind loopback");
     let mut client = TcpClient::connect(addr).expect("connect");
     let pool = request_pool(4);
     let mut kinds = Vec::new();
@@ -124,41 +126,7 @@ fn smoke_phase() -> Json {
     assert_eq!(tiny_stats.in_flight(), 0);
     println!("   1-deep queue: {served} served, {sheds} shed (retriable), 0 dropped");
 
-    // 3. Micro-batching: a busy single worker merges same-env Simplify.
-    let mut batching = Service::start(ServiceConfig {
-        workers: 1,
-        queue_depth: 64,
-        cache_enabled: false,
-        batch_max: 8,
-        handler_delay: Some(Duration::from_millis(2)),
-        ..ServiceConfig::default()
-    });
-    let tickets: Vec<_> = (0..24)
-        .map(|i| {
-            batching.submit(Request::Simplify(SimplifyRequest {
-                expr: Expr::bin(
-                    BinOp::Mul,
-                    Expr::var(format!("b{i}"), Type::Int),
-                    Expr::int(1),
-                ),
-                env: EnvSpec::Standard,
-            }))
-        })
-        .collect();
-    for t in tickets {
-        expect_ok(Ok(t.wait()), "batched simplify");
-    }
-    let batch_stats = batching.shutdown();
-    assert!(
-        batch_stats.batched > 0,
-        "same-env simplify under load must micro-batch: {batch_stats:?}"
-    );
-    println!(
-        "   micro-batching: {} of 24 simplify requests rode a batch",
-        batch_stats.batched
-    );
-
-    // 4. Conservation, from one registry snapshot delta across all three
+    // 3. Conservation, from one registry snapshot delta across both
     //    services: accepted == completed + shed (in_flight drained to 0).
     let delta = gp_telemetry::snapshot().delta(&before);
     let accepted = delta.counter("service.accepted");
@@ -177,7 +145,6 @@ fn smoke_phase() -> Json {
         .field("cache_bit_identical", true)
         .field("sheds_under_flood", sheds)
         .field("served_under_flood", served)
-        .field("batched_requests", batch_stats.batched)
         .field(
             "conservation",
             Json::obj()
@@ -207,7 +174,9 @@ fn sweep_cell(
         handler_delay: Some(Duration::from_micros(300)),
         ..ServiceConfig::default()
     });
-    let addr = svc.listen("127.0.0.1:0").expect("bind loopback");
+    let addr = svc
+        .listen_reactor("127.0.0.1:0", ReactorConfig::default())
+        .expect("bind loopback");
     let t0 = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
@@ -268,7 +237,6 @@ fn sweep_cell(
             "cache_hit_rate",
             stats.cache.hits as f64 / issued.max(1) as f64,
         )
-        .field("batched", stats.batched)
 }
 
 fn sweep_phase(smoke: bool) -> Json {
@@ -319,7 +287,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     banner(
         "E12s",
-        "gp-service: batched, cached, load-shedding concept-query server",
+        "gp-service: cached, load-shedding concept-query server",
         "service front end over the checker, rewriter, prover, and taxonomy",
     );
     let smoke_checks = smoke_phase();

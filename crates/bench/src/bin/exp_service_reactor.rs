@@ -1,5 +1,6 @@
-//! E14: the reactor front end vs the blocking thread-per-connection path,
-//! and consistent-hash shard scaling.
+//! E14: the reactor front end vs the blocking thread-per-connection
+//! reference listener (`gp_bench::oracle::blocking`), and consistent-hash
+//! shard scaling.
 //!
 //! Smoke phase (always runs; CI gate): a pipelined request stream driven
 //! byte-for-byte through both front ends must produce identical response
@@ -25,6 +26,7 @@
 //! Emits `results/BENCH_service_reactor.json`; `--smoke` shrinks both
 //! sweeps for a fast CI pass.
 
+use gp_bench::oracle::blocking::BlockingServer;
 use gp_bench::{banner, write_results, Json, Table};
 use gp_rewrite::{BinOp, Expr, Type};
 use gp_service::lint::LintRequest;
@@ -33,8 +35,8 @@ use gp_service::reactor::raise_fd_limit;
 use gp_service::simplify::{EnvSpec, SimplifyRequest};
 use gp_service::wire::encode_frame;
 use gp_service::{
-    encode_request, ReactorConfig, Request, Response, Service, ServiceConfig, ShardRouter,
-    ShardRouterConfig, TcpClient,
+    encode_request, ReactorConfig, Request, Response, Service, ServiceConfig, ServiceStats,
+    ShardRouter, ShardRouterConfig, TcpClient,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -99,7 +101,7 @@ fn smoke_phase() -> Json {
 
     // 1. Byte identity: the same pipelined stream through both front
     //    ends yields identical response bytes.
-    let mut blocking = Service::start(deep.clone());
+    let mut blocking = BlockingServer::start(deep.clone(), 1024);
     let baddr = blocking.listen("127.0.0.1:0").expect("bind blocking");
     let mut reactor = Service::start(deep.clone());
     let raddr = reactor
@@ -186,21 +188,25 @@ fn sustained_cell(
         queue_depth: 64,
         cache_enabled: false, // uniform per-request cost: latency is real work
         handler_delay: Some(Duration::from_millis(2)),
-        max_connections: idle + active + 16,
         ..ServiceConfig::default()
     };
-    let mut svc = Service::start(config);
-    let addr = if reactor {
-        svc.listen_reactor(
-            "127.0.0.1:0",
-            ReactorConfig {
-                max_connections: idle + active + 16,
-                ..ReactorConfig::default()
-            },
-        )
-        .expect("bind reactor")
+    let max_connections = idle + active + 16;
+    let (addr, mut shutdown): (SocketAddr, Box<dyn FnMut() -> ServiceStats>) = if reactor {
+        let mut svc = Service::start(config);
+        let addr = svc
+            .listen_reactor(
+                "127.0.0.1:0",
+                ReactorConfig {
+                    max_connections,
+                    ..ReactorConfig::default()
+                },
+            )
+            .expect("bind reactor");
+        (addr, Box::new(move || svc.shutdown()))
     } else {
-        svc.listen("127.0.0.1:0").expect("bind blocking")
+        let mut svc = BlockingServer::start(config, max_connections);
+        let addr = svc.listen("127.0.0.1:0").expect("bind blocking");
+        (addr, Box::new(move || svc.shutdown()))
     };
 
     // The sustained load: connections that sit open without a request in
@@ -246,7 +252,7 @@ fn sustained_cell(
     });
     let wall_s = t0.elapsed().as_secs_f64();
     drop(idles);
-    let stats = svc.shutdown();
+    let stats = shutdown();
     assert_eq!(stats.in_flight(), 0, "cell drained: {stats:?}");
     assert_eq!(stats.accepted, stats.completed + stats.shed);
 

@@ -9,8 +9,8 @@
 //! Part B is the bar: tracing is only shippable if it is ~free when off
 //! and cheap when on. A single-threaded cache-hot loop over pre-encoded
 //! wire frames exercises the full per-request serving path (traced
-//! decode → root span → submit → encode, i.e. `serve_connection` minus
-//! the socket) at four configurations — untraced frames (baseline),
+//! decode → root span → submit → encode, i.e. a front end's per-frame
+//! work minus the socket) at four configurations — untraced frames (baseline),
 //! traced frames with sampling off, the default 1-in-16, and
 //! every-request sampling — with rotated round order (the E11t
 //! interleave discipline) and judged on the median of within-round
@@ -177,9 +177,8 @@ fn part_a_anatomy() -> Json {
 }
 
 /// One timed pass over pre-encoded frames through the serving core's
-/// request path — exactly what `serve_connection` does per frame
-/// (traced decode, optional root span, submit, encode), minus the
-/// socket syscalls. Single-threaded and cache-hot, so the measurement
+/// request path — what a front end does per frame (traced decode,
+/// optional root span, submit, encode), minus the socket syscalls. Single-threaded and cache-hot, so the measurement
 /// is deterministic even on a one-CPU host where any cross-thread
 /// timing is a scheduler lottery.
 fn serve_frames_once(svc: &Service, frames: &[String]) -> f64 {

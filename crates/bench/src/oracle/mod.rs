@@ -24,7 +24,11 @@
 //!   for the served handler, which renames statements checked once.
 //! * [`spawn_map`] / [`spawn_reduce`] — spawn-per-call parallel
 //!   primitives; the E11 baseline for the pooled executor.
+//! * [`blocking::BlockingServer`] — the thread-per-connection TCP front
+//!   end; the byte-for-byte oracle and E14 baseline for the service's
+//!   reactor.
 
+pub mod blocking;
 mod checker;
 mod egraph;
 mod parse;

@@ -6,7 +6,7 @@
 //!   canonical-form stability that keys the shared response cache;
 //! * malformed optimize frames are rejected at decode, not at dispatch;
 //! * a repeat request is answered from the cache with byte-identical
-//!   payload — over TCP, against a live service;
+//!   payload — over TCP through the reactor, against a live service;
 //! * a flood against a tiny queue sheds `Overloaded` (retriable, the
 //!   server did no e-graph work) and the conservation law holds.
 
@@ -14,7 +14,8 @@ use gp_rewrite::{BinOp, Expr, Type, UnOp};
 use gp_service::optimize::{CostSpec, OptimizeRequest};
 use gp_service::simplify::EnvSpec;
 use gp_service::{
-    decode_request, encode_request, Request, Response, Service, ServiceConfig, TcpClient,
+    decode_request, encode_request, ReactorConfig, Request, Response, Service, ServiceConfig,
+    TcpClient,
 };
 use std::time::Duration;
 
@@ -75,10 +76,13 @@ fn malformed_optimize_frames_are_rejected_at_decode() {
     }
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn served_optimize_is_cached_byte_identically() {
     let mut svc = Service::start(ServiceConfig::default());
-    let addr = svc.listen("127.0.0.1:0").unwrap();
+    let addr = svc
+        .listen_reactor("127.0.0.1:0", ReactorConfig::default())
+        .unwrap();
     let mut client = TcpClient::connect(addr).unwrap();
     let req = optimize_request(1);
     let fresh = match client.call(&req).unwrap() {

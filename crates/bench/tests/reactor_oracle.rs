@@ -1,4 +1,5 @@
-//! The blocking front end is the reactor's correctness oracle.
+//! The blocking front end (`gp_bench::oracle::blocking`) is the
+//! reactor's correctness oracle.
 //!
 //! Both front ends sit on the same serving core, and the reactor's
 //! reorder buffer emits responses in request order — so for any request
@@ -10,6 +11,7 @@
 
 #![cfg(target_os = "linux")]
 
+use gp_bench::oracle::blocking::BlockingServer;
 use gp_rewrite::{BinOp, Expr, Type, UnOp};
 use gp_service::lint::LintRequest;
 use gp_service::optimize::{CostSpec, OptimizeRequest};
@@ -143,7 +145,7 @@ proptest! {
     fn reactor_responses_are_byte_identical_to_blocking(
         (stream, cuts) in PipelinedStream { pool: 5, len: 16 }
     ) {
-        let mut blocking = Service::start(deep_config());
+        let mut blocking = BlockingServer::start(deep_config(), 1024);
         let baddr = blocking.listen("127.0.0.1:0").unwrap();
         let mut reactor = Service::start(deep_config());
         let raddr = reactor
@@ -177,7 +179,7 @@ proptest! {
     fn sharded_reactor_matches_the_single_blocking_service(
         (stream, cuts) in PipelinedStream { pool: 5, len: 12 }
     ) {
-        let mut blocking = Service::start(deep_config());
+        let mut blocking = BlockingServer::start(deep_config(), 1024);
         let baddr = blocking.listen("127.0.0.1:0").unwrap();
         let mut router = ShardRouter::start(ShardRouterConfig {
             shards: 3,
@@ -243,7 +245,7 @@ proptest! {
             .iter()
             .map(|&t| (t >= 1_000).then_some(t))
             .collect();
-        let mut blocking = Service::start(deep_config());
+        let mut blocking = BlockingServer::start(deep_config(), 1024);
         let baddr = blocking.listen("127.0.0.1:0").unwrap();
         let mut reactor = Service::start(deep_config());
         let raddr = reactor

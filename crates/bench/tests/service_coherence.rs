@@ -151,7 +151,6 @@ proptest! {
             workers: 1,
             queue_depth: 2,
             cache_enabled: false, // hits would bypass the queue
-            batch_max: 1,         // merges would drain the queue faster
             handler_delay: Some(Duration::from_millis(2)),
             ..ServiceConfig::default()
         });

@@ -2,11 +2,12 @@
 //! it: no handler and no worker hands work to the `gp-parallel` pool.
 //!
 //! Every compute kind is served through an in-process `Service` and
-//! through a reactor-fronted `ShardRouter`, including the two shapes that
-//! once fanned out — a lint program whose first sight has several SCCs at
-//! one call-graph height, and a full simplify micro-batch — and the pool's
-//! submit counters must not move. Every answer must equal a solo
-//! `handle()` of the same request.
+//! through a reactor-fronted `ShardRouter`, including a lint program
+//! whose first sight has several SCCs at one call-graph height (a shape
+//! that once fanned out) and a burst of same-environment simplify
+//! requests queued behind one busy worker, and the pool's submit
+//! counters must not move. Every answer must equal a solo `handle()` of
+//! the same request.
 //!
 //! Lives in its own test binary: the pool counters are process-wide.
 
@@ -97,10 +98,9 @@ fn every_kind(salt: usize) -> Vec<Request> {
     ]
 }
 
-/// A full simplify micro-batch: one request to occupy the single worker
-/// for `handler_delay`, then `batch_max` same-environment requests that
-/// queue behind it.
-fn micro_batch(salt: usize) -> Vec<Request> {
+/// A same-environment simplify burst: one request to occupy the single
+/// worker for `handler_delay`, then eight that queue behind it.
+fn same_env_burst(salt: usize) -> Vec<Request> {
     (0..9).map(|i| simplify(100 * salt + i)).collect()
 }
 
@@ -108,7 +108,6 @@ fn one_worker() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
         cache_enabled: false,
-        batch_max: 8,
         handler_delay: Some(Duration::from_millis(20)),
         ..ServiceConfig::default()
     }
@@ -140,18 +139,17 @@ fn no_served_request_touches_the_global_pool() {
     let before = pool_submits();
     let mut served: Vec<(Request, Response)> = Vec::new();
 
-    // In-process service: every kind, then a micro-batch on one worker.
+    // In-process service: every kind, then a burst on one worker.
     let mut svc = Service::start(ServiceConfig::default());
     for req in every_kind(0) {
         served.push((req.clone(), svc.call(req)));
     }
     svc.shutdown();
     let mut svc = Service::start(one_worker());
-    let batch = micro_batch(0);
-    let tickets: Vec<Ticket> = batch.iter().map(|r| svc.submit(r.clone())).collect();
-    served.extend(batch.into_iter().zip(tickets.into_iter().map(Ticket::wait)));
-    let stats = svc.shutdown();
-    assert!(stats.batched >= 7, "a full micro-batch formed: {stats:?}");
+    let burst = same_env_burst(0);
+    let tickets: Vec<Ticket> = burst.iter().map(|r| svc.submit(r.clone())).collect();
+    served.extend(burst.into_iter().zip(tickets.into_iter().map(Ticket::wait)));
+    svc.shutdown();
 
     // Reactor-fronted shard router: the same, over loopback TCP.
     let mut router = ShardRouter::start(ShardRouterConfig {
@@ -177,12 +175,11 @@ fn no_served_request_touches_the_global_pool() {
         .listen_reactor("127.0.0.1:0", ReactorConfig::default())
         .unwrap();
     let mut client = TcpClient::connect(addr).unwrap();
-    let batch = micro_batch(1);
-    let responses = client.call_pipelined(&batch).unwrap();
-    served.extend(batch.into_iter().zip(responses));
+    let burst = same_env_burst(1);
+    let responses = client.call_pipelined(&burst).unwrap();
+    served.extend(burst.into_iter().zip(responses));
     drop(client);
-    let batched: u64 = router.shutdown().iter().map(|s| s.batched).sum();
-    assert!(batched >= 7, "a full micro-batch formed behind the reactor");
+    router.shutdown();
 
     assert_eq!(
         pool_submits(),

@@ -13,6 +13,7 @@
 #![cfg(target_os = "linux")]
 
 use gp_bench::flatten_trace;
+use gp_bench::oracle::blocking::BlockingServer;
 use gp_core::json::Json;
 use gp_rewrite::{BinOp, Expr, Type};
 use gp_service::introspect::{StatsRequest, TraceQuery};
@@ -114,14 +115,17 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
     drop(client);
     router.shutdown();
 
-    // --- Blocking path: root is `server`, and the engine span closes on
-    // a shard worker (`gp-worker-{i}`) while the root closes on the
-    // connection thread — the recorded thread names are the cross-thread
-    // evidence. ---
-    let mut svc = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    // --- Blocking reference listener: root is `server`, and the engine
+    // span closes on a shard worker (`gp-worker-{i}`) while the root
+    // closes on the connection thread — the recorded thread names are
+    // the cross-thread evidence. ---
+    let mut svc = BlockingServer::start(
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        1024,
+    );
     let baddr = svc.listen("127.0.0.1:0").unwrap();
     let mut bclient = TcpClient::connect(baddr).unwrap();
 
@@ -161,7 +165,8 @@ fn sampled_traces_assemble_and_introspection_serves_both_front_ends() {
     drop(bclient);
 
     // --- Drain dump: the flight recorder saw this test's traffic. ---
-    let (stats, dump) = svc.shutdown_with_dump();
+    let stats = svc.shutdown();
+    let dump = gp_telemetry::flight::dump_json();
     assert_eq!(stats.accepted, stats.completed + stats.shed);
     let dump = Json::parse(&dump).expect("flight dump parses");
     let kinds: Vec<String> = dump

@@ -585,11 +585,6 @@ impl TermMap {
         }
         self.slots[i] = value.0;
     }
-
-    /// Remove every entry (keeps capacity).
-    pub fn clear(&mut self) {
-        self.slots.fill(TERM_MAP_EMPTY);
-    }
 }
 
 #[cfg(test)]

@@ -242,8 +242,8 @@ impl Simplifier {
 
     /// Start a rewriting session: a hash-consing term store plus a
     /// normal-form memo table, shared by every expression simplified
-    /// through it. A batch of related expressions simplified on one
-    /// session interns common structure once.
+    /// through it. Related expressions simplified on one session intern
+    /// common structure once.
     pub fn session(&self) -> Session<'_> {
         Session {
             simp: self,
@@ -258,29 +258,11 @@ impl Simplifier {
     pub fn simplify(&self, e: &Expr) -> (Expr, SimplifyStats) {
         self.session().simplify(e)
     }
-
-    /// Simplify a batch of expressions on one shared term store (common
-    /// subterms across the batch intern once). The normal-form memo is
-    /// reset between entries so each entry's `SimplifyStats` — and the
-    /// per-rule telemetry it mirrors — is identical to a solo
-    /// [`Simplifier::simplify`] call; the served batching path relies on
-    /// that equivalence.
-    pub fn simplify_batch(&self, exprs: &[Expr]) -> Vec<(Expr, SimplifyStats)> {
-        let mut sess = self.session();
-        exprs
-            .iter()
-            .map(|e| {
-                sess.clear_memo();
-                sess.simplify(e)
-            })
-            .collect()
-    }
 }
 
 /// A rewriting session: term store + normal-form memo over one
 /// [`Simplifier`]. Cheap to create; hold one across many related
-/// expressions to amortize interning (this is what the service's
-/// micro-batches do).
+/// expressions to amortize interning.
 pub struct Session<'s> {
     simp: &'s Simplifier,
     store: TermStore,
@@ -310,21 +292,14 @@ impl Session<'_> {
         &mut self.store
     }
 
-    /// Drop the normal-form memo (keeping interned terms). After this,
-    /// the next `simplify` reports statistics exactly as a fresh session
-    /// would, while still sharing the interner.
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
-    }
-
     /// Simplify an expression tree: intern, normalize, extract.
     ///
     /// The memo persists across calls on one session, so a second call on
     /// an expression sharing subterms with an earlier one skips their
     /// normalization — and consequently reports fewer `applications` than
     /// a solo run would (the skipped rules fired in the earlier call).
-    /// Call [`Session::clear_memo`] between entries if per-call stats
-    /// parity matters more than amortization.
+    /// Use a fresh session per expression where per-call stats parity
+    /// matters more than amortization.
     pub fn simplify(&mut self, e: &Expr) -> (Expr, SimplifyStats) {
         let _span = gp_telemetry::span!("simplify");
         let size_before = e.size();
@@ -710,26 +685,6 @@ mod tests {
         assert!(stats2.total() < solo2.total());
         assert!(stats2.memo_hits > 0, "shared subterm must memo-hit");
         assert!(stats2.total() < stats1.total() + 1);
-    }
-
-    #[test]
-    fn batch_stats_match_solo_stats() {
-        // simplify_batch shares the interner but resets the memo, so
-        // per-entry statistics are identical to solo runs even when
-        // entries share structure.
-        let s = Simplifier::standard();
-        let shared = Expr::bin(BinOp::Mul, Expr::var("x", Type::Int), Expr::int(1));
-        let exprs = vec![
-            shared.clone(),
-            Expr::bin(BinOp::Add, shared.clone(), Expr::int(0)),
-            Expr::bin(BinOp::Sub, shared.clone(), shared),
-        ];
-        let batched = s.simplify_batch(&exprs);
-        for (e, (out_b, stats_b)) in exprs.iter().zip(&batched) {
-            let (out_s, stats_s) = s.simplify(e);
-            assert_eq!(&out_s, out_b);
-            assert_eq!(&stats_s, stats_b);
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   [`gp_telemetry::TraceStore`] (a router probes every shard's store).
 //!
 //! Both are answered synchronously at admission — they never enter the
-//! work queue, are never cached, and work identically on the blocking
-//! and reactor front ends because both funnel through the same
+//! work queue, are never cached, and work identically in process and on
+//! every front end because all of them funnel through the same
 //! submission path.
 
 use crate::request::{RequestKind, Route};

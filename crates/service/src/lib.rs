@@ -1,6 +1,6 @@
 //! # gp-service: the concept-query server
 //!
-//! A batched, cached, load-shedding request/response front end over the
+//! A cached, load-shedding request/response front end over the
 //! repo's library stack — the paper's generic components packaged behind
 //! one wire protocol:
 //!
@@ -17,8 +17,8 @@
 //! Each kind is one [`RequestKind`] implementation in its own module plus
 //! one row of the kind table in [`request`]; the table generates
 //! [`Request`] and the per-kind telemetry rows, and the serving core and
-//! shard router read each kind's policy (inline or queued, batch key,
-//! route) from it.
+//! shard router read each kind's policy (inline or queued, route) from
+//! it.
 //!
 //! `simplify` runs the directed engine — one pass to a normal form, the
 //! fast path. `optimize` escalates to the equality-saturation e-graph
@@ -34,28 +34,24 @@
 //!
 //! - **Admission control** ([`queue`]): a bounded queue sheds overflow as
 //!   retriable [`Response::Overloaded`] instead of queueing unboundedly.
-//! - **Micro-batching** ([`server`]): queued requests of one kind sharing
-//!   a batch key run as one batch; `simplify` keys on its environment
-//!   fingerprint, so a batch shares one `Simplifier` build.
+//! - **Workers** ([`server`]): each shard worker pops one request and
+//!   runs its handler on its own thread; the worker count bounds
+//!   concurrency.
 //! - **Response caching** ([`cache`]): mutex-striped LRU keyed by the
 //!   request's canonical form; hits are byte-identical to fresh answers.
 //!
-//! Two TCP front ends expose the same serving core:
-//!
-//! - **Blocking** ([`Service::listen`]): thread per connection, capped at
-//!   `max_connections` (beyond it, a retriable `Overloaded` frame and a
-//!   close). Simple, portable, and the correctness oracle.
-//! - **Reactor** ([`Service::listen_reactor`], [`reactor`]): one
-//!   epoll-driven event-loop thread multiplexing thousands of
-//!   connections — incremental frame decoding, request pipelining with
-//!   in-order responses, per-connection write backpressure. Responses
-//!   are byte-identical to the blocking path's for the same request
-//!   stream (property-tested in `gp-bench`).
+//! The TCP front end is the **reactor** ([`Service::listen_reactor`],
+//! [`reactor`]): one epoll-driven event-loop thread multiplexing
+//! thousands of connections — incremental frame decoding, request
+//! pipelining with in-order responses, per-connection write
+//! backpressure. Its responses are byte-identical to those of a blocking
+//! thread-per-connection listener over the same serving core
+//! (`gp_bench::oracle::blocking`, property-tested in `gp-bench`).
 //!
 //! For horizontal scale, [`shard::ShardRouter`] consistent-hashes
-//! requests across N service instances so each shard's cache owns a true
-//! partition of the key space and the micro-batcher sees denser same-
-//! environment runs. The [`control`] plane runs unmodified `gp-distsim`
+//! requests across N service instances by canonical form, so each
+//! shard's cache owns a true partition of the key space and load spreads
+//! evenly. The [`control`] plane runs unmodified `gp-distsim`
 //! catalog algorithms (heartbeat failure detection, epoch-fenced
 //! FT-FloodMax election) over real TCP: the elected leader owns the
 //! router's assignment table and floods vnode reassignments when a shard
@@ -71,8 +67,8 @@
 //! request across thread hops (`"trace":N` on the wire, assembled into a
 //! per-shard `TraceStore`), a process-wide lock-free *flight recorder* of
 //! recent structured events (dumped on drain and on failover), and the
-//! `stats`/`trace` wire request kinds that export both — served on either
-//! front end, even while draining.
+//! `stats`/`trace` wire request kinds that export both — served in
+//! process and over the wire, even while draining.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

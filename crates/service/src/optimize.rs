@@ -88,10 +88,6 @@ pub struct OptimizeRequest {
     pub max_iters: Option<u64>,
 }
 
-// No batch key, so optimize hash-routes on its canonical form rather than
-// its environment fingerprint: e-graph runs don't micro-batch, and
-// spreading them across shards beats cache-partition affinity with
-// simplify traffic.
 impl RequestKind for OptimizeRequest {
     const NAME: &'static str = "optimize";
     const CODE: u64 = 7;

@@ -7,10 +7,6 @@
 //! growth and collapsing latency. `pop` blocks (workers park on a
 //! condvar) and keeps draining after `close()` until the queue is empty —
 //! graceful shutdown finishes admitted work, it only refuses new work.
-//!
-//! `try_take_matching` lets a worker that just popped a request pull
-//! queued *compatible* requests (same environment fingerprint) into a
-//! micro-batch without blocking on more arrivals.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -68,14 +64,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking take of the first queued item matching `pred` — the
-    /// batch-mate scan. Skipped items keep their order.
-    pub fn try_take_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
-        let mut s = crate::lock(&self.state);
-        let idx = s.items.iter().position(pred)?;
-        s.items.remove(idx)
-    }
-
     /// Stop admitting; wake every parked consumer so it can drain and
     /// exit.
     pub fn close(&self) {
@@ -120,19 +108,6 @@ mod tests {
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn try_take_matching_preserves_order_of_skipped_items() {
-        let q = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4] {
-            q.try_push(v).unwrap();
-        }
-        assert_eq!(q.try_take_matching(|v| v % 2 == 0), Some(2));
-        assert_eq!(q.try_take_matching(|v| *v > 10), None);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(4));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The readiness-polled reactor front end: one thread, one `epoll`
 //! instance, thousands of connections.
 //!
-//! The blocking path in [`crate::server`] spends a thread per connection;
-//! at "mostly idle, occasionally chatty" scale the bottleneck becomes
-//! thread stacks and scheduler churn, not work. The reactor replaces it
-//! with level-triggered readiness polling over raw `epoll_*` calls (the
+//! A thread per connection (the blocking reference listener in
+//! `gp_bench::oracle::blocking`) makes thread stacks and scheduler churn,
+//! not work, the bottleneck at "mostly idle, occasionally chatty" scale.
+//! The reactor is the service's TCP front end instead: level-triggered
+//! readiness polling over raw `epoll_*` calls (the
 //! `sys` FFI shim binds the handful of libc symbols std already links —
 //! no external crate):
 //!
@@ -16,8 +17,8 @@
 //! - **Request pipelining**: every decoded frame is submitted immediately
 //!   with a per-connection sequence tag; workers complete out of order,
 //!   the connection's reorder buffer emits responses in request order —
-//!   so the wire bytes are identical to the blocking path's for the same
-//!   request stream (the oracle property `gp-bench` proves).
+//!   so the wire bytes are identical to the blocking reference listener's
+//!   for the same request stream (the oracle property `gp-bench` proves).
 //! - **Write backpressure**: responses buffer per connection; when the
 //!   outbound buffer tops [`ReactorConfig::outbuf_cap`] the reactor drops
 //!   *read* interest (a client that stops draining stops being served)
@@ -715,7 +716,7 @@ mod linux_impl {
                     Ok(None) => return true,
                     Err(_) => {
                         // Oversized or non-UTF-8: the stream is poisoned;
-                        // match the blocking path and hang up.
+                        // match the blocking reference listener and hang up.
                         metrics().protocol_errors.incr();
                         self.close(token);
                         return false;
@@ -756,7 +757,7 @@ mod linux_impl {
                     Err(e) => {
                         // Malformed request in a well-formed frame: error
                         // response with id 0, connection stays up — same
-                        // as the blocking path.
+                        // as the blocking reference listener.
                         self.completions.push(Completion {
                             token,
                             gen,
@@ -918,36 +919,6 @@ mod tests {
 
     fn simplify_req(i: usize) -> Request {
         Request::Simplify(SimplifyRequest::sample(i))
-    }
-
-    #[test]
-    fn reactor_round_trips_requests_and_matches_blocking_bytes() {
-        let mut blocking = Service::start(ServiceConfig::default());
-        let baddr = blocking.listen("127.0.0.1:0").unwrap();
-        let mut reactor = Service::start(ServiceConfig::default());
-        let raddr = reactor
-            .listen_reactor("127.0.0.1:0", ReactorConfig::default())
-            .unwrap();
-
-        let reqs: Vec<Request> = (0..6)
-            .map(|i| {
-                if i % 2 == 0 {
-                    lint_req(i)
-                } else {
-                    simplify_req(i)
-                }
-            })
-            .collect();
-        let mut bc = TcpClient::connect(baddr).unwrap();
-        let mut rc = TcpClient::connect(raddr).unwrap();
-        for req in &reqs {
-            let b = bc.call(req).unwrap();
-            let r = rc.call(req).unwrap();
-            assert_eq!(b, r, "reactor answers byte-identically to blocking");
-            assert!(matches!(b, Response::Ok { .. }));
-        }
-        assert_eq!(reactor.shutdown().in_flight(), 0);
-        assert_eq!(blocking.shutdown().in_flight(), 0);
     }
 
     #[test]
@@ -1157,8 +1128,8 @@ mod tests {
     }
 }
 
-/// Non-Linux stub: the reactor needs epoll; other platforms keep the
-/// blocking path.
+/// Non-Linux stub: the reactor needs epoll; other platforms serve
+/// in process only.
 #[cfg(not(target_os = "linux"))]
 pub use fallback_impl::{Reactor, ReactorHandle};
 
@@ -1190,7 +1161,7 @@ mod fallback_impl {
         ) -> io::Result<ReactorHandle> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "the reactor front end requires Linux epoll; use Service::listen",
+                "the reactor front end requires Linux epoll",
             ))
         }
     }

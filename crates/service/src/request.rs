@@ -36,15 +36,9 @@ pub trait RequestKind: Sized {
     /// The `req` object in canonical field order.
     fn to_json(&self) -> Json;
 
-    /// Run the backing engine.
+    /// Run the backing engine. A shard worker calls this once per
+    /// queued request, on its own thread.
     fn handle(&self) -> Result<Json, String>;
-
-    /// Run a micro-batch of queued requests sharing one
-    /// [`batch_key`](RequestKind::batch_key): one result per request, in
-    /// order.
-    fn handle_batch(batch: &[&Self]) -> Vec<Result<Json, String>> {
-        batch.iter().map(|r| r.handle()).collect()
-    }
 
     /// Admission policy. `Some` answers the request at admission from the
     /// serving shard's trace store: never queued, never cached, and served
@@ -53,16 +47,11 @@ pub trait RequestKind: Sized {
         None
     }
 
-    /// Micro-batching key: queued requests of this kind with equal keys
-    /// run as one [`handle_batch`](RequestKind::handle_batch) call.
-    fn batch_key(&self) -> Option<u64> {
-        None
-    }
-
-    /// Where a shard router sends the request. By default batch-mates
-    /// share a shard, and everything else hashes its canonical form.
+    /// Where a shard router sends the request. By default it hashes the
+    /// canonical form, so load spreads over the shards and each cache
+    /// key has one home.
     fn route(&self) -> Route {
-        self.batch_key().map_or(Route::Canonical, Route::Key)
+        Route::Canonical
     }
 
     /// A representative request for tests, distinct per `salt` where the
@@ -78,8 +67,6 @@ pub trait RequestKind: Sized {
 pub enum Route {
     /// Hash the canonical form (the cache key), spreading load uniformly.
     Canonical,
-    /// Route by this key (a batching key, so batch-mates meet).
-    Key(u64),
     /// The shard whose trace store holds this trace; the canonical hash
     /// when no store does.
     Trace(u64),
@@ -172,27 +159,10 @@ macro_rules! request_kinds {
                 Err(format!("unknown request kind {kind:?}"))
             }
 
-            /// Dispatch to the backing handler (a batch of one for
-            /// `Simplify`; the serving core batches when it can).
+            /// Dispatch to the backing handler.
             pub fn handle(&self) -> Result<Json, String> {
                 match self {
                     $(Request::$variant(r) => r.handle(),)+
-                }
-            }
-
-            /// Run a batch of requests of one kind sharing a batch key.
-            pub(crate) fn handle_batch(batch: &[&Request]) -> Vec<Result<Json, String>> {
-                match batch.first() {
-                    None => Vec::new(),
-                    $(Some(Request::$variant(_)) => <$ty as RequestKind>::handle_batch(
-                        &batch
-                            .iter()
-                            .map(|r| match r {
-                                Request::$variant(r) => r,
-                                _ => unreachable!("a batch holds one kind"),
-                            })
-                            .collect::<Vec<_>>(),
-                    ),)+
                 }
             }
 
@@ -203,15 +173,6 @@ macro_rules! request_kinds {
             ) -> Option<Result<Json, String>> {
                 match self {
                     $(Request::$variant(r) => r.answer_inline(traces),)+
-                }
-            }
-
-            /// The micro-batching key, qualified by kind.
-            pub(crate) fn batch_key(&self) -> Option<(u64, u64)> {
-                match self {
-                    $(Request::$variant(r) => {
-                        r.batch_key().map(|k| (<$ty as RequestKind>::CODE, k))
-                    })+
                 }
             }
 

@@ -1,14 +1,13 @@
-//! The serving core: admission control, worker threads, micro-batching,
-//! response cache, TCP front end, and graceful shutdown.
+//! The serving core: admission control, worker threads, response cache,
+//! and graceful shutdown. The TCP front end is the reactor
+//! ([`Service::listen_reactor`]).
 //!
 //! A request's life: `submit` stamps it, counts it as **accepted**, and
 //! either answers from the cache (**completed**), sheds it when the
 //! bounded queue is full (**shed**, a retriable `Overloaded` — the
 //! load-shedding design choice documented in DESIGN.md), or queues it.
-//! Workers pop jobs, pull queued `Simplify` requests with the same
-//! environment fingerprint into a micro-batch (one `Simplifier` build
-//! amortized over the batch), execute the batch on their own thread, and
-//! reply through the job's callback. The workers are the service's only
+//! A worker pops one job, runs its handler on its own thread, and replies
+//! through the job's callback. The workers are the service's only
 //! source of concurrency: no handler hands work to another thread.
 //!
 //! The conservation law `accepted == completed + shed + in_flight` holds
@@ -19,15 +18,14 @@
 use crate::cache::{CacheStats, ResponseCache};
 use crate::queue::BoundedQueue;
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{decode_request_traced, encode_response, KindRow, Request, Response};
-use crate::wire::{read_frame, write_frame};
+use crate::request::{KindRow, Request, Response};
 use gp_telemetry::flight::{self, FlightKind};
 use gp_telemetry::trace::{SpanId, TraceContext, TraceHandle, TraceStore};
 use gp_telemetry::{Counter, Gauge, Span, SpanName};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -45,12 +43,6 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// Total cache entries across stripes.
     pub cache_capacity: usize,
-    /// Most `Simplify` requests merged into one micro-batch.
-    pub batch_max: usize,
-    /// Concurrent connections the **blocking** TCP path serves; one
-    /// beyond this is shed at accept with a retriable `Overloaded` frame
-    /// (the reactor path has its own cap in [`ReactorConfig`]).
-    pub max_connections: usize,
     /// Telemetry prefix for the response cache's counters. `None` means
     /// the process-wide `service.cache`; a shard router labels each
     /// shard's cache `service.shard.<i>.cache` so partitioning is
@@ -59,7 +51,7 @@ pub struct ServiceConfig {
     /// Completed traces this shard's bounded trace store retains for
     /// `trace` queries (oldest evicted beyond it).
     pub trace_capacity: usize,
-    /// Artificial per-batch handler delay — the load generator's knob for
+    /// Artificial per-request handler delay — the load generator's knob for
     /// making overload reproducible; `None` in production paths.
     pub handler_delay: Option<Duration>,
 }
@@ -72,8 +64,6 @@ impl Default for ServiceConfig {
             cache_enabled: true,
             cache_shards: 8,
             cache_capacity: 512,
-            batch_max: 8,
-            max_connections: 1024,
             cache_label: None,
             trace_capacity: 256,
             handler_delay: None,
@@ -91,7 +81,8 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Requests refused by admission control.
     pub shed: u64,
-    /// Requests that joined another request's micro-batch.
+    /// Always 0: the serving core runs every request on its own. Kept
+    /// only because the serving benchmark (`perfbench`) still reads it.
     pub batched: u64,
     /// Cache counters (all zero when the cache is disabled).
     pub cache: CacheStats,
@@ -106,15 +97,13 @@ impl ServiceStats {
 }
 
 /// One queued request plus everything needed to answer it. The reply is
-/// a one-shot callback: the blocking paths hand it an `mpsc` sender (a
-/// [`Ticket`] waits on the other end), the reactor hands it a completion
-/// push + wakeup — the serving core cannot tell the difference.
+/// a one-shot callback: a [`Ticket`] hands it an `mpsc` sender and waits
+/// on the other end, the reactor hands it a completion push + wakeup —
+/// the serving core cannot tell the difference.
 struct Job {
     request: Request,
     canonical: String,
     hash: u64,
-    /// Micro-batching key, qualified by kind.
-    batch_key: Option<(u64, u64)>,
     reply: ReplyFn,
     /// When `submit` admitted the request: latency samples start here.
     admitted: Instant,
@@ -163,11 +152,9 @@ struct ServiceInner {
     cache: Option<ResponseCache>,
     trace_store: Arc<TraceStore>,
     accepting: AtomicBool,
-    stop_listener: AtomicBool,
     accepted: AtomicU64,
     completed: AtomicU64,
     shed: AtomicU64,
-    batched: AtomicU64,
 }
 
 /// The serving core's own instruments, resolved once per process.
@@ -175,7 +162,6 @@ struct ServiceMetrics {
     accepted: &'static Counter,
     completed: &'static Counter,
     shed: &'static Counter,
-    batch_merged: &'static Counter,
     queue_depth: &'static Gauge,
 }
 
@@ -185,7 +171,6 @@ fn service_metrics() -> &'static ServiceMetrics {
         accepted: gp_telemetry::counter("service.accepted"),
         completed: gp_telemetry::counter("service.completed"),
         shed: gp_telemetry::counter("service.shed"),
-        batch_merged: gp_telemetry::counter("service.batch.merged"),
         queue_depth: gp_telemetry::gauge("service.queue.depth"),
     })
 }
@@ -193,7 +178,6 @@ fn service_metrics() -> &'static ServiceMetrics {
 static CACHE_SPAN: SpanName = SpanName::new("cache");
 static QUEUE_SPAN: SpanName = SpanName::new("queue");
 static WORKER_SPAN: SpanName = SpanName::new("worker");
-static SERVER_SPAN: SpanName = SpanName::new("server");
 
 impl ServiceInner {
     fn shed_one(&self, kind: &KindRow, reply: ReplyFn) {
@@ -233,70 +217,41 @@ impl ServiceInner {
         (job.reply)(response);
     }
 
-    /// Execute a popped batch (always non-empty; len > 1 only for jobs
-    /// of one kind sharing a batch key).
-    fn execute_batch(&self, mut batch: Vec<Job>) {
+    /// Run one popped job's handler and answer it.
+    fn execute(&self, mut job: Job) {
         if let Some(delay) = self.config.handler_delay {
             thread::sleep(delay);
         }
-        // For every traced job: close its `queue` span (measuring queued
-        // wait) and open `worker` → `engine.<kind>` spans here, on the
-        // shard worker — the explicit parent ids are what keep the tree
-        // intact across the hop from the submitting thread. Batched jobs
-        // each get their own span pair over the shared handler run.
-        let mut stage_spans: Vec<(Span, Span)> = Vec::new();
-        for job in &mut batch {
-            if let Some(t) = &mut job.trace {
-                t.queue_span.take();
-                let worker = t.ctx.span(&WORKER_SPAN, t.queue_id);
-                let engine = t
-                    .ctx
-                    .span(&job.request.row().instruments().engine, worker.id());
-                stage_spans.push((worker, engine));
-            }
-        }
-        let _span = Span::enter(&batch[0].request.row().instruments().handler);
-        let results = catch_unwind(AssertUnwindSafe(|| match batch.as_slice() {
-            [job] => vec![job.request.handle()],
-            jobs => Request::handle_batch(&jobs.iter().map(|j| &j.request).collect::<Vec<_>>()),
-        }));
+        // A traced job: close its `queue` span (measuring queued wait)
+        // and open `worker` → `engine.<kind>` spans here, on the shard
+        // worker — the explicit parent ids are what keep the tree intact
+        // across the hop from the submitting thread.
+        let stage_spans = job.trace.as_mut().map(|t| {
+            t.queue_span.take();
+            let worker = t.ctx.span(&WORKER_SPAN, t.queue_id);
+            let engine = t
+                .ctx
+                .span(&job.request.row().instruments().engine, worker.id());
+            (worker, engine)
+        });
+        let _span = Span::enter(&job.request.row().instruments().handler);
+        let result = catch_unwind(AssertUnwindSafe(|| job.request.handle()))
+            .unwrap_or_else(|_| Err("handler panicked".into()));
         drop(stage_spans); // engine/worker spans end with the handler
-        let n = batch.len();
-        let results = results.unwrap_or_else(|_| vec![Err("handler panicked".into()); n]);
-        for (job, result) in batch.into_iter().zip(results) {
-            self.finish(job, result);
-        }
+        self.finish(job, result);
     }
 
-    /// Worker loop: pop, gather batch-mates, run the batch here.
+    /// Worker loop: pop one job and run it here, so worker count bounds
+    /// service concurrency and shutdown-join implies no in-flight work.
     fn worker_loop(&self) {
         while let Some(job) = self.queue.pop() {
             service_metrics().queue_depth.sub(1);
-            let mut batch = vec![job];
-            if let Some(key) = batch[0].batch_key {
-                while batch.len() < self.config.batch_max {
-                    match self.queue.try_take_matching(|j| j.batch_key == Some(key)) {
-                        Some(mate) => {
-                            service_metrics().queue_depth.sub(1);
-                            self.batched.fetch_add(1, Ordering::Relaxed);
-                            service_metrics().batch_merged.incr();
-                            batch.push(mate);
-                        }
-                        None => break,
-                    }
-                }
-            }
-            for job in &batch {
-                flight::record(
-                    FlightKind::Dequeue,
-                    job.request.row().code,
-                    batch.len() as u64,
-                );
-            }
-            // The worker runs its own batch, so worker count bounds
-            // service concurrency and shutdown-join implies no in-flight
-            // work.
-            self.execute_batch(batch);
+            flight::record(
+                FlightKind::Dequeue,
+                job.request.row().code,
+                job.admitted.elapsed().as_micros() as u64,
+            );
+            self.execute(job);
         }
     }
 
@@ -305,7 +260,7 @@ impl ServiceInner {
             accepted: self.accepted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            batched: self.batched.load(Ordering::Relaxed),
+            batched: 0,
             cache: self
                 .cache
                 .as_ref()
@@ -387,7 +342,6 @@ impl SubmitRequest for ServiceInner {
             }
         });
         let job = Job {
-            batch_key: request.batch_key(),
             request,
             canonical,
             hash,
@@ -412,13 +366,11 @@ impl SubmitRequest for ServiceInner {
 
 /// The concept-query server. Construct with [`Service::start`], query
 /// in-process with [`Service::call`] (or [`Service::submit`] for
-/// pipelining), optionally expose over TCP with [`Service::listen`], and
-/// stop with [`Service::shutdown`].
+/// pipelining), optionally expose over TCP with
+/// [`Service::listen_reactor`], and stop with [`Service::shutdown`].
 pub struct Service {
     inner: Arc<ServiceInner>,
     workers: Vec<JoinHandle<()>>,
-    listen_thread: Option<JoinHandle<()>>,
-    listen_addr: Option<SocketAddr>,
     reactor: Option<ReactorHandle>,
 }
 
@@ -437,11 +389,9 @@ impl Service {
             cache,
             trace_store: TraceStore::new(config.trace_capacity),
             accepting: AtomicBool::new(true),
-            stop_listener: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
             config,
         });
         let workers = (0..inner.config.workers.max(1))
@@ -457,13 +407,12 @@ impl Service {
         Service {
             inner,
             workers,
-            listen_thread: None,
-            listen_addr: None,
             reactor: None,
         }
     }
 
-    /// This service as a request sink for a [`Reactor`] or shard router.
+    /// This service as a request sink for a [`Reactor`], a shard router,
+    /// or any other front end.
     pub fn submitter(&self) -> Arc<dyn SubmitRequest> {
         Arc::clone(&self.inner) as Arc<dyn SubmitRequest>
     }
@@ -488,57 +437,20 @@ impl Service {
     }
 
     /// The in-process client: submit and block for the answer — same
-    /// admission control, cache, and batching as the socket path, minus
+    /// admission control, cache, and workers as the socket path, minus
     /// the socket.
     pub fn call(&self, request: Request) -> Response {
         self.submit(request).wait()
-    }
-
-    /// Serve TCP on `addr` (use port 0 for an ephemeral port) with the
-    /// legacy blocking thread-per-connection path; returns the bound
-    /// address. Connections beyond `max_connections` are shed at accept
-    /// with one retriable `Overloaded` frame — a connection flood turns
-    /// into explicit sheds instead of unbounded thread spawn.
-    pub fn listen(&mut self, addr: &str) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let inner = Arc::clone(&self.inner);
-        let open = Arc::new(AtomicUsize::new(0));
-        self.listen_thread = Some(thread::spawn(move || {
-            for stream in listener.incoming() {
-                if inner.stop_listener.load(Ordering::Acquire) {
-                    break;
-                }
-                if let Ok(mut stream) = stream {
-                    if open.load(Ordering::Acquire) >= inner.config.max_connections {
-                        gp_telemetry::counter("service.conn.shed").incr();
-                        let _ =
-                            write_frame(&mut stream, &encode_response(0, &Response::Overloaded));
-                        continue;
-                    }
-                    open.fetch_add(1, Ordering::AcqRel);
-                    gp_telemetry::gauge("service.conn.open").add(1);
-                    let inner = Arc::clone(&inner);
-                    let open = Arc::clone(&open);
-                    thread::spawn(move || {
-                        serve_connection(&inner, stream);
-                        open.fetch_sub(1, Ordering::AcqRel);
-                        gp_telemetry::gauge("service.conn.open").sub(1);
-                    });
-                }
-            }
-        }));
-        self.listen_addr = Some(local);
-        Ok(local)
     }
 
     /// Serve TCP on `addr` with the readiness-polled reactor front end
     /// (Linux): one event-loop thread multiplexing every connection,
     /// incremental frame decoding, request pipelining with in-order
     /// response delivery, and per-connection write backpressure. The
-    /// serving core behind it — admission control, cache, batching,
-    /// workers — is exactly the one [`Service::listen`] uses, so
-    /// responses are byte-identical between the two paths.
+    /// serving core behind it — admission control, cache, workers — is
+    /// the one [`Service::call`] uses, so responses are byte-identical
+    /// between the two paths. Use port 0 for an ephemeral port; returns
+    /// the bound address.
     pub fn listen_reactor(&mut self, addr: &str, config: ReactorConfig) -> io::Result<SocketAddr> {
         let handle = Reactor::start(addr, self.submitter(), config)?;
         let local = handle.local_addr();
@@ -552,7 +464,7 @@ impl Service {
         self.inner.stats()
     }
 
-    /// Graceful shutdown: refuse new work, stop the listener, drain every
+    /// Graceful shutdown: refuse new work, stop the reactor, drain every
     /// admitted job, join the workers. On return `in_flight == 0` and the
     /// conservation law has collapsed to `accepted == completed + shed`.
     pub fn shutdown(&mut self) -> ServiceStats {
@@ -565,16 +477,8 @@ impl Service {
                 self.inner.queue.len() as u64,
             );
         }
-        self.inner.stop_listener.store(true, Ordering::Release);
         if let Some(mut reactor) = self.reactor.take() {
             reactor.shutdown();
-        }
-        if let Some(addr) = self.listen_addr.take() {
-            // Unblock the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(addr);
-        }
-        if let Some(t) = self.listen_thread.take() {
-            let _ = t.join();
         }
         self.inner.queue.close();
         for w in self.workers.drain(..) {
@@ -598,43 +502,13 @@ impl Drop for Service {
     }
 }
 
-/// One connection: frames in, frames out, until the peer hangs up. A
-/// frame that is not a well-formed request gets an error response with
-/// correlation id 0 (the decoder could not recover the client's id).
-fn serve_connection(inner: &Arc<ServiceInner>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            _ => return,
-        };
-        let reply = match decode_request_traced(&frame) {
-            Ok((id, request, wire_trace)) => {
-                // Tracing is strictly opt-in: only a frame carrying a
-                // `trace` field can be sampled, and an unsampled or
-                // untraced request takes the identical path.
-                let (handle, root) = gp_telemetry::trace::sample_root(wire_trace, &SERVER_SPAN);
-                let response = Ticket::submit(&**inner, request, handle).wait();
-                // Close the root span before writing the response so the
-                // assembled trace is queryable the moment the client
-                // reads its answer.
-                drop(root);
-                encode_response(id, &response)
-            }
-            Err(e) => encode_response(0, &Response::Error { message: e }),
-        };
-        if write_frame(&mut stream, &reply).is_err() {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lint::LintRequest;
-    use crate::wire::TcpClient;
+    use crate::wire::{read_frame, write_frame, TcpClient};
     use gp_core::json::Json;
+    use std::net::TcpStream;
 
     /// Sample `salt` of the `k`-th kind in table order, skipping `trace`
     /// (its lookups fail for an id no test traced).
@@ -707,7 +581,7 @@ mod tests {
             handler_delay: Some(Duration::from_millis(20)),
             ..ServiceConfig::default()
         });
-        // Distinct lint requests (no batching) flood a 1-deep queue.
+        // Distinct lint requests flood a 1-deep queue.
         let tickets: Vec<Ticket> = (0..32).map(|i| svc.submit(sample(0, i))).collect();
         let responses: Vec<Response> = tickets.into_iter().map(Ticket::wait).collect();
         let sheds = responses
@@ -725,31 +599,6 @@ mod tests {
         assert_eq!(stats.shed as usize, sheds);
         assert_eq!(stats.completed as usize, served);
         assert_eq!(stats.in_flight(), 0);
-    }
-
-    #[test]
-    fn queued_simplify_requests_merge_into_micro_batches() {
-        let mut svc = Service::start(ServiceConfig {
-            workers: 1,
-            queue_depth: 64,
-            cache_enabled: false,
-            batch_max: 8,
-            handler_delay: Some(Duration::from_millis(10)),
-            ..ServiceConfig::default()
-        });
-        let tickets: Vec<Ticket> = (0..16).map(|i| svc.submit(sample(1, i))).collect();
-        for t in tickets {
-            match t.wait() {
-                Response::Ok { .. } => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.completed, 16);
-        assert!(
-            stats.batched > 0,
-            "a busy single worker must batch same-env simplify requests: {stats:?}"
-        );
     }
 
     #[test]
@@ -772,10 +621,13 @@ mod tests {
         }
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn tcp_round_trip_and_malformed_frames() {
         let mut svc = Service::start(ServiceConfig::default());
-        let addr = svc.listen("127.0.0.1:0").unwrap();
+        let addr = svc
+            .listen_reactor("127.0.0.1:0", ReactorConfig::default())
+            .unwrap();
         let mut client = TcpClient::connect(addr).unwrap();
         for kind in 0..6 {
             match client.call(&sample(kind, kind)).unwrap() {
@@ -792,39 +644,6 @@ mod tests {
         let j = Json::parse(&reply).unwrap();
         assert_eq!(j.get("status").and_then(Json::as_str), Some("error"));
         drop(raw);
-        let stats = svc.shutdown();
-        assert_eq!(stats.in_flight(), 0);
-    }
-
-    #[test]
-    fn blocking_listener_sheds_connections_beyond_the_cap() {
-        let mut svc = Service::start(ServiceConfig {
-            max_connections: 2,
-            ..ServiceConfig::default()
-        });
-        let addr = svc.listen("127.0.0.1:0").unwrap();
-        // Two connections get in and answer; hold them open.
-        let mut a = TcpClient::connect(addr).unwrap();
-        let mut b = TcpClient::connect(addr).unwrap();
-        assert!(matches!(a.call(&sample(0, 0)), Ok(Response::Ok { .. })));
-        assert!(matches!(b.call(&sample(0, 1)), Ok(Response::Ok { .. })));
-        // The third is shed with one retriable Overloaded frame, then EOF.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let frame = read_frame(&mut raw).unwrap().expect("shed frame");
-        let (id, resp) = crate::request::decode_response(&frame).unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(resp, Response::Overloaded);
-        assert_eq!(read_frame(&mut raw).unwrap(), None, "then EOF");
-        // Freeing a slot lets a retry in.
-        drop(a);
-        std::thread::sleep(Duration::from_millis(100));
-        let mut retry = TcpClient::connect(addr).unwrap();
-        match retry.call(&sample(0, 2)) {
-            Ok(Response::Ok { .. }) => {}
-            other => panic!("retry after a slot freed should serve: {other:?}"),
-        }
-        drop(b);
-        drop(retry);
         let stats = svc.shutdown();
         assert_eq!(stats.in_flight(), 0);
     }

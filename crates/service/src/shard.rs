@@ -2,27 +2,20 @@
 //! owning a true partition of the response cache.
 //!
 //! One big service instance shares one cache and one queue between all
-//! workers; under heavy load the cache stripes contend and the
-//! micro-batcher's queue scan wades through every environment's
-//! requests. The router splits the tier into `shards` independent
+//! workers; under heavy load the cache stripes and the queue lock
+//! contend. The router splits the tier into `shards` independent
 //! `Service` instances and routes each request by a **routing key**
 //! hashed onto a consistent ring ([`HashRing`], `vnodes` virtual nodes
 //! per shard so a shard's arc is spread across the key space and
-//! adding/removing a shard moves only `1/n` of the keys):
-//!
-//! - `Simplify` routes by its **environment fingerprint**, so every
-//!   request that could share a micro-batch lands on the same shard —
-//!   the batcher sees denser same-env runs, and a given cache key still
-//!   maps to exactly one shard (the environment is part of the
-//!   canonical form).
-//! - Every other kind routes by the hash of its **canonical form** (the
-//!   cache key), spreading load uniformly — except a `trace` query, which
-//!   goes to the shard whose store holds the trace.
+//! adding/removing a shard moves only `1/n` of the keys). Every kind
+//! routes by the hash of its **canonical form** (the cache key),
+//! spreading load uniformly — except a `trace` query, which goes to the
+//! shard whose store holds the trace.
 //!
 //! Each kind states its policy as a [`Route`]; the router has no
 //! per-kind code.
 //!
-//! Either way the map from canonical form to shard is deterministic, so
+//! The map from canonical form to shard is deterministic, so
 //! the per-shard caches partition the key space with zero cross-shard
 //! duplication: `service.shard.<i>.cache.{hit,miss}` counters make the
 //! partition observable, and the E14 experiment checks that the union of
@@ -172,20 +165,15 @@ impl RouterInner {
     /// in `canonical` for the shard to key its cache with, so a request
     /// is rendered once.
     fn shard_for(&self, request: &Request, canonical: &mut Option<String>) -> usize {
-        let key = match request.route() {
-            Route::Key(key) => Some(key),
-            Route::Trace(id) => {
-                if let Some(shard) = self.trace_stores.iter().position(|s| s.contains(id)) {
-                    return shard;
-                }
-                // No store holds it: the routed shard reports not-found.
-                None
+        if let Route::Trace(id) = request.route() {
+            if let Some(shard) = self.trace_stores.iter().position(|s| s.contains(id)) {
+                return shard;
             }
-            Route::Canonical => None,
-        };
-        self.route(
-            key.unwrap_or_else(|| hash_str(canonical.get_or_insert_with(|| request.canonical()))),
-        )
+            // No store holds it: the routed shard reports not-found.
+        }
+        self.route(hash_str(
+            canonical.get_or_insert_with(|| request.canonical()),
+        ))
     }
 }
 
@@ -347,7 +335,6 @@ impl ShardRouter {
             total.accepted += s.accepted;
             total.completed += s.completed;
             total.shed += s.shed;
-            total.batched += s.batched;
             total.cache.hits += s.cache.hits;
             total.cache.misses += s.cache.misses;
             total.cache.evictions += s.cache.evictions;
@@ -451,19 +438,19 @@ mod tests {
     }
 
     #[test]
-    fn same_env_simplify_requests_share_a_shard() {
+    fn distinct_standard_env_simplify_requests_reach_every_shard() {
         let router = ShardRouter::start(ShardRouterConfig {
             shards: 4,
             ..ShardRouterConfig::default()
         });
-        let shard = router.shard_of(&simplify_req(0));
-        for i in 1..16 {
-            assert_eq!(
-                router.shard_of(&simplify_req(i)),
-                shard,
-                "standard-env simplify requests all batch on one shard"
-            );
+        let mut hit = [false; 4];
+        for i in 0..64 {
+            hit[router.shard_of(&simplify_req(i))] = true;
         }
+        assert!(
+            hit.iter().all(|h| *h),
+            "simplify routes by canonical form, so one environment spreads: {hit:?}"
+        );
     }
 
     #[test]

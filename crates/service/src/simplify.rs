@@ -1,15 +1,13 @@
 //! The `Simplify` request: Simplicissimus as a service (`gp-rewrite`
-//! backing), plus the environment fingerprint that drives micro-batching.
+//! backing).
 //!
 //! The expression travels as a JSON AST (`{"bin":["+",l,r]}` …) and the
 //! concept environment as either the string `"standard"` or an explicit
 //! declaration list. A standard-environment request runs on the
 //! process-wide [`Simplifier::standard_ref`] engine, whose rule set and
 //! dispatch index are built once per process; a custom environment builds
-//! its own engine per request (per batch when batched). Requests whose
-//! environments render to the same canonical JSON share a
-//! **fingerprint**, and the serving core groups queued requests by
-//! fingerprint so a batch shares one rewriting `Session`.
+//! its own engine per request. Like every cached kind, a simplify request
+//! routes across shards by the hash of its canonical form.
 //!
 //! Wire caveat: numeric literals ride in JSON numbers (f64), so `Int`/
 //! `UInt` literals are exact only up to 2^53 — plenty for rewrite
@@ -365,12 +363,6 @@ impl EnvSpec {
             EnvSpec::Custom(_) => f(&build(self.build())),
         }
     }
-
-    /// The batching key: hash of the canonical environment JSON. Requests
-    /// with equal fingerprints can share one `Simplifier`.
-    pub fn fingerprint(&self) -> u64 {
-        gp_core::hash::hash_str(&self.to_json().render())
-    }
 }
 
 impl RequestKind for SimplifyRequest {
@@ -402,17 +394,6 @@ impl RequestKind for SimplifyRequest {
         Ok(render_result(&out, &stats))
     }
 
-    fn handle_batch(batch: &[&Self]) -> Vec<Result<Json, String>> {
-        handle_batch(batch)
-    }
-
-    /// The environment fingerprint: requests sharing it share one
-    /// rewriting session, and a router sends them to one shard so the
-    /// batcher sees dense same-environment runs.
-    fn batch_key(&self) -> Option<u64> {
-        Some(self.env.fingerprint())
-    }
-
     #[cfg(test)]
     fn sample(salt: usize) -> Self {
         SimplifyRequest {
@@ -424,33 +405,6 @@ impl RequestKind for SimplifyRequest {
             env: EnvSpec::Standard,
         }
     }
-}
-
-/// Simplify a batch of requests sharing an environment fingerprint on
-/// one engine and one rewriting session: common subterms across entries
-/// are interned once (the normal-form memo is reset per entry, keeping
-/// each result and its stats byte-identical to a solo call — the
-/// response cache depends on that). A custom environment's engine is
-/// built once per batch; the standard one is shared process-wide, so a
-/// standard batch saves only the session.
-pub fn handle_batch(reqs: &[&SimplifyRequest]) -> Vec<Result<Json, String>> {
-    let Some(first) = reqs.first() else {
-        return Vec::new();
-    };
-    debug_assert!(
-        reqs.iter()
-            .all(|r| r.env.fingerprint() == first.env.fingerprint()),
-        "batched simplify requests must share an environment fingerprint"
-    );
-    let exprs: Vec<Expr> = reqs.iter().map(|r| r.expr.clone()).collect();
-    first
-        .env
-        .with_engine(Simplifier::standard_ref(), Simplifier::with_env, |s| {
-            s.simplify_batch(&exprs)
-        })
-        .into_iter()
-        .map(|(out, stats)| Ok(render_result(&out, &stats)))
-        .collect()
 }
 
 fn render_result(out: &Expr, stats: &gp_rewrite::SimplifyStats) -> Json {
@@ -543,67 +497,5 @@ mod tests {
         assert_eq!(decoded, req);
         let payload = req.handle().unwrap();
         assert_eq!(payload.get("display").and_then(Json::as_str), Some("m"));
-    }
-
-    #[test]
-    fn fingerprints_separate_environments_not_expressions() {
-        let a = SimplifyRequest {
-            expr: Expr::int(1),
-            env: EnvSpec::Standard,
-        };
-        let b = SimplifyRequest {
-            expr: x_times_one_plus_y_minus_y(),
-            env: EnvSpec::Standard,
-        };
-        let c = SimplifyRequest {
-            expr: Expr::int(1),
-            env: EnvSpec::Custom(vec![]),
-        };
-        assert_eq!(a.env.fingerprint(), b.env.fingerprint());
-        assert_ne!(a.env.fingerprint(), c.env.fingerprint());
-    }
-
-    #[test]
-    fn batch_results_match_individual_handling() {
-        let reqs: Vec<SimplifyRequest> = (0..4)
-            .map(|i| SimplifyRequest {
-                expr: Expr::bin(
-                    BinOp::Mul,
-                    Expr::var(format!("v{i}"), Type::Int),
-                    Expr::int(1),
-                ),
-                env: EnvSpec::Standard,
-            })
-            .collect();
-        let batched = handle_batch(&reqs.iter().collect::<Vec<_>>());
-        for (req, b) in reqs.iter().zip(&batched) {
-            let solo = req.handle().unwrap();
-            assert_eq!(b.as_ref().unwrap().render(), solo.render());
-        }
-    }
-
-    #[test]
-    fn a_24_entry_batch_with_shared_structure_matches_solo_calls() {
-        let shared = Expr::bin(
-            BinOp::Add,
-            Expr::bin(BinOp::Mul, Expr::var("x", Type::Int), Expr::int(1)),
-            Expr::int(0),
-        );
-        let reqs: Vec<SimplifyRequest> = (0..24)
-            .map(|i| SimplifyRequest {
-                expr: Expr::bin(
-                    BinOp::Add,
-                    shared.clone(),
-                    Expr::var(format!("v{i}"), Type::Int),
-                ),
-                env: EnvSpec::Standard,
-            })
-            .collect();
-        let batched = handle_batch(&reqs.iter().collect::<Vec<_>>());
-        assert_eq!(batched.len(), reqs.len());
-        for (req, b) in reqs.iter().zip(&batched) {
-            let solo = req.handle().unwrap();
-            assert_eq!(b.as_ref().unwrap().render(), solo.render());
-        }
     }
 }

@@ -7,8 +7,9 @@
 //! module re-exports it under the service's historical paths and adds
 //! the request/response [`TcpClient`].
 //!
-//! Two consumers share the format: the blocking path reads whole frames
-//! with [`read_frame`], and the reactor feeds whatever bytes the kernel
+//! Two consumers share the format: blocking readers such as
+//! [`TcpClient`] read whole frames with [`read_frame`], and the reactor
+//! feeds whatever bytes the kernel
 //! handed it into a [`FrameDecoder`], which buffers partial frames across
 //! reads — a frame split inside the length prefix, a 1-byte-at-a-time
 //! trickle, and several pipelined frames in one read all decode to the

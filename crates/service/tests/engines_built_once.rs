@@ -9,7 +9,7 @@
 use gp_rewrite::env::AlgConcept;
 use gp_rewrite::{BinOp, Expr, Simplifier, Type, UnOp, Value};
 use gp_service::optimize::{CostSpec, OptimizeRequest};
-use gp_service::simplify::{handle_batch, EnvDecl, EnvSpec, SimplifyRequest};
+use gp_service::simplify::{EnvDecl, EnvSpec, SimplifyRequest};
 use gp_service::RequestKind;
 
 fn simplify(i: usize, env: EnvSpec) -> SimplifyRequest {
@@ -64,11 +64,7 @@ fn rule_indexes_are_built_once_not_per_request() {
                     let n = t * 4 + i;
                     let out = simplify(n, EnvSpec::Standard).handle().unwrap();
                     assert!(out.render().contains(&format!("\"display\":\"x{n}\"")));
-                    let reqs = [
-                        simplify(n, EnvSpec::Standard),
-                        simplify(n + 1, EnvSpec::Standard),
-                    ];
-                    assert_eq!(handle_batch(&[&reqs[0], &reqs[1]]).len(), 2);
+                    simplify(n + 1, EnvSpec::Standard).handle().unwrap();
                     let out = optimize(n).handle().unwrap();
                     assert!(out.render().contains(&format!("\"display\":\"x{n}\"")));
                 }

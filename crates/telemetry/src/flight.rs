@@ -27,8 +27,8 @@ pub enum FlightKind {
     /// Request admitted to a shard queue. `a` = request-kind code, `b` =
     /// queue depth after the push.
     Enqueue = 1,
-    /// Worker popped a request. `a` = request-kind code, `b` = batch size
-    /// it was executed with.
+    /// Worker popped a request. `a` = request-kind code, `b` = time it
+    /// waited since admission, in microseconds.
     Dequeue = 2,
     /// Request shed (queue full or draining). `a` = request-kind code.
     Shed = 3,
